@@ -64,9 +64,9 @@ type Device struct {
 
 	// handlerHits counts invocations per packet handler: the simulated
 	// analogue of the limited code-coverage measurement the paper's §V
-	// cites Frankenstein for. Keys are command names plus the data-plane
-	// handlers ("SDP", "RFCOMM").
-	handlerHits map[string]int
+	// cites Frankenstein for. Signaling handlers are indexed by command
+	// code; HandlerCoverage names them.
+	handlerHits handlerHits
 
 	// Reused scratch state for the steady-state receive/respond path.
 	// The device never receives while mid-send (the client's receive
@@ -75,6 +75,14 @@ type Device struct {
 	sigFrames []l2cap.Frame // AppendSignals scratch in onSignaling
 	sigWire   []byte        // signaling payload built by sendCmd
 	txWire    []byte        // wire bytes of the frame being sent
+	echoRsp   l2cap.EchoRsp // the echo reply, marshaled before it is reused
+}
+
+// handlerHits is the per-handler invocation tally: one counter per
+// command code plus the data-plane and undecodable-frame handlers.
+type handlerHits struct {
+	byCode                   [256]int
+	sdp, rfcomm, undecodable int
 }
 
 type channel struct {
@@ -130,15 +138,14 @@ func New(m *radio.Medium, cfg Config) (*Device, error) {
 	}
 
 	d := &Device{
-		ctrl:        ctrl,
-		medium:      m,
-		cfg:         cfg,
-		sdpSrv:      newSDPServer(ports, cfg),
-		ports:       ports,
-		channels:    make(map[l2cap.CID]*channel),
-		nextCID:     l2cap.CIDDynamicFirst,
-		nextSigID:   1,
-		handlerHits: make(map[string]int),
+		ctrl:      ctrl,
+		medium:    m,
+		cfg:       cfg,
+		sdpSrv:    newSDPServer(ports, cfg),
+		ports:     ports,
+		channels:  make(map[l2cap.CID]*channel),
+		nextCID:   l2cap.CIDDynamicFirst,
+		nextSigID: 1,
 	}
 	if len(cfg.RFCOMMServices) > 0 {
 		defect := cfg.RFCOMMDefect
@@ -267,7 +274,7 @@ func (d *Device) onData(h hci.ConnHandle, pkt l2cap.Packet) {
 	body := pkt.Payload[:min(int(pkt.Length), len(pkt.Payload))]
 	switch {
 	case ch.psm == l2cap.PSMSDP:
-		d.handlerHits["SDP"]++
+		d.handlerHits.sdp++
 		if rsp := d.sdpSrv.Handle(body); rsp != nil {
 			d.send(h, l2cap.NewPacket(ch.remoteCID, rsp))
 		}
@@ -275,7 +282,7 @@ func (d *Device) onData(h hci.ConnHandle, pkt l2cap.Packet) {
 			d.crashFromSDP()
 		}
 	case ch.psm == l2cap.PSMRFCOMM && d.mux != nil:
-		d.handlerHits["RFCOMM"]++
+		d.handlerHits.rfcomm++
 		// RFCOMM garbage tails live beyond the declared L2CAP length;
 		// hand the mux the full payload so its own FCS/tail logic sees
 		// them (the buggy parse path reads past the declared length).
@@ -346,11 +353,11 @@ func (d *Device) onSignaling(h hci.ConnHandle, pkt l2cap.Packet) {
 func (d *Device) handleCommand(h hci.ConnHandle, f l2cap.Frame) {
 	cmd, err := d.dec.Decode(f)
 	if err != nil {
-		d.handlerHits["undecodable"]++
+		d.handlerHits.undecodable++
 		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
 		return
 	}
-	d.handlerHits[f.Code.String()]++
+	d.handlerHits.byCode[f.Code]++
 	d.cmdSeq++
 	switch c := cmd.(type) {
 	case *l2cap.ConnectionReq:
@@ -364,7 +371,8 @@ func (d *Device) handleCommand(h hci.ConnHandle, f l2cap.Frame) {
 	case *l2cap.DisconnectionReq:
 		d.onDisconnectionReq(h, f, c)
 	case *l2cap.EchoReq:
-		d.sendCmd(h, f.Identifier, &l2cap.EchoRsp{Data: c.Data}, nil)
+		d.echoRsp.Data = c.Data
+		d.sendCmd(h, f.Identifier, &d.echoRsp, nil)
 	case *l2cap.InformationReq:
 		d.onInformationReq(h, f, c)
 	case *l2cap.MoveChannelReq:
@@ -841,9 +849,20 @@ func (d *Device) Medium() *radio.Medium { return d.medium }
 // construction: the simulated analogue of the limited code-coverage
 // measurement §V cites Frankenstein for. The returned map is a copy.
 func (d *Device) HandlerCoverage() map[string]int {
-	out := make(map[string]int, len(d.handlerHits))
-	for k, v := range d.handlerHits {
-		out[k] = v
+	out := make(map[string]int)
+	for code, n := range d.handlerHits.byCode {
+		if n > 0 {
+			out[l2cap.CommandCode(code).String()] = n
+		}
+	}
+	for name, n := range map[string]int{
+		"SDP":         d.handlerHits.sdp,
+		"RFCOMM":      d.handlerHits.rfcomm,
+		"undecodable": d.handlerHits.undecodable,
+	} {
+		if n > 0 {
+			out[name] = n
+		}
 	}
 	return out
 }

@@ -1,10 +1,10 @@
 package host_test
 
-// Aliasing/reuse regression tests for the pooled packet path: anything a
-// component retains past its ownership window must be a copy, so
-// mutating released or reused buffers must never reach it. These tests
-// deliberately hammer the reuse paths (scratch marshal buffers, pooled
-// inbox payloads) after taking snapshots, and fail if a snapshot moves.
+// Aliasing/reuse regression tests for the packet path's ownership
+// windows: anything a component retains past its window must be a copy,
+// so reusing a buffer must never reach it. These tests deliberately
+// hammer the reuse paths (scratch marshal buffers, the client's inbox
+// slabs) after taking snapshots, and fail if a snapshot moves.
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 
 	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/bt/l2cap"
-	"l2fuzz/internal/bt/pool"
 )
 
 // TestRecordedWireSurvivesScratchReuse pins the recorder's copy
@@ -52,73 +51,95 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 	}
 }
 
-// TestDrainBatchStableUntilNextDrain pins the Drain ownership window: a
-// drained batch stays intact while new responses arrive, and is only
-// recycled by the next Drain.
+// TestDrainBatchStableUntilNextDrain pins the Drain ownership window
+// over the client's two inbox slabs: a drained batch stays byte-stable
+// while new responses land, and the Drain after next rewinds its slab,
+// so traffic after that overwrites it in place — the slab is reused,
+// not regrown — while explicit copies stay unchanged.
 func TestDrainBatchStableUntilNextDrain(t *testing.T) {
 	cl, _, target := recordRig(t, 0)
 	if err := cl.Connect(target); err != nil {
 		t.Fatal(err)
 	}
-	// Round 1: provoke an echo response and drain it.
-	if _, err := cl.SendCommand(target, &l2cap.EchoReq{Data: []byte("round-one")}, nil); err != nil {
-		t.Fatal(err)
-	}
-	batch := cl.Drain()
-	if len(batch) == 0 {
-		t.Fatal("no response drained")
-	}
-	snap := make([][]byte, len(batch))
-	for i, pkt := range batch {
-		snap[i] = append([]byte(nil), pkt.Payload...)
-	}
-
-	// New traffic arrives while the batch is still borrowed: it must not
-	// touch the batch (deliveries go to the other inbox buffer).
-	for i := 0; i < 32; i++ {
-		if _, err := cl.SendCommand(target, &l2cap.EchoReq{Data: bytes.Repeat([]byte{0xEE}, 48)}, nil); err != nil {
+	echo := func(data []byte) uint8 {
+		t.Helper()
+		id, err := cl.SendCommand(target, &l2cap.EchoReq{Data: data}, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return id
 	}
-	for i, pkt := range batch {
-		if !bytes.Equal(pkt.Payload, snap[i]) {
-			t.Fatalf("drained packet %d changed while borrowed", i)
+	// Warm both slabs up to a 32-response round, so that nothing below
+	// outgrows them: a regrown slab would leave an old batch intact
+	// whatever the client did.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 32; i++ {
+			echo(bytes.Repeat([]byte{0xEE}, 48))
 		}
+		cl.Drain()
+	}
+	// Round 1: provoke an echo response and drain it.
+	id := echo([]byte("round-one"))
+	batch := cl.Drain()
+	if len(batch) != 1 {
+		t.Fatalf("drained %d packets, want the one echo response", len(batch))
+	}
+	// held keeps the payload's slice header: the batch's packet headers
+	// are recycled along with its slab, so only held still points at
+	// the slab bytes once the window has closed.
+	held := batch[0].Payload
+	snap := append([]byte(nil), held...)
+
+	// New traffic arrives while the batch is still borrowed: it lands in
+	// the other slab and must not touch the batch, however much of it
+	// there is.
+	for i := 0; i < 32; i++ {
+		echo(bytes.Repeat([]byte{0xEE}, 48))
+	}
+	if !bytes.Equal(held, snap) {
+		t.Fatalf("drained payload changed while borrowed:\n got %x\nwant %x", held, snap)
 	}
 
-	// The next Drain ends the window: released payloads go back to the
-	// pool, and a subsequent borrower may scribble over them. The
-	// explicit copies must be unaffected.
+	// The next Drain ends the window and rewinds the batch's slab; one
+	// same-sized response then lands exactly where the batch was.
 	cl.Drain()
-	scribble := pool.Get(len(snap[0]))
-	for i := range scribble {
-		scribble[i] = 0x5A
+	echo(bytes.Repeat([]byte{0x11}, len("round-one")))
+	again := cl.Drain()
+	if len(again) != 1 {
+		t.Fatalf("drained %d packets, want the one echo response", len(again))
 	}
-	for i := range snap {
-		if len(snap[i]) > 0 && bytes.Equal(snap[i], bytes.Repeat([]byte{0x5A}, len(snap[i]))) {
-			t.Fatalf("pinned copy %d aliases a pooled buffer", i)
-		}
+	if &again[0].Payload[0] != &held[0] {
+		t.Fatal("the batch before last was not overwritten in place: the slab was regrown instead of reused")
 	}
-	pool.Put(scribble)
+	if bytes.Equal(held, snap) {
+		t.Fatal("the batch before last still holds its old bytes after its slab was refilled")
+	}
+	if !bytes.Equal(snap, l2cap.SignalPacket(id, &l2cap.EchoRsp{Data: []byte("round-one")}, nil).Payload) {
+		t.Fatalf("explicit copy changed: %x", snap)
+	}
 }
 
-// TestReleasedBufferMutationDoesNotReachRetainedFrames is the direct
-// "mutate a released buffer" regression: release a pooled buffer, have
-// the next borrower scribble it, and assert a frame retained (copied)
-// before the release is untouched.
-func TestReleasedBufferMutationDoesNotReachRetainedFrames(t *testing.T) {
-	wire := l2cap.SignalPacket(7, &l2cap.EchoReq{Data: []byte("retained")}, nil).Marshal()
-
-	borrowed := pool.Copy(wire)
-	retained := append([]byte(nil), borrowed...) // the "must copy" rule
-	pool.Put(borrowed)
-
-	next := pool.Get(len(wire)) // recycles the released buffer
-	for i := range next {
-		next[i] = 0xFF
+// TestWarmRoundTripDoesNotAllocate pins the inbox slabs' steady state:
+// once they have grown to a round's traffic, a SendCommand→Drain round
+// trip through the device and back allocates nothing.
+func TestWarmRoundTripDoesNotAllocate(t *testing.T) {
+	cl, _, target := recordRig(t, 0)
+	cl.SetRecorder(nil) // the recorder copies every send by design
+	if err := cl.Connect(target); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(retained, wire) {
-		t.Fatalf("retained copy changed after its source buffer was released and reused")
+	echo := &l2cap.EchoReq{Data: []byte("warm")}
+	round := func() {
+		if _, err := cl.SendCommand(target, echo, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(cl.Drain()) != 1 {
+			t.Fatal("no echo response drained")
+		}
 	}
-	pool.Put(next)
+	round()
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("warm SendCommand→Drain round trip allocates %.1f times", n)
+	}
 }

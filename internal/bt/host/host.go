@@ -14,10 +14,10 @@ package host
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"l2fuzz/internal/bt/hci"
 	"l2fuzz/internal/bt/l2cap"
-	"l2fuzz/internal/bt/pool"
 	"l2fuzz/internal/bt/radio"
 	"l2fuzz/internal/bt/sdp"
 )
@@ -38,18 +38,26 @@ type Client struct {
 	ctrl   *hci.Controller
 	medium *radio.Medium
 
-	handles  map[radio.BDAddr]hci.ConnHandle
+	// handles holds the live links, scanned linearly: a client pages
+	// one target at a time, so a map would only add hashing to every
+	// send.
+	handles  []peerHandle
 	nextID   uint8
 	nextCID  l2cap.CID
 	recorder *TraceRecorder
 
-	// inbox accumulates delivered packets (payloads are pool borrows);
-	// drained holds the batch handed out by the last Drain, whose
-	// payloads are released back to the pool at the next Drain. The two
-	// slices double-buffer so a caller can iterate a drained batch while
-	// new responses land.
-	inbox   []l2cap.Packet
-	drained []l2cap.Packet
+	// inbox accumulates delivered packets, whose payloads are copied
+	// into slab; drained holds the batch handed out by the last Drain,
+	// whose payloads live in drainedSlab. Drain swaps both pairs, so a
+	// caller can iterate a drained batch while new responses land in the
+	// other slab, and the slab of the batch before last is rewound and
+	// refilled. The slabs belong to the client alone: the packet path
+	// takes no lock and, once the slabs have grown to a round's traffic,
+	// allocates nothing.
+	inbox       []l2cap.Packet
+	drained     []l2cap.Packet
+	slab        []byte
+	drainedSlab []byte
 
 	// Reused scratch state for the steady-state send/decode path.
 	txWire    []byte          // wire bytes of the frame being sent
@@ -60,6 +68,12 @@ type Client struct {
 	echo      l2cap.EchoReq // Ping's reused request
 }
 
+// peerHandle is one live link: the peer and its connection handle.
+type peerHandle struct {
+	peer   radio.BDAddr
+	handle hci.ConnHandle
+}
+
 // pingData is the constant Echo Request payload Ping sends ("ping").
 var pingData = []byte{0x70, 0x69, 0x6E, 0x67}
 
@@ -67,7 +81,6 @@ var pingData = []byte{0x70, 0x69, 0x6E, 0x67}
 func NewClient(m *radio.Medium, addr radio.BDAddr, name string) (*Client, error) {
 	c := &Client{
 		medium:  m,
-		handles: make(map[radio.BDAddr]hci.ConnHandle),
 		nextID:  1,
 		nextCID: l2cap.CIDDynamicFirst,
 	}
@@ -79,13 +92,17 @@ func NewClient(m *radio.Medium, addr radio.BDAddr, name string) (*Client, error)
 	}
 	ctrl.SetReceiver(func(_ hci.ConnHandle, _ radio.BDAddr, frame []byte) {
 		// The frame is a borrow from the controller; the inbox retains
-		// the payload past this callback, so copy it into a pooled
-		// buffer (released by the Drain after next).
+		// the payload past this callback, so copy it into the current
+		// slab (rewound by the Drain after next). The payload's capacity
+		// is clipped so an append through it cannot reach its
+		// neighbours.
 		pkt, err := l2cap.ParsePacket(frame)
 		if err != nil {
 			return
 		}
-		pkt.Payload = pool.Copy(pkt.Payload)
+		start := len(c.slab)
+		c.slab = append(c.slab, pkt.Payload...)
+		pkt.Payload = c.slab[start:len(c.slab):len(c.slab)]
 		c.inbox = append(c.inbox, pkt)
 	})
 	c.ctrl = ctrl
@@ -101,16 +118,26 @@ func (c *Client) Clock() *radio.Clock { return c.medium.Clock() }
 // Inquiry sweeps for discoverable devices.
 func (c *Client) Inquiry() []radio.InquiryResult { return c.ctrl.Inquiry() }
 
+// handle returns the connection handle of the live link to peer.
+func (c *Client) handle(peer radio.BDAddr) (hci.ConnHandle, bool) {
+	for _, ph := range c.handles {
+		if ph.peer == peer {
+			return ph.handle, true
+		}
+	}
+	return 0, false
+}
+
 // Connect pages the peer if no link exists yet.
 func (c *Client) Connect(peer radio.BDAddr) error {
-	if _, ok := c.handles[peer]; ok {
+	if _, ok := c.handle(peer); ok {
 		return nil
 	}
 	h, err := c.ctrl.Connect(peer)
 	if err != nil {
 		return fmt.Errorf("connect %v: %w", peer, err)
 	}
-	c.handles[peer] = h
+	c.handles = append(c.handles, peerHandle{peer: peer, handle: h})
 	if c.recorder != nil {
 		// Only a successful page changes peer-visible state; failed
 		// attempts leave nothing for a replay to redo.
@@ -121,7 +148,7 @@ func (c *Client) Connect(peer radio.BDAddr) error {
 
 // Connected reports whether a live link to peer exists.
 func (c *Client) Connected(peer radio.BDAddr) bool {
-	h, ok := c.handles[peer]
+	h, ok := c.handle(peer)
 	return ok && c.ctrl.Connected(h)
 }
 
@@ -131,7 +158,7 @@ func (c *Client) Disconnect(peer radio.BDAddr) {
 	if c.recorder != nil {
 		c.recorder.record(TraceOp{Kind: TraceDisconnect})
 	}
-	delete(c.handles, peer)
+	c.handles = slices.DeleteFunc(c.handles, func(ph peerHandle) bool { return ph.peer == peer })
 	if h, ok := c.ctrl.HandleFor(peer); ok {
 		_ = c.ctrl.Disconnect(h)
 	}
@@ -165,7 +192,7 @@ func (c *Client) Send(peer radio.BDAddr, pkt l2cap.Packet) error {
 	// The handle check also lives in SendRaw; repeating it here skips
 	// the marshal on link-less sends, which fuzzers hit in bursts while
 	// hammering an already-dead target between liveness probes.
-	if _, ok := c.handles[peer]; !ok {
+	if _, ok := c.handle(peer); !ok {
 		return fmt.Errorf("%w: %v", ErrNotConnected, peer)
 	}
 	c.txWire = pkt.AppendTo(c.txWire[:0])
@@ -187,16 +214,14 @@ func (c *Client) SendCommand(peer radio.BDAddr, cmd l2cap.Command, tail []byte) 
 }
 
 // Drain returns and clears the inbox. The returned packets (and their
-// payloads) are a borrow, valid only until the next Drain: their pooled
-// payload buffers are recycled then. Callers that retain a payload — the
-// corpus, cross-round state — must copy it.
+// payloads) are a borrow, valid only until the next Drain: the slab
+// holding their payloads is rewound and refilled then. Callers that
+// retain a payload — the corpus, cross-round state — must copy it.
 func (c *Client) Drain() []l2cap.Packet {
-	for i := range c.drained {
-		pool.Put(c.drained[i].Payload)
-	}
 	out := c.inbox
 	c.inbox = c.drained[:0]
 	c.drained = out
+	c.slab, c.drainedSlab = c.drainedSlab[:0], c.slab
 	return out
 }
 

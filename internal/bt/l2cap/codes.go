@@ -70,10 +70,9 @@ func (c CommandCode) IsRequest() bool {
 	}
 }
 
-// commandCodeNames is built once: String sits on the device's per-packet
-// dispatch path (handler-coverage accounting), where a map literal per
-// call dominated the farm's allocation profile.
-var commandCodeNames = map[CommandCode]string{
+// commandCodeNames is built once and indexed by code, so naming a code
+// neither allocates nor hashes.
+var commandCodeNames = [...]string{
 	CodeCommandReject:         "CommandReject",
 	CodeConnectionReq:         "ConnectionReq",
 	CodeConnectionRsp:         "ConnectionRsp",
@@ -103,8 +102,8 @@ var commandCodeNames = map[CommandCode]string{
 }
 
 func (c CommandCode) String() string {
-	if n, ok := commandCodeNames[c]; ok {
-		return n
+	if int(c) < len(commandCodeNames) && commandCodeNames[c] != "" {
+		return commandCodeNames[c]
 	}
 	return fmt.Sprintf("CommandCode(0x%02X)", uint8(c))
 }

@@ -1,17 +1,19 @@
-// Package pool provides size-classed byte-buffer pooling for the packet
-// hot path. Every per-packet []byte that must outlive its producer — the
-// host client's inbox payloads are the canonical case — is borrowed from
-// here and released back once its ownership window closes, so a steady-
-// state fuzzing run recycles a small working set instead of allocating
-// per packet.
+// Package pool provides size-classed byte-buffer pooling: process-global,
+// mutex-guarded free lists over fixed capacity classes.
+//
+// The package is off the packet path: the host client's inbox copies
+// payloads into slabs the client owns (see host.Client.Drain), so no rig
+// takes this package's global lock. The package is kept only because the
+// repository benchmark's pool.getput.* layer metrics import it; it can go
+// once a benchmark change retires those metrics.
 //
 // # Ownership rules
 //
 // A buffer obtained from Get is owned by the caller until it calls Put.
 // After Put the buffer may be handed to any later Get caller: using a
 // released buffer (or a slice aliasing one) is a use-after-free in
-// spirit, and the aliasing regression tests exist to catch exactly that.
-// Put never clears buffers; callers must not assume zeroed contents.
+// spirit. Put never clears buffers; callers must not assume zeroed
+// contents.
 //
 // Buffers whose capacity does not match a size class (for example a
 // slice carved out of a larger buffer) are silently dropped by Put, so

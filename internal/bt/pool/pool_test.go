@@ -3,6 +3,8 @@ package pool
 import (
 	"bytes"
 	"testing"
+
+	"l2fuzz/internal/bt/l2cap"
 )
 
 func TestGetLengthAndClasses(t *testing.T) {
@@ -86,4 +88,25 @@ func TestGetDoesNotAllocateSteadyState(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state Get/Put allocates %.1f times per op", allocs)
 	}
+}
+
+// TestReleasedBufferMutationDoesNotReachRetainedFrames is the direct
+// "mutate a released buffer" regression: release a pooled buffer, have
+// the next borrower scribble it, and assert a frame retained (copied)
+// before the release is untouched.
+func TestReleasedBufferMutationDoesNotReachRetainedFrames(t *testing.T) {
+	wire := l2cap.SignalPacket(7, &l2cap.EchoReq{Data: []byte("retained")}, nil).Marshal()
+
+	borrowed := Copy(wire)
+	retained := append([]byte(nil), borrowed...) // the "must copy" rule
+	Put(borrowed)
+
+	next := Get(len(wire)) // recycles the released buffer
+	for i := range next {
+		next[i] = 0xFF
+	}
+	if !bytes.Equal(retained, wire) {
+		t.Fatalf("retained copy changed after its source buffer was released and reused")
+	}
+	Put(next)
 }

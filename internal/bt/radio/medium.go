@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -94,11 +95,16 @@ func DefaultTiming() Timing {
 
 // Medium is the in-memory radio. It is not safe for concurrent use: the
 // simulation is single-threaded by design (see package doc).
+//
+// Endpoints and links are short slices scanned linearly rather than
+// maps: a rig carries two endpoints and one link, and even the largest
+// simulation holds a few dozen, where a 6-byte compare per entry beats
+// hashing an address on every carried frame.
 type Medium struct {
 	clock     *Clock
 	timing    Timing
-	endpoints map[BDAddr]Endpoint
-	links     map[linkKey]struct{}
+	endpoints []registered
+	links     []linkKey
 	taps      []Tap
 
 	// FaultEveryN, when positive, drops every Nth carried frame —
@@ -106,6 +112,13 @@ type Medium struct {
 	// at 1; the Nth, 2Nth, ... frames are dropped.
 	FaultEveryN int
 	carried     int
+}
+
+// registered is one endpoint on the medium, under its address at
+// registration time.
+type registered struct {
+	addr BDAddr
+	ep   Endpoint
 }
 
 type linkKey struct{ a, b BDAddr }
@@ -128,12 +141,27 @@ func NewMedium(clock *Clock, timing Timing) *Medium {
 	if clock == nil {
 		clock = &Clock{}
 	}
-	return &Medium{
-		clock:     clock,
-		timing:    timing,
-		endpoints: make(map[BDAddr]Endpoint),
-		links:     make(map[linkKey]struct{}),
+	return &Medium{clock: clock, timing: timing}
+}
+
+// endpoint returns the endpoint registered at addr.
+func (m *Medium) endpoint(addr BDAddr) (Endpoint, bool) {
+	for i := range m.endpoints {
+		if m.endpoints[i].addr == addr {
+			return m.endpoints[i].ep, true
+		}
 	}
+	return nil, false
+}
+
+// link returns the index of the link with the given ordered key, or -1.
+func (m *Medium) link(key linkKey) int {
+	for i, k := range m.links {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Clock exposes the medium's clock.
@@ -142,10 +170,10 @@ func (m *Medium) Clock() *Clock { return m.clock }
 // Register adds an endpoint to the medium.
 func (m *Medium) Register(ep Endpoint) error {
 	addr := ep.Address()
-	if _, exists := m.endpoints[addr]; exists {
+	if _, exists := m.endpoint(addr); exists {
 		return fmt.Errorf("%w: %v", ErrDuplicateAddress, addr)
 	}
-	m.endpoints[addr] = ep
+	m.endpoints = append(m.endpoints, registered{addr: addr, ep: ep})
 	return nil
 }
 
@@ -153,12 +181,16 @@ func (m *Medium) Register(ep Endpoint) error {
 // links and notifying the surviving peers. Removing an absent address is
 // a no-op.
 func (m *Medium) Unregister(addr BDAddr) {
-	delete(m.endpoints, addr)
-	for k := range m.links {
+	if i := slices.IndexFunc(m.endpoints, func(r registered) bool { return r.addr == addr }); i >= 0 {
+		m.endpoints = slices.Delete(m.endpoints, i, i+1)
+	}
+	for i := 0; i < len(m.links); {
+		k := m.links[i]
 		if k.a != addr && k.b != addr {
+			i++
 			continue
 		}
-		delete(m.links, k)
+		m.links = slices.Delete(m.links, i, i+1)
 		peer := k.a
 		if peer == addr {
 			peer = k.b
@@ -177,11 +209,11 @@ func (m *Medium) AddTap(t Tap) { m.taps = append(m.taps, t) }
 func (m *Medium) Inquiry(origin BDAddr) []InquiryResult {
 	m.clock.Advance(m.timing.InquiryDelay)
 	var results []InquiryResult
-	for _, ep := range m.endpoints {
-		if ep.Address() == origin {
+	for _, reg := range m.endpoints {
+		if reg.ep.Address() == origin {
 			continue
 		}
-		if r, ok := ep.Discoverable(); ok {
+		if r, ok := reg.ep.Discoverable(); ok {
 			results = append(results, r)
 		}
 	}
@@ -209,25 +241,26 @@ func lessAddr(x, y BDAddr) bool {
 
 // Page establishes a baseband link from initiator to target.
 func (m *Medium) Page(initiator, target BDAddr) error {
-	ep, ok := m.endpoints[target]
+	ep, ok := m.endpoint(target)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownAddress, target)
 	}
-	if _, ok := m.endpoints[initiator]; !ok {
+	if _, ok := m.endpoint(initiator); !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownAddress, initiator)
 	}
 	if !ep.Connectable() {
 		return fmt.Errorf("%w: %v", ErrNotConnectable, target)
 	}
 	m.clock.Advance(m.timing.PageDelay)
-	m.links[orderedKey(initiator, target)] = struct{}{}
+	if key := orderedKey(initiator, target); m.link(key) < 0 {
+		m.links = append(m.links, key)
+	}
 	return nil
 }
 
 // Linked reports whether a baseband link exists between the endpoints.
 func (m *Medium) Linked(x, y BDAddr) bool {
-	_, ok := m.links[orderedKey(x, y)]
-	return ok
+	return m.link(orderedKey(x, y)) >= 0
 }
 
 // LinkObserver is implemented by endpoints that want to hear about
@@ -241,17 +274,17 @@ type LinkObserver interface {
 // Drop tears down the baseband link between the endpoints, if any, and
 // notifies both sides.
 func (m *Medium) Drop(x, y BDAddr) {
-	key := orderedKey(x, y)
-	if _, ok := m.links[key]; !ok {
+	i := m.link(orderedKey(x, y))
+	if i < 0 {
 		return
 	}
-	delete(m.links, key)
+	m.links = slices.Delete(m.links, i, i+1)
 	m.notifyLinkDown(x, y)
 	m.notifyLinkDown(y, x)
 }
 
 func (m *Medium) notifyLinkDown(at, peer BDAddr) {
-	if ep, ok := m.endpoints[at]; ok {
+	if ep, ok := m.endpoint(at); ok {
 		if obs, ok := ep.(LinkObserver); ok {
 			obs.LinkDown(peer)
 		}
@@ -263,7 +296,7 @@ func (m *Medium) notifyLinkDown(at, peer BDAddr) {
 // vanished endpoints fail; deterministically-injected faults silently
 // drop the frame after the taps saw it.
 func (m *Medium) Carry(from, to BDAddr, data []byte) error {
-	ep, ok := m.endpoints[to]
+	ep, ok := m.endpoint(to)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownAddress, to)
 	}

@@ -60,8 +60,9 @@ func (j Job) String() string {
 	}
 }
 
-// jobOf is the Table I partition of the 19 states into 7 jobs.
-var jobOf = map[State]Job{
+// jobOf is the Table I partition of the 19 states into 7 jobs, indexed
+// by state.
+var jobOf = [...]Job{
 	StateClosed: JobClosed,
 
 	StateWaitConnect:    JobConnection,
@@ -90,7 +91,12 @@ var jobOf = map[State]Job{
 }
 
 // JobOf returns the job that state belongs to per Table I.
-func JobOf(state State) Job { return jobOf[state] }
+func JobOf(state State) Job {
+	if int(state) >= len(jobOf) {
+		return 0
+	}
+	return jobOf[state]
+}
 
 // StatesOf returns the states belonging to job, in declaration order.
 func StatesOf(job Job) []State {

@@ -189,6 +189,21 @@ type Transition struct {
 // "Reject" rows). The table is built once and never mutated.
 var transitions = buildTransitions()
 
+// table is transitions indexed by [state][event], so that Lookup — run
+// on every signaling command a device handles — indexes instead of
+// hashing twice. A zero Action (no Action constant is zero) marks an
+// invalid event.
+var table = indexTransitions(transitions)
+
+func indexTransitions(m map[State]map[Event]Transition) (t [NumStates + 1][EvLocalOpenReq + 1]Transition) {
+	for state, edges := range m {
+		for event, tr := range edges {
+			t[state][event] = tr
+		}
+	}
+	return t
+}
+
 func buildTransitions() map[State]map[Event]Transition {
 	return map[State]map[Event]Transition{
 		StateClosed: {
@@ -287,15 +302,18 @@ func buildTransitions() map[State]map[Event]Transition {
 // event is invalid in that state, in which case a conformant stack
 // answers with a Command Reject.
 func Lookup(state State, event Event) (Transition, bool) {
-	t, ok := transitions[state][event]
-	return t, ok
+	if int(state) >= len(table) || int(event) >= len(table[0]) {
+		return Transition{}, false
+	}
+	t := table[state][event]
+	return t, t.Action != 0
 }
 
 // ValidEvents returns the events state accepts, in ascending order.
 func ValidEvents(state State) []Event {
 	var out []Event
 	for e := EvRecvConnectReq; e <= EvLocalOpenReq; e++ {
-		if _, ok := transitions[state][e]; ok {
+		if _, ok := Lookup(state, e); ok {
 			out = append(out, e)
 		}
 	}
@@ -327,8 +345,13 @@ func (m *Machine) Job() Job { return JobOf(m.state) }
 
 // Visited returns the distinct states the machine has occupied in
 // first-visit order. The returned slice is a copy.
-func (m *Machine) Visited() []State {
-	return append([]State(nil), m.visited...)
+func (m *Machine) Visited() []State { return m.AppendVisited(nil) }
+
+// AppendVisited appends the distinct states the machine has occupied, in
+// first-visit order, to dst and returns the extended slice: the
+// allocation-free form of Visited for callers with a reused buffer.
+func (m *Machine) AppendVisited(dst []State) []State {
+	return append(dst, m.visited...)
 }
 
 // Apply drives the machine with event. When the event is valid it returns

@@ -295,3 +295,41 @@ func driveToOpen(t *testing.T, m *Machine) {
 		t.Fatalf("driveToOpen ended in %v", m.State())
 	}
 }
+
+// TestLookupMatchesTransitionLiteral pins the indexed table Lookup reads
+// to the transitions literal it is built from, over every (state, event)
+// pair an 8-bit state and event can name, the out-of-range ones
+// included.
+func TestLookupMatchesTransitionLiteral(t *testing.T) {
+	for s := 0; s < 256; s++ {
+		for e := 0; e < 256; e++ {
+			state, event := State(s), Event(e)
+			want, wantOK := transitions[state][event]
+			got, ok := Lookup(state, event)
+			if got != want || ok != wantOK {
+				t.Fatalf("Lookup(%v, %v) = %+v, %v; literal %+v, %v", state, event, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestAppendVisitedReusesBuffer pins AppendVisited as Visited's
+// allocation-free form: same states, appended after dst's contents.
+func TestAppendVisitedReusesBuffer(t *testing.T) {
+	m := NewMachine()
+	driveToOpen(t, m)
+	want := m.Visited()
+	buf := make([]State, 1, 32)
+	got := m.AppendVisited(buf)
+	if len(got) != 1+len(want) || &got[0] != &buf[0] {
+		t.Fatalf("AppendVisited did not append in place: %v", got)
+	}
+	for i, s := range want {
+		if got[1+i] != s {
+			t.Fatalf("AppendVisited = %v, Visited = %v", got[1:], want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = m.AppendVisited(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendVisited into a roomy buffer allocates %.1f times", n)
+	}
+}

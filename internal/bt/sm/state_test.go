@@ -151,3 +151,13 @@ func TestResponderReachableStates(t *testing.T) {
 		}
 	}
 }
+
+// TestJobOfOutOfRange pins JobOf's zero Job for values that name no
+// state, as the map it replaced returned.
+func TestJobOfOutOfRange(t *testing.T) {
+	for _, s := range []State{0, StateWaitConfirmRsp + 1, 0xFF} {
+		if j := JobOf(s); j != 0 {
+			t.Errorf("JobOf(%v) = %v, want 0", s, j)
+		}
+	}
+}

@@ -23,7 +23,7 @@ type Mutator struct {
 
 	// Reused scratch state: one packet is in flight per mutator at a
 	// time, so Mutate can hand out borrows of these.
-	defaults map[l2cap.CommandCode]l2cap.Command
+	defaults [256]l2cap.Command // indexed by command code
 	tail     []byte
 	payload  []byte
 }
@@ -127,15 +127,12 @@ func (mu *Mutator) Garbage() []byte {
 // stream is enabled), so reusing the instance leaves packet contents
 // identical to building a fresh default each time.
 func (mu *Mutator) defaultCommand(code l2cap.CommandCode) (l2cap.Command, error) {
-	if cmd, ok := mu.defaults[code]; ok {
+	if cmd := mu.defaults[code]; cmd != nil {
 		return cmd, nil
 	}
 	cmd, err := l2cap.DefaultCommand(code)
 	if err != nil {
 		return nil, err
-	}
-	if mu.defaults == nil {
-		mu.defaults = make(map[l2cap.CommandCode]l2cap.Command)
 	}
 	mu.defaults[code] = cmd
 	return cmd, nil

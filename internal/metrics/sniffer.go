@@ -23,8 +23,10 @@ type SamplePoint struct {
 type Sniffer struct {
 	tester radio.BDAddr
 
-	// reassembly per (from,to) direction.
-	reasm map[dirKey]*hci.Reassembler
+	// reasm holds one reassembler per (from,to) direction, scanned
+	// linearly: a rig's sniffer sees two directions, so hashing the
+	// 12-byte key on every frame would cost more than the scan.
+	reasm []dirReasm
 
 	// counters
 	transmitted int
@@ -44,7 +46,9 @@ type Sniffer struct {
 	// allocation tracking: channel endpoints observed as legitimately
 	// allocated (device side and tester side), plus in-flight requests.
 	allocated map[l2cap.CID]bool
-	pendingTx map[uint8]l2cap.CommandCode // tester request id → code
+	// pendingTx maps a tester request's signaling identifier to its
+	// command code; 0 (no command) marks a free slot.
+	pendingTx [256]l2cap.CommandCode
 
 	// Reused decode scratch: taps never nest, so one of each suffices.
 	dec       l2cap.Decoder
@@ -54,23 +58,23 @@ type Sniffer struct {
 	// the command code of the tester request they answered (matched via
 	// pendingTx by signaling identifier). Rejects whose identifier
 	// matches no observed request land under code 0.
-	rejectedByCode map[l2cap.CommandCode]int
+	rejectedByCode [256]int
 
 	states *StateInferencer
 }
 
-type dirKey struct{ from, to radio.BDAddr }
+type dirReasm struct {
+	from, to radio.BDAddr
+	r        *hci.Reassembler
+}
 
 // NewSniffer attaches a sniffer to the medium, observing traffic between
 // the tester and everything else.
 func NewSniffer(m *radio.Medium, tester radio.BDAddr) *Sniffer {
 	s := &Sniffer{
-		tester:         tester,
-		reasm:          make(map[dirKey]*hci.Reassembler),
-		allocated:      make(map[l2cap.CID]bool),
-		pendingTx:      make(map[uint8]l2cap.CommandCode),
-		rejectedByCode: make(map[l2cap.CommandCode]int),
-		states:         NewStateInferencer(),
+		tester:    tester,
+		allocated: make(map[l2cap.CID]bool),
+		states:    NewStateInferencer(),
 	}
 	m.AddTap(s.onFrame)
 	return s
@@ -91,13 +95,7 @@ func (s *Sniffer) onFrame(f radio.TapFrame) {
 	if err != nil {
 		return
 	}
-	key := dirKey{from: f.From, to: f.To}
-	r := s.reasm[key]
-	if r == nil {
-		r = &hci.Reassembler{}
-		s.reasm[key] = r
-	}
-	frame, done, err := r.Push(acl)
+	frame, done, err := s.reassembler(f.From, f.To).Push(acl)
 	if err != nil || !done {
 		return
 	}
@@ -106,6 +104,18 @@ func (s *Sniffer) onFrame(f radio.TapFrame) {
 	} else {
 		s.onRx(frame)
 	}
+}
+
+// reassembler returns the reassembler of the from→to direction.
+func (s *Sniffer) reassembler(from, to radio.BDAddr) *hci.Reassembler {
+	for _, d := range s.reasm {
+		if d.from == from && d.to == to {
+			return d.r
+		}
+	}
+	r := &hci.Reassembler{}
+	s.reasm = append(s.reasm, dirReasm{from: from, to: to, r: r})
+	return r
 }
 
 // onTx classifies one tester-to-target L2CAP frame.
@@ -210,10 +220,8 @@ func (s *Sniffer) onRx(raw []byte) {
 // correlateReject attributes one received Command Reject to the tester
 // request it answers, by signaling identifier.
 func (s *Sniffer) correlateReject(fr l2cap.Frame) {
-	code, ok := s.pendingTx[fr.Identifier]
-	if ok {
-		delete(s.pendingTx, fr.Identifier)
-	}
+	code := s.pendingTx[fr.Identifier]
+	s.pendingTx[fr.Identifier] = 0
 	s.rejectedByCode[code]++ // code is 0 for unmatched rejects
 }
 
@@ -311,9 +319,11 @@ func (s *Sniffer) Summary() Summary {
 // the totals can exceed Summary.Rejections, which stays one verdict
 // per packet.
 func (s *Sniffer) RejectionsByCode() map[l2cap.CommandCode]int {
-	out := make(map[l2cap.CommandCode]int, len(s.rejectedByCode))
+	out := make(map[l2cap.CommandCode]int)
 	for code, n := range s.rejectedByCode {
-		out[code] = n
+		if n > 0 {
+			out[l2cap.CommandCode(code)] = n
+		}
 	}
 	return out
 }

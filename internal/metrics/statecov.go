@@ -35,8 +35,10 @@ type StateInferencer struct {
 	// pendingConn maps tester SCID → shadow awaiting a connect response.
 	pendingConn map[l2cap.CID]*shadowChan
 	// visited accumulates states across all shadows, including closed
-	// channels.
-	visited map[sm.State]bool
+	// channels, indexed by state.
+	visited [256]bool
+	// scratch is absorb's reused buffer for a machine's visit list.
+	scratch []sm.State
 }
 
 // NewStateInferencer returns an empty inferencer.
@@ -45,7 +47,6 @@ func NewStateInferencer() *StateInferencer {
 		byDevice:    make(map[l2cap.CID]*shadowChan),
 		byTester:    make(map[l2cap.CID]*shadowChan),
 		pendingConn: make(map[l2cap.CID]*shadowChan),
-		visited:     make(map[sm.State]bool),
 	}
 }
 
@@ -182,7 +183,8 @@ func (si *StateInferencer) completeConnect(scid, dcid l2cap.CID, result l2cap.Co
 }
 
 func (si *StateInferencer) absorb(m *sm.Machine) {
-	for _, s := range m.Visited() {
+	si.scratch = m.AppendVisited(si.scratch[:0])
+	for _, s := range si.scratch {
 		si.visited[s] = true
 	}
 }

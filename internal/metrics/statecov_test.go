@@ -91,3 +91,36 @@ func TestInferencerDropsShadowOnFinalRefusal(t *testing.T) {
 		t.Errorf("refused connect credited WAIT_CONFIG: %v", si.Visited())
 	}
 }
+
+// TestInferencerConfigExchangeDoesNotAllocate pins absorb's reused
+// scratch: once a channel is tracked, observing its configuration
+// exchange — every command of which folds the shadow's visit list into
+// the coverage set — allocates nothing.
+func TestInferencerConfigExchangeDoesNotAllocate(t *testing.T) {
+	si := NewStateInferencer()
+	const (
+		testerCID l2cap.CID = 0x0040
+		deviceCID l2cap.CID = 0x0041
+	)
+	si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID}, nil)
+	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: deviceCID, Result: l2cap.ConnResultSuccess})
+	var (
+		txReq l2cap.Command = &l2cap.ConfigurationReq{DCID: deviceCID}
+		rxReq l2cap.Command = &l2cap.ConfigurationReq{DCID: testerCID}
+		txRsp l2cap.Command = &l2cap.ConfigurationRsp{SCID: deviceCID}
+		rxRsp l2cap.Command = &l2cap.ConfigurationRsp{SCID: testerCID}
+	)
+	exchange := func() {
+		si.ObserveTx(l2cap.Frame{}, txReq, nil) // → WAIT_SEND_CONFIG (OPEN re-enters it)
+		si.ObserveRx(l2cap.Frame{}, rxReq)      // → WAIT_CONFIG_RSP
+		si.ObserveTx(l2cap.Frame{}, txRsp, nil) // → OPEN
+		si.ObserveRx(l2cap.Frame{}, rxRsp)
+	}
+	exchange()
+	if !visitedSet(si)[sm.StateOpen] {
+		t.Fatalf("exchange did not reach OPEN: %v", si.Visited())
+	}
+	if n := testing.AllocsPerRun(100, exchange); n != 0 {
+		t.Fatalf("configuration exchange allocates %.1f times per round", n)
+	}
+}
