@@ -1,8 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§IV), plus ablation benches for the design choices
-// DESIGN.md calls out. Each benchmark runs the corresponding experiment
-// end to end and reports the headline numbers as custom metrics, so
-// `go test -bench=. -benchmem` reproduces the whole evaluation.
+// evaluation (§IV), plus ablation benches that switch off one design
+// choice each (state guiding, dependent-field preservation, the garbage
+// tail) and the BenchmarkFleet farm throughput bench. Each benchmark
+// runs the corresponding experiment end to end and reports the headline
+// numbers as custom metrics, so `go test -bench=. -benchmem` reproduces
+// the whole evaluation.
 package l2fuzz_test
 
 import (

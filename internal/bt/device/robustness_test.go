@@ -50,12 +50,12 @@ func TestQuickDeviceNeverPanicsOnArbitraryPackets(t *testing.T) {
 				tester.reconnect()
 			}
 			pkt := l2cap.NewPacket(l2cap.CID(cid), payload)
-			tester.send(pkt.Marshal())
+			tester.send(pkt.AppendTo(nil))
 			// Also deliver with a lying declared length (garbage shape).
 			if len(payload) > 2 {
 				lying := pkt
 				lying.Length = uint16(len(payload) - 2)
-				tester.send(lying.Marshal())
+				tester.send(lying.AppendTo(nil))
 			}
 			return true
 		}

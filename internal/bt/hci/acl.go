@@ -70,14 +70,8 @@ type ACLPacket struct {
 	Data []byte
 }
 
-// Marshal encodes the ACL packet into a fresh buffer. Hot paths use
-// AppendTo with a reused scratch buffer instead.
-func (p ACLPacket) Marshal() []byte {
-	return p.AppendTo(make([]byte, 0, ACLHeaderSize+len(p.Data)))
-}
-
 // AppendTo appends the wire form of the ACL packet to dst and returns the
-// extended slice: the allocation-free marshal of the fragment hot path.
+// extended slice; pass nil for a fresh buffer.
 func (p ACLPacket) AppendTo(dst []byte) []byte {
 	var hdr [ACLHeaderSize]byte
 	hf := uint16(p.Handle)&0x0FFF |
@@ -87,17 +81,6 @@ func (p ACLPacket) AppendTo(dst []byte) []byte {
 	binary.LittleEndian.PutUint16(hdr[2:4], uint16(len(p.Data)))
 	dst = append(dst, hdr[:]...)
 	return append(dst, p.Data...)
-}
-
-// UnmarshalACL decodes one ACL packet, copying the payload. The caller
-// keeps ownership of raw; decode loops use ParseACL instead.
-func UnmarshalACL(raw []byte) (ACLPacket, error) {
-	p, err := ParseACL(raw)
-	if err != nil {
-		return ACLPacket{}, err
-	}
-	p.Data = append([]byte(nil), p.Data...)
-	return p, nil
 }
 
 // ParseACL decodes one ACL packet without copying: the returned packet's

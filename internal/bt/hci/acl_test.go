@@ -19,9 +19,9 @@ func TestACLMarshalRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			out, err := UnmarshalACL(tt.pkt.Marshal())
+			out, err := ParseACL(tt.pkt.AppendTo(nil))
 			if err != nil {
-				t.Fatalf("UnmarshalACL() error = %v", err)
+				t.Fatalf("ParseACL() error = %v", err)
 			}
 			if out.Handle != tt.pkt.Handle || out.Boundary != tt.pkt.Boundary || out.Broadcast != tt.pkt.Broadcast {
 				t.Errorf("header mismatch: got %+v, want %+v", out, tt.pkt)
@@ -34,12 +34,12 @@ func TestACLMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalACLErrors(t *testing.T) {
-	if _, err := UnmarshalACL([]byte{1, 2}); !errors.Is(err, ErrShortACL) {
+	if _, err := ParseACL([]byte{1, 2}); !errors.Is(err, ErrShortACL) {
 		t.Errorf("short packet error = %v, want ErrShortACL", err)
 	}
-	bad := ACLPacket{Handle: 1, Boundary: BoundaryFirstFlushable, Data: []byte{1, 2, 3}}.Marshal()
+	bad := ACLPacket{Handle: 1, Boundary: BoundaryFirstFlushable, Data: []byte{1, 2, 3}}.AppendTo(nil)
 	binary.LittleEndian.PutUint16(bad[2:4], 99)
-	if _, err := UnmarshalACL(bad); !errors.Is(err, ErrACLLength) {
+	if _, err := ParseACL(bad); !errors.Is(err, ErrACLLength) {
 		t.Errorf("length mismatch error = %v, want ErrACLLength", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestQuickFragmentReassembleIdentity(t *testing.T) {
 	}
 }
 
-// Property: ACL marshal/unmarshal is lossless for in-range headers.
+// Property: ACL AppendTo/ParseACL is lossless for in-range headers.
 func TestQuickACLRoundTrip(t *testing.T) {
 	f := func(handle uint16, boundary, broadcast uint8, data []byte) bool {
 		in := ACLPacket{
@@ -184,7 +184,7 @@ func TestQuickACLRoundTrip(t *testing.T) {
 			Broadcast: broadcast % 4,
 			Data:      data,
 		}
-		out, err := UnmarshalACL(in.Marshal())
+		out, err := ParseACL(in.AppendTo(nil))
 		if err != nil {
 			return false
 		}

@@ -46,7 +46,7 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 	if !bytes.Equal(ops2[1].Data, pinned) {
 		t.Fatalf("recorded wire bytes changed under scratch reuse:\n got %x\nwant %x", ops2[1].Data, pinned)
 	}
-	if !bytes.Equal(pinned, first.Marshal()) {
+	if !bytes.Equal(pinned, first.AppendTo(nil)) {
 		t.Fatalf("recorded wire bytes differ from the packet's marshal")
 	}
 }

@@ -62,7 +62,7 @@ func TestRecorderCapturesClientOps(t *testing.T) {
 			t.Fatalf("recorded ops %v, want %v", kinds, want)
 		}
 	}
-	if string(ops[1].Data) != string(pkt.Marshal()) {
+	if string(ops[1].Data) != string(pkt.AppendTo(nil)) {
 		t.Errorf("recorded wire bytes differ from the marshaled packet")
 	}
 
@@ -112,7 +112,7 @@ func TestSendRawBytesUntouched(t *testing.T) {
 	if err := cl.Connect(target); err != nil {
 		t.Fatal(err)
 	}
-	wire := l2cap.SignalPacket(7, &l2cap.EchoReq{Data: []byte("raw")}, nil).Marshal()
+	wire := l2cap.SignalPacket(7, &l2cap.EchoReq{Data: []byte("raw")}, nil).AppendTo(nil)
 	if err := cl.SendRaw(target, wire); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 // FuzzDecodeBorrowDiscipline fuzzes the borrow/release discipline of the
 // zero-copy signaling decode path. AppendSignals and Decoder.Decode are
-// allowed to alias the input buffer, but MarshalData must hand back
+// allowed to alias the input buffer, but AppendData(nil) must hand back
 // owned bytes: after the caller re-encodes a command, scribbling over
 // the borrowed input buffer must not change the re-encoded bytes, and a
 // fresh decode of a pristine copy must agree with them.
@@ -38,7 +38,7 @@ func FuzzDecodeBorrowDiscipline(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			snaps = append(snaps, snap{idx: i, code: fr.Code, data: cmd.MarshalData()})
+			snaps = append(snaps, snap{idx: i, code: fr.Code, data: cmd.AppendData(nil)})
 		}
 
 		// End of the borrow window: the buffer is reused for something else.
@@ -48,7 +48,7 @@ func FuzzDecodeBorrowDiscipline(f *testing.F) {
 
 		// A fresh decode of the pristine payload must agree with the bytes
 		// snapshotted before the scribble — anything else means a command
-		// retained the borrowed buffer past MarshalData.
+		// retained the borrowed buffer past AppendData.
 		fresh, err := ParseSignals(payload)
 		if err != nil {
 			t.Fatalf("ParseSignals diverged on re-decode: %v", err)
@@ -58,7 +58,7 @@ func FuzzDecodeBorrowDiscipline(f *testing.F) {
 			if err != nil {
 				t.Fatalf("frame %d decoded once but not twice: %v", s.idx, err)
 			}
-			if got := cmd.MarshalData(); !bytes.Equal(got, s.data) {
+			if got := cmd.AppendData(nil); !bytes.Equal(got, s.data) {
 				t.Fatalf("frame %d (%v): re-encoded bytes changed after the borrowed buffer was scribbled\n got %x\nwant %x",
 					s.idx, s.code, got, s.data)
 			}

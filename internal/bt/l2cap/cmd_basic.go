@@ -60,9 +60,6 @@ type CommandReject struct {
 // Code implements Command.
 func (*CommandReject) Code() CommandCode { return CodeCommandReject }
 
-// MarshalData implements Command.
-func (c *CommandReject) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *CommandReject) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.Reason))
@@ -124,9 +121,6 @@ type ConnectionReq struct {
 // Code implements Command.
 func (*ConnectionReq) Code() CommandCode { return CodeConnectionReq }
 
-// MarshalData implements Command.
-func (c *ConnectionReq) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *ConnectionReq) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.PSM))
@@ -162,9 +156,6 @@ type ConnectionRsp struct {
 
 // Code implements Command.
 func (*ConnectionRsp) Code() CommandCode { return CodeConnectionRsp }
-
-// MarshalData implements Command.
-func (c *ConnectionRsp) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *ConnectionRsp) AppendData(dst []byte) []byte {
@@ -205,9 +196,6 @@ type ConfigurationReq struct {
 
 // Code implements Command.
 func (*ConfigurationReq) Code() CommandCode { return CodeConfigurationReq }
-
-// MarshalData implements Command.
-func (c *ConfigurationReq) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *ConfigurationReq) AppendData(dst []byte) []byte {
@@ -251,9 +239,6 @@ type ConfigurationRsp struct {
 // Code implements Command.
 func (*ConfigurationRsp) Code() CommandCode { return CodeConfigurationRsp }
 
-// MarshalData implements Command.
-func (c *ConfigurationRsp) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *ConfigurationRsp) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.SCID))
@@ -295,9 +280,6 @@ type DisconnectionReq struct {
 // Code implements Command.
 func (*DisconnectionReq) Code() CommandCode { return CodeDisconnectionReq }
 
-// MarshalData implements Command.
-func (c *DisconnectionReq) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *DisconnectionReq) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.DCID))
@@ -330,9 +312,6 @@ type DisconnectionRsp struct {
 // Code implements Command.
 func (*DisconnectionRsp) Code() CommandCode { return CodeDisconnectionRsp }
 
-// MarshalData implements Command.
-func (c *DisconnectionRsp) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *DisconnectionRsp) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.DCID))
@@ -364,9 +343,6 @@ type EchoReq struct {
 // Code implements Command.
 func (*EchoReq) Code() CommandCode { return CodeEchoReq }
 
-// MarshalData implements Command.
-func (c *EchoReq) MarshalData() []byte { return append([]byte(nil), c.Data...) }
-
 // AppendData implements Command.
 func (c *EchoReq) AppendData(dst []byte) []byte { return append(dst, c.Data...) }
 
@@ -388,9 +364,6 @@ type EchoRsp struct {
 // Code implements Command.
 func (*EchoRsp) Code() CommandCode { return CodeEchoRsp }
 
-// MarshalData implements Command.
-func (c *EchoRsp) MarshalData() []byte { return append([]byte(nil), c.Data...) }
-
 // AppendData implements Command.
 func (c *EchoRsp) AppendData(dst []byte) []byte { return append(dst, c.Data...) }
 
@@ -411,9 +384,6 @@ type InformationReq struct {
 
 // Code implements Command.
 func (*InformationReq) Code() CommandCode { return CodeInformationReq }
-
-// MarshalData implements Command.
-func (c *InformationReq) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *InformationReq) AppendData(dst []byte) []byte {
@@ -444,9 +414,6 @@ type InformationRsp struct {
 
 // Code implements Command.
 func (*InformationRsp) Code() CommandCode { return CodeInformationRsp }
-
-// MarshalData implements Command.
-func (c *InformationRsp) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *InformationRsp) AppendData(dst []byte) []byte {

@@ -30,9 +30,6 @@ type CreateChannelReq struct {
 // Code implements Command.
 func (*CreateChannelReq) Code() CommandCode { return CodeCreateChannelReq }
 
-// MarshalData implements Command.
-func (c *CreateChannelReq) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *CreateChannelReq) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.PSM))
@@ -75,9 +72,6 @@ type CreateChannelRsp struct {
 // Code implements Command.
 func (*CreateChannelRsp) Code() CommandCode { return CodeCreateChannelRsp }
 
-// MarshalData implements Command.
-func (c *CreateChannelRsp) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *CreateChannelRsp) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.DCID))
@@ -114,9 +108,6 @@ type MoveChannelReq struct {
 // Code implements Command.
 func (*MoveChannelReq) Code() CommandCode { return CodeMoveChannelReq }
 
-// MarshalData implements Command.
-func (c *MoveChannelReq) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *MoveChannelReq) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.ICID))
@@ -152,9 +143,6 @@ type MoveChannelRsp struct {
 // Code implements Command.
 func (*MoveChannelRsp) Code() CommandCode { return CodeMoveChannelRsp }
 
-// MarshalData implements Command.
-func (c *MoveChannelRsp) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *MoveChannelRsp) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.ICID))
@@ -187,9 +175,6 @@ type MoveChannelConfirmReq struct {
 // Code implements Command.
 func (*MoveChannelConfirmReq) Code() CommandCode { return CodeMoveChannelConfirmReq }
 
-// MarshalData implements Command.
-func (c *MoveChannelConfirmReq) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *MoveChannelConfirmReq) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.ICID))
@@ -219,9 +204,6 @@ type MoveChannelConfirmRsp struct {
 
 // Code implements Command.
 func (*MoveChannelConfirmRsp) Code() CommandCode { return CodeMoveChannelConfirmRsp }
-
-// MarshalData implements Command.
-func (c *MoveChannelConfirmRsp) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *MoveChannelConfirmRsp) AppendData(dst []byte) []byte {

@@ -60,9 +60,6 @@ type ConnParamUpdateReq struct {
 // Code implements Command.
 func (*ConnParamUpdateReq) Code() CommandCode { return CodeConnParamUpdateReq }
 
-// MarshalData implements Command.
-func (c *ConnParamUpdateReq) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *ConnParamUpdateReq) AppendData(dst []byte) []byte {
 	dst = putU16(dst, c.IntervalMin)
@@ -94,9 +91,6 @@ type ConnParamUpdateRsp struct {
 
 // Code implements Command.
 func (*ConnParamUpdateRsp) Code() CommandCode { return CodeConnParamUpdateRsp }
-
-// MarshalData implements Command.
-func (c *ConnParamUpdateRsp) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *ConnParamUpdateRsp) AppendData(dst []byte) []byte { return putU16(dst, c.Result) }
@@ -130,9 +124,6 @@ type LECreditConnReq struct {
 
 // Code implements Command.
 func (*LECreditConnReq) Code() CommandCode { return CodeLECreditConnReq }
-
-// MarshalData implements Command.
-func (c *LECreditConnReq) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *LECreditConnReq) AppendData(dst []byte) []byte {
@@ -183,9 +174,6 @@ type LECreditConnRsp struct {
 // Code implements Command.
 func (*LECreditConnRsp) Code() CommandCode { return CodeLECreditConnRsp }
 
-// MarshalData implements Command.
-func (c *LECreditConnRsp) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *LECreditConnRsp) AppendData(dst []byte) []byte {
 	dst = putU16(dst, uint16(c.DCID))
@@ -230,9 +218,6 @@ type FlowControlCredit struct {
 
 // Code implements Command.
 func (*FlowControlCredit) Code() CommandCode { return CodeFlowControlCredit }
-
-// MarshalData implements Command.
-func (c *FlowControlCredit) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *FlowControlCredit) AppendData(dst []byte) []byte {
@@ -315,9 +300,6 @@ type CreditBasedConnReq struct {
 // Code implements Command.
 func (*CreditBasedConnReq) Code() CommandCode { return CodeCreditBasedConnReq }
 
-// MarshalData implements Command.
-func (c *CreditBasedConnReq) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *CreditBasedConnReq) AppendData(dst []byte) []byte {
 	dst = putU16(dst, c.SPSM)
@@ -371,9 +353,6 @@ type CreditBasedConnRsp struct {
 // Code implements Command.
 func (*CreditBasedConnRsp) Code() CommandCode { return CodeCreditBasedConnRsp }
 
-// MarshalData implements Command.
-func (c *CreditBasedConnRsp) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *CreditBasedConnRsp) AppendData(dst []byte) []byte {
 	dst = putU16(dst, c.MTU)
@@ -424,9 +403,6 @@ type CreditBasedReconfReq struct {
 // Code implements Command.
 func (*CreditBasedReconfReq) Code() CommandCode { return CodeCreditBasedReconfReq }
 
-// MarshalData implements Command.
-func (c *CreditBasedReconfReq) MarshalData() []byte { return c.AppendData(nil) }
-
 // AppendData implements Command.
 func (c *CreditBasedReconfReq) AppendData(dst []byte) []byte {
 	dst = putU16(dst, c.MTU)
@@ -467,9 +443,6 @@ type CreditBasedReconfRsp struct {
 
 // Code implements Command.
 func (*CreditBasedReconfRsp) Code() CommandCode { return CodeCreditBasedReconfRsp }
-
-// MarshalData implements Command.
-func (c *CreditBasedReconfRsp) MarshalData() []byte { return c.AppendData(nil) }
 
 // AppendData implements Command.
 func (c *CreditBasedReconfRsp) AppendData(dst []byte) []byte { return putU16(dst, c.Result) }

@@ -18,10 +18,17 @@
 // All multi-byte values are little-endian, as mandated by the Bluetooth
 // Core Specification.
 //
-// Encoding is strict: Marshal never produces a frame that a conformant
-// stack would reject as syntactically invalid. Decoding is deliberately
-// tolerant of *trailing* bytes beyond the declared data length, because
-// L2Fuzz appends garbage tails to otherwise well-formed commands and the
-// simulated vendor stacks must be able to observe that tail (some of the
-// reproduced vulnerabilities are triggered by it).
+// Each direction has one codec form. Encoders append to a caller's buffer
+// (Packet.AppendTo, Frame.AppendTo, Command.AppendData, AppendSignalFrame;
+// pass nil for a fresh one). Decoders borrow: ParsePacket, AppendSignals,
+// UnmarshalData and AppendParsedOptions return values whose byte fields
+// alias the input, so a caller that keeps them past the input's lifetime
+// copies them with append([]byte(nil), b...).
+//
+// Encoding is strict: AppendData never produces command data that a
+// conformant stack would reject as syntactically invalid. Decoding is
+// deliberately tolerant of *trailing* bytes beyond the declared data
+// length, because L2Fuzz appends garbage tails to otherwise well-formed
+// commands and the simulated vendor stacks must be able to observe that
+// tail (some of the reproduced vulnerabilities are triggered by it).
 package l2cap

@@ -72,7 +72,7 @@ func TestCoreFieldsMutateInPlace(t *testing.T) {
 	if req.PSM != 0x0100 || req.SCID != 0x1234 {
 		t.Fatalf("mutation through CoreFields did not reach the struct: %+v", req)
 	}
-	data := req.MarshalData()
+	data := req.AppendData(nil)
 	if getU16(data, 0) != 0x0100 || getU16(data, 2) != 0x1234 {
 		t.Fatalf("marshaled data does not reflect mutation: %x", data)
 	}

@@ -101,19 +101,12 @@ func appendOptions(dst []byte, opts []ConfigOption) []byte {
 	return dst
 }
 
-// ParseOptions decodes a configuration-option list. Unknown option types
-// decode structurally (type, length, value) so a fuzzer's garbage options
-// are observable; a length that overruns the buffer is an error. Option
-// values alias data (borrow semantics): callers that retain them past the
-// buffer's lifetime must copy.
-func ParseOptions(data []byte) ([]ConfigOption, error) {
-	return AppendParsedOptions(nil, data)
-}
-
 // AppendParsedOptions decodes a configuration-option list onto dst and
-// returns the extended slice: the allocation-free form of ParseOptions
-// decode loops use with a reused scratch slice. On error the appended
-// prefix is discarded.
+// returns the extended slice. Unknown option types decode structurally
+// (type, length, value) so a fuzzer's garbage options are observable; a
+// length that overruns the buffer is an error, and on error dst comes back
+// unchanged. Option values alias data (borrow semantics): callers that
+// retain them past the buffer's lifetime must copy.
 func AppendParsedOptions(dst []ConfigOption, data []byte) ([]ConfigOption, error) {
 	opts := dst
 	off := 0

@@ -14,9 +14,9 @@ func TestOptionsRoundTrip(t *testing.T) {
 		{Type: OptionQoS, Value: make([]byte, 22)},
 		{Type: 0x55 | 0x80, Value: []byte{1, 2, 3}}, // unknown hint
 	}
-	out, err := ParseOptions(appendOptions(nil, in))
+	out, err := AppendParsedOptions(nil, appendOptions(nil, in))
 	if err != nil {
-		t.Fatalf("ParseOptions() error = %v", err)
+		t.Fatalf("AppendParsedOptions() error = %v", err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("len(out) = %d, want %d", len(out), len(in))
@@ -38,17 +38,17 @@ func TestParseOptionsErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseOptions(tt.data); !errors.Is(err, ErrBadCommand) {
-				t.Fatalf("ParseOptions() error = %v, want ErrBadCommand", err)
+			if _, err := AppendParsedOptions(nil, tt.data); !errors.Is(err, ErrBadCommand) {
+				t.Fatalf("AppendParsedOptions() error = %v, want ErrBadCommand", err)
 			}
 		})
 	}
 }
 
 func TestParseOptionsEmpty(t *testing.T) {
-	opts, err := ParseOptions(nil)
+	opts, err := AppendParsedOptions(nil, nil)
 	if err != nil {
-		t.Fatalf("ParseOptions(nil) error = %v", err)
+		t.Fatalf("AppendParsedOptions(nil, nil) error = %v", err)
 	}
 	if len(opts) != 0 {
 		t.Fatalf("len(opts) = %d, want 0", len(opts))

@@ -96,17 +96,11 @@ func (p Packet) TrailingGarbage() []byte {
 	return p.Payload[p.Length:]
 }
 
-// WireSize returns the number of bytes Marshal will produce.
+// WireSize returns the number of bytes AppendTo appends.
 func (p Packet) WireSize() int { return HeaderSize + len(p.Payload) }
 
-// Marshal encodes the frame into a fresh wire-byte buffer. Hot paths use
-// AppendTo with a reused scratch buffer instead.
-func (p Packet) Marshal() []byte {
-	return p.AppendTo(make([]byte, 0, HeaderSize+len(p.Payload)))
-}
-
 // AppendTo appends the wire form of the frame to dst and returns the
-// extended slice: the allocation-free marshal of the packet hot path.
+// extended slice; pass nil for a fresh buffer.
 func (p Packet) AppendTo(dst []byte) []byte {
 	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], p.Length)
@@ -115,28 +109,15 @@ func (p Packet) AppendTo(dst []byte) []byte {
 	return append(dst, p.Payload...)
 }
 
-// UnmarshalPacket decodes one basic frame from raw bytes. The payload
-// slice is copied, so the caller keeps ownership of raw; decode loops
-// that only inspect the frame use ParsePacket instead.
+// ParsePacket decodes one basic frame without copying: the returned
+// packet's Payload aliases raw (borrow semantics) and is valid only while
+// raw is. Callers that retain the packet past the buffer's lifetime —
+// inboxes, traces, any cross-packet state — must copy the payload.
 //
 // A frame whose declared length exceeds the available bytes fails with
 // ErrLengthMismatch; a frame with *extra* bytes beyond the declared length
 // decodes successfully and reports them via TrailingGarbage, mirroring how
 // permissive stacks treat garbage tails.
-func UnmarshalPacket(raw []byte) (Packet, error) {
-	p, err := ParsePacket(raw)
-	if err != nil {
-		return Packet{}, err
-	}
-	p.Payload = append([]byte(nil), p.Payload...)
-	return p, nil
-}
-
-// ParsePacket decodes one basic frame without copying: the returned
-// packet's Payload aliases raw (borrow semantics) and is valid only while
-// raw is. Callers that retain the packet past the buffer's lifetime —
-// inboxes, traces, any cross-packet state — must copy the payload. The
-// validation rules match UnmarshalPacket.
 func ParsePacket(raw []byte) (Packet, error) {
 	if len(raw) < HeaderSize {
 		return Packet{}, fmt.Errorf("%w: got %d bytes", ErrShortPacket, len(raw))

@@ -33,9 +33,9 @@ func TestPacketMarshalRoundTrip(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			in := NewPacket(tt.cid, tt.payload)
-			out, err := UnmarshalPacket(in.Marshal())
+			out, err := ParsePacket(in.AppendTo(nil))
 			if err != nil {
-				t.Fatalf("UnmarshalPacket() error = %v", err)
+				t.Fatalf("ParsePacket() error = %v", err)
 			}
 			if out.ChannelID != tt.cid {
 				t.Errorf("ChannelID = %v, want %v", out.ChannelID, tt.cid)
@@ -62,8 +62,8 @@ func TestUnmarshalPacketErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := UnmarshalPacket(tt.raw); !errors.Is(err, tt.wantErr) {
-				t.Fatalf("UnmarshalPacket() error = %v, want %v", err, tt.wantErr)
+			if _, err := ParsePacket(tt.raw); !errors.Is(err, tt.wantErr) {
+				t.Fatalf("ParsePacket() error = %v, want %v", err, tt.wantErr)
 			}
 		})
 	}
@@ -87,9 +87,9 @@ func TestAppendGarbageKeepsDeclaredLength(t *testing.T) {
 
 func TestGarbagePacketRoundTripsThroughWire(t *testing.T) {
 	base := SignalPacket(1, &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}, []byte{0xDE, 0xAD})
-	out, err := UnmarshalPacket(base.Marshal())
+	out, err := ParsePacket(base.AppendTo(nil))
 	if err != nil {
-		t.Fatalf("UnmarshalPacket() error = %v", err)
+		t.Fatalf("ParsePacket() error = %v", err)
 	}
 	if got := out.TrailingGarbage(); !bytes.Equal(got, []byte{0xDE, 0xAD}) {
 		t.Fatalf("TrailingGarbage() = %x, want dead", got)
@@ -103,18 +103,6 @@ func TestGarbagePacketRoundTripsThroughWire(t *testing.T) {
 	}
 	if !bytes.Equal(frames[0].Tail, []byte{0xDE, 0xAD}) {
 		t.Fatalf("frame Tail = %x, want dead", frames[0].Tail)
-	}
-}
-
-func TestUnmarshalPacketCopiesInput(t *testing.T) {
-	raw := NewPacket(CIDSignaling, []byte{1, 2, 3}).Marshal()
-	p, err := UnmarshalPacket(raw)
-	if err != nil {
-		t.Fatalf("UnmarshalPacket() error = %v", err)
-	}
-	raw[HeaderSize] = 0xFF
-	if p.Payload[0] != 1 {
-		t.Fatal("decoded payload aliases the input buffer")
 	}
 }
 

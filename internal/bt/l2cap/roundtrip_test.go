@@ -50,7 +50,7 @@ func sampleCommands() []Command {
 func TestEveryCommandRoundTrips(t *testing.T) {
 	for _, cmd := range sampleCommands() {
 		t.Run(cmd.Code().String(), func(t *testing.T) {
-			data := cmd.MarshalData()
+			data := cmd.AppendData(nil)
 			fresh, err := newCommand(cmd.Code())
 			if err != nil {
 				t.Fatalf("newCommand() error = %v", err)
@@ -82,11 +82,11 @@ func TestEveryCommandRoundTripsThroughSignalPacket(t *testing.T) {
 	for i, cmd := range sampleCommands() {
 		id := uint8(i + 1)
 		pkt := SignalPacket(id, cmd, nil)
-		raw := pkt.Marshal()
+		raw := pkt.AppendTo(nil)
 
-		decoded, err := UnmarshalPacket(raw)
+		decoded, err := ParsePacket(raw)
 		if err != nil {
-			t.Fatalf("%v: UnmarshalPacket() error = %v", cmd.Code(), err)
+			t.Fatalf("%v: ParsePacket() error = %v", cmd.Code(), err)
 		}
 		frames, err := ParseSignals(decoded.Payload)
 		if err != nil {
@@ -105,7 +105,7 @@ func TestEveryCommandRoundTripsThroughSignalPacket(t *testing.T) {
 		if out.Code() != cmd.Code() {
 			t.Errorf("decoded code = %v, want %v", out.Code(), cmd.Code())
 		}
-		if !bytes.Equal(out.MarshalData(), cmd.MarshalData()) {
+		if !bytes.Equal(out.AppendData(nil), cmd.AppendData(nil)) {
 			t.Errorf("%v: re-marshal mismatch", cmd.Code())
 		}
 	}
@@ -125,7 +125,7 @@ func TestDefaultCommandForEveryCode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("newCommand(%v) error = %v", code, err)
 		}
-		if err := fresh.UnmarshalData(cmd.MarshalData()); err != nil {
+		if err := fresh.UnmarshalData(cmd.AppendData(nil)); err != nil {
 			t.Errorf("default %v does not round-trip: %v", code, err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestFixedSizeCommandsRejectWrongLengths(t *testing.T) {
 		&CreditBasedReconfRsp{},
 	}
 	for _, cmd := range fixed {
-		want := len(cmd.MarshalData())
+		want := len(cmd.AppendData(nil))
 		for _, n := range []int{want - 1, want + 1} {
 			if n < 0 {
 				continue

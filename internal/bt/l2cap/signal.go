@@ -21,9 +21,9 @@ type Frame struct {
 	Tail []byte
 }
 
-// MarshalTo appends the wire form of the frame (including the tail) to dst
-// and returns the extended slice.
-func (f Frame) MarshalTo(dst []byte) []byte {
+// AppendTo appends the wire form of the frame (including the tail) to dst
+// and returns the extended slice; pass nil for a fresh buffer.
+func (f Frame) AppendTo(dst []byte) []byte {
 	var hdr [SignalHeaderSize]byte
 	hdr[0] = uint8(f.Code)
 	hdr[1] = f.Identifier
@@ -32,37 +32,6 @@ func (f Frame) MarshalTo(dst []byte) []byte {
 	dst = append(dst, f.Data...)
 	dst = append(dst, f.Tail...)
 	return dst
-}
-
-// Marshal returns the wire form of the frame.
-func (f Frame) Marshal() []byte {
-	return f.MarshalTo(make([]byte, 0, SignalHeaderSize+len(f.Data)+len(f.Tail)))
-}
-
-// UnmarshalFrame decodes a single signaling frame from payload, treating
-// every byte beyond the declared data length as Tail. Use ParseSignals for
-// payloads that may pack several commands.
-//
-// Data and Tail alias payload (borrow semantics): the frame is valid only
-// while payload is. Callers that retain the frame past the payload's
-// lifetime must copy both slices.
-func UnmarshalFrame(payload []byte) (Frame, error) {
-	if len(payload) < SignalHeaderSize {
-		return Frame{}, fmt.Errorf("%w: got %d bytes", ErrShortCommand, len(payload))
-	}
-	f := Frame{
-		Code:       CommandCode(payload[0]),
-		Identifier: payload[1],
-	}
-	dataLen := int(binary.LittleEndian.Uint16(payload[2:4]))
-	rest := payload[SignalHeaderSize:]
-	if dataLen > len(rest) {
-		return Frame{}, fmt.Errorf("%w: declared %d, available %d",
-			ErrDataLength, dataLen, len(rest))
-	}
-	f.Data = rest[:dataLen:dataLen]
-	f.Tail = rest[dataLen:]
-	return f, nil
 }
 
 // ParseSignals decodes the sequence of signaling frames packed into one
@@ -133,12 +102,9 @@ func appendTail(tail, payload []byte, off int) []byte {
 type Command interface {
 	// Code returns the signaling command code.
 	Code() CommandCode
-	// MarshalData encodes the command's data fields (the bytes that follow
-	// the 4-byte command header) into a fresh buffer.
-	MarshalData() []byte
-	// AppendData appends the command's data fields to dst and returns the
-	// extended slice: the allocation-free form of MarshalData the packet
-	// hot path uses.
+	// AppendData appends the command's data fields (the bytes that follow
+	// the 4-byte command header) to dst and returns the extended slice;
+	// pass nil for a fresh buffer.
 	AppendData(dst []byte) []byte
 	// UnmarshalData decodes the command's data fields. Variable-length
 	// members ([]byte fields such as echo payloads and reject reason
@@ -233,8 +199,10 @@ func newCommand(code CommandCode) (Command, error) {
 }
 
 // DecodeCommand turns a signaling frame into a freshly allocated concrete
-// command. Hot paths that decode one frame at a time should prefer a
-// reused Decoder.
+// command. Only the struct is fresh: its variable-length fields (echo
+// data, reject reason data, option values) alias f.Data under the
+// UnmarshalData borrow rule. Hot paths that decode one frame at a time
+// should prefer a reused Decoder.
 func DecodeCommand(f Frame) (Command, error) {
 	cmd, err := newCommand(f.Code)
 	if err != nil {
@@ -273,17 +241,6 @@ func (d *Decoder) Decode(f Frame) (Command, error) {
 		return nil, fmt.Errorf("decode %v: %w", f.Code, err)
 	}
 	return cmd, nil
-}
-
-// EncodeFrame wraps a command into a signaling frame with the given
-// identifier and optional garbage tail.
-func EncodeFrame(id uint8, cmd Command, tail []byte) Frame {
-	return Frame{
-		Code:       cmd.Code(),
-		Identifier: id,
-		Data:       cmd.MarshalData(),
-		Tail:       append([]byte(nil), tail...),
-	}
 }
 
 // AppendSignalFrame appends the wire form of one signaling frame — the

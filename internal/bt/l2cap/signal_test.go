@@ -8,9 +8,9 @@ import (
 
 func TestParseSignalsMultipleCommands(t *testing.T) {
 	var payload []byte
-	payload = EncodeFrame(1, &InformationReq{InfoType: InfoTypeExtendedFeatures}, nil).MarshalTo(payload)
-	payload = EncodeFrame(2, &EchoReq{Data: []byte{0xAA}}, nil).MarshalTo(payload)
-	payload = EncodeFrame(3, &DisconnectionReq{DCID: 0x0040, SCID: 0x0041}, nil).MarshalTo(payload)
+	payload, _ = AppendSignalFrame(payload, 1, &InformationReq{InfoType: InfoTypeExtendedFeatures}, nil)
+	payload, _ = AppendSignalFrame(payload, 2, &EchoReq{Data: []byte{0xAA}}, nil)
+	payload, _ = AppendSignalFrame(payload, 3, &DisconnectionReq{DCID: 0x0040, SCID: 0x0041}, nil)
 
 	frames, err := ParseSignals(payload)
 	if err != nil {
@@ -31,7 +31,7 @@ func TestParseSignalsMultipleCommands(t *testing.T) {
 }
 
 func TestParseSignalsTrailingFragmentBecomesTail(t *testing.T) {
-	payload := EncodeFrame(1, &EchoReq{}, nil).MarshalTo(nil)
+	payload, _ := AppendSignalFrame(nil, 1, &EchoReq{}, nil)
 	payload = append(payload, 0xDE, 0xAD) // too short for another header
 
 	frames, err := ParseSignals(payload)
@@ -64,27 +64,32 @@ func TestParseSignalsErrors(t *testing.T) {
 	}
 }
 
-func TestUnmarshalFrameSeparatesTail(t *testing.T) {
-	f := EncodeFrame(7, &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}, []byte{1, 2, 3})
-	out, err := UnmarshalFrame(f.Marshal())
-	if err != nil {
-		t.Fatalf("UnmarshalFrame() error = %v", err)
-	}
-	if out.Code != CodeConnectionReq || out.Identifier != 7 {
-		t.Fatalf("header = (%v, %d), want (ConnectionReq, 7)", out.Code, out.Identifier)
-	}
-	if len(out.Data) != 4 {
-		t.Fatalf("len(Data) = %d, want 4", len(out.Data))
-	}
-	if !bytes.Equal(out.Tail, []byte{1, 2, 3}) {
-		t.Fatalf("Tail = %x, want 010203", out.Tail)
-	}
-}
-
 func TestDecodeCommandUnknownCode(t *testing.T) {
 	_, err := DecodeCommand(Frame{Code: 0x7F})
 	if !errors.Is(err, ErrUnknownCode) {
 		t.Fatalf("DecodeCommand() error = %v, want ErrUnknownCode", err)
+	}
+}
+
+// TestDecodeCommandAliasesFrameData pins DecodeCommand's ownership: each
+// call allocates a fresh command struct, but the struct's byte fields
+// borrow the frame's Data rather than copying it.
+func TestDecodeCommandAliasesFrameData(t *testing.T) {
+	fr := Frame{Code: CodeEchoReq, Identifier: 1, Data: []byte{1, 2, 3}}
+	a, err := DecodeCommand(fr)
+	if err != nil {
+		t.Fatalf("DecodeCommand() error = %v", err)
+	}
+	b, err := DecodeCommand(fr)
+	if err != nil {
+		t.Fatalf("DecodeCommand() error = %v", err)
+	}
+	if a == b {
+		t.Fatal("two DecodeCommand calls returned the same struct")
+	}
+	fr.Data[0] = 0xFF
+	if got := a.(*EchoReq).Data[0]; got != 0xFF {
+		t.Fatalf("EchoReq.Data[0] = %#x after the frame changed, want 0xff (aliased)", got)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestMutateDeterministicForSeed(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		pa, _, _ := a.Mutate(uint8(i%250+1), l2cap.CodeConnectionReq)
 		pb, _, _ := b.Mutate(uint8(i%250+1), l2cap.CodeConnectionReq)
-		if string(pa.Marshal()) != string(pb.Marshal()) {
+		if string(pa.AppendTo(nil)) != string(pb.AppendTo(nil)) {
 			t.Fatal("same seed produced different packets")
 		}
 	}
@@ -231,7 +231,7 @@ func TestMutateCreditStreamDoesNotPerturbCoreDraws(t *testing.T) {
 			}
 			continue
 		}
-		if string(pa.Marshal()) != string(pb.Marshal()) {
+		if string(pa.AppendTo(nil)) != string(pb.AppendTo(nil)) {
 			t.Fatalf("packet %d (%v): credit stream perturbed the core schedule", i, code)
 		}
 	}
@@ -245,7 +245,7 @@ func TestMutateCreditStreamDeterministic(t *testing.T) {
 		id := uint8(i%250 + 1)
 		pa, ia, _ := a.Mutate(id, l2cap.CodeLECreditConnReq)
 		pb, ib, _ := b.Mutate(id, l2cap.CodeLECreditConnReq)
-		if string(pa.Marshal()) != string(pb.Marshal()) || ia != ib {
+		if string(pa.AppendTo(nil)) != string(pb.AppendTo(nil)) || ia != ib {
 			t.Fatal("same credit seed produced different packets")
 		}
 	}

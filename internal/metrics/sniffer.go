@@ -147,7 +147,7 @@ func (s *Sniffer) onTx(raw []byte) {
 			continue
 		}
 		s.pendingTx[fr.Identifier] = fr.Code
-		s.states.ObserveTx(fr, cmd, s.allocated)
+		s.states.ObserveTx(cmd)
 		if !verdict && s.isMalformed(fr, cmd) {
 			s.malformed++
 			verdict = true
@@ -206,7 +206,7 @@ func (s *Sniffer) onRx(raw []byte) {
 			continue
 		}
 		s.trackAllocations(cmd)
-		s.states.ObserveRx(fr, cmd)
+		s.states.ObserveRx(cmd)
 		if isRejection(cmd) {
 			s.correlateReject(fr)
 			if !verdict {

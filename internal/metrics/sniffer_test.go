@@ -266,9 +266,8 @@ func TestSnifferObservesEveryFrameOfPackedPacket(t *testing.T) {
 	}
 	before := s.Summary()
 
-	bad := l2cap.EncodeFrame(0x41, &l2cap.ConnectionReq{PSM: 0x0101, SCID: 0x0060}, nil)
-	disc := l2cap.EncodeFrame(0x42, &l2cap.DisconnectionReq{DCID: remote, SCID: local}, nil)
-	payload := append(bad.Marshal(), disc.Marshal()...)
+	payload, _ := l2cap.AppendSignalFrame(nil, 0x41, &l2cap.ConnectionReq{PSM: 0x0101, SCID: 0x0060}, nil)
+	payload, _ = l2cap.AppendSignalFrame(payload, 0x42, &l2cap.DisconnectionReq{DCID: remote, SCID: local}, nil)
 	if err := cl.Send(d.Address(), l2cap.NewPacket(l2cap.CIDSignaling, payload)); err != nil {
 		t.Fatal(err)
 	}

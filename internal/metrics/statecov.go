@@ -57,10 +57,8 @@ func (si *StateInferencer) drop(sc *shadowChan) {
 	delete(si.byTester, sc.testerCID)
 }
 
-// ObserveTx consumes one tester-to-target command. allocated is the
-// sniffer's current view of allocated endpoints (unused today; kept for
-// classifier symmetry).
-func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command, allocated map[l2cap.CID]bool) {
+// ObserveTx consumes one tester-to-target command.
+func (si *StateInferencer) ObserveTx(cmd l2cap.Command) {
 	switch c := cmd.(type) {
 	case *l2cap.ConnectionReq:
 		// The target enters WAIT_CONNECT while deciding.
@@ -109,11 +107,10 @@ func (si *StateInferencer) ObserveTx(fr l2cap.Frame, cmd l2cap.Command, allocate
 		}
 	default:
 	}
-	_ = allocated
 }
 
 // ObserveRx consumes one target-to-tester command.
-func (si *StateInferencer) ObserveRx(fr l2cap.Frame, cmd l2cap.Command) {
+func (si *StateInferencer) ObserveRx(cmd l2cap.Command) {
 	switch c := cmd.(type) {
 	case *l2cap.ConnectionRsp:
 		si.completeConnect(c.SCID, c.DCID, c.Result)
@@ -145,7 +142,6 @@ func (si *StateInferencer) ObserveRx(fr l2cap.Frame, cmd l2cap.Command) {
 		}
 	default:
 	}
-	_ = fr
 }
 
 // completeConnect resolves a pending connect/create against its response.

@@ -28,11 +28,11 @@ func TestInferencerKeepsShadowThroughPendingConnect(t *testing.T) {
 		testerCID l2cap.CID = 0x0040
 		deviceCID l2cap.CID = 0x0041
 	)
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID}, nil)
+	si.ObserveTx(&l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID})
 	// Authorization pending: the target is still deciding.
-	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
+	si.ObserveRx(&l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
 	// The final decision arrives for the same SCID.
-	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: deviceCID, Result: l2cap.ConnResultSuccess})
+	si.ObserveRx(&l2cap.ConnectionRsp{SCID: testerCID, DCID: deviceCID, Result: l2cap.ConnResultSuccess})
 
 	visited := visitedSet(si)
 	if !visited[sm.StateWaitConnect] || !visited[sm.StateWaitConfig] {
@@ -41,9 +41,9 @@ func TestInferencerKeepsShadowThroughPendingConnect(t *testing.T) {
 
 	// The channel must stay tracked: drive the configuration exchange to
 	// OPEN through the same shadow.
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConfigurationReq{DCID: deviceCID}, nil) // → WAIT_SEND_CONFIG
-	si.ObserveRx(l2cap.Frame{}, &l2cap.ConfigurationReq{DCID: testerCID})      // device proposes → WAIT_CONFIG_RSP
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConfigurationRsp{SCID: deviceCID}, nil) // → OPEN
+	si.ObserveTx(&l2cap.ConfigurationReq{DCID: deviceCID}) // → WAIT_SEND_CONFIG
+	si.ObserveRx(&l2cap.ConfigurationReq{DCID: testerCID}) // device proposes → WAIT_CONFIG_RSP
+	si.ObserveTx(&l2cap.ConfigurationRsp{SCID: deviceCID}) // → OPEN
 
 	visited = visitedSet(si)
 	for _, want := range []sm.State{sm.StateWaitSendConfig, sm.StateWaitConfigRsp, sm.StateOpen} {
@@ -61,9 +61,9 @@ func TestInferencerKeepsShadowThroughPendingCreate(t *testing.T) {
 		testerCID l2cap.CID = 0x0044
 		deviceCID l2cap.CID = 0x0045
 	)
-	si.ObserveTx(l2cap.Frame{}, &l2cap.CreateChannelReq{PSM: l2cap.PSMAVDTP, SCID: testerCID}, nil)
-	si.ObserveRx(l2cap.Frame{}, &l2cap.CreateChannelRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
-	si.ObserveRx(l2cap.Frame{}, &l2cap.CreateChannelRsp{SCID: testerCID, DCID: deviceCID, Result: l2cap.ConnResultSuccess})
+	si.ObserveTx(&l2cap.CreateChannelReq{PSM: l2cap.PSMAVDTP, SCID: testerCID})
+	si.ObserveRx(&l2cap.CreateChannelRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
+	si.ObserveRx(&l2cap.CreateChannelRsp{SCID: testerCID, DCID: deviceCID, Result: l2cap.ConnResultSuccess})
 
 	visited := visitedSet(si)
 	if !visited[sm.StateWaitCreate] || !visited[sm.StateWaitConfig] {
@@ -77,11 +77,11 @@ func TestInferencerKeepsShadowThroughPendingCreate(t *testing.T) {
 func TestInferencerDropsShadowOnFinalRefusal(t *testing.T) {
 	si := NewStateInferencer()
 	const testerCID l2cap.CID = 0x0048
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID}, nil)
-	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
-	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultSecurityBlock})
+	si.ObserveTx(&l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID})
+	si.ObserveRx(&l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultPending})
+	si.ObserveRx(&l2cap.ConnectionRsp{SCID: testerCID, DCID: 0, Result: l2cap.ConnResultSecurityBlock})
 	// A bogus success after the final refusal must not resurrect it.
-	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: 0x0049, Result: l2cap.ConnResultSuccess})
+	si.ObserveRx(&l2cap.ConnectionRsp{SCID: testerCID, DCID: 0x0049, Result: l2cap.ConnResultSuccess})
 
 	visited := visitedSet(si)
 	if !visited[sm.StateWaitConnect] {
@@ -102,8 +102,8 @@ func TestInferencerConfigExchangeDoesNotAllocate(t *testing.T) {
 		testerCID l2cap.CID = 0x0040
 		deviceCID l2cap.CID = 0x0041
 	)
-	si.ObserveTx(l2cap.Frame{}, &l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID}, nil)
-	si.ObserveRx(l2cap.Frame{}, &l2cap.ConnectionRsp{SCID: testerCID, DCID: deviceCID, Result: l2cap.ConnResultSuccess})
+	si.ObserveTx(&l2cap.ConnectionReq{PSM: l2cap.PSMAVDTP, SCID: testerCID})
+	si.ObserveRx(&l2cap.ConnectionRsp{SCID: testerCID, DCID: deviceCID, Result: l2cap.ConnResultSuccess})
 	var (
 		txReq l2cap.Command = &l2cap.ConfigurationReq{DCID: deviceCID}
 		rxReq l2cap.Command = &l2cap.ConfigurationReq{DCID: testerCID}
@@ -111,10 +111,10 @@ func TestInferencerConfigExchangeDoesNotAllocate(t *testing.T) {
 		rxRsp l2cap.Command = &l2cap.ConfigurationRsp{SCID: testerCID}
 	)
 	exchange := func() {
-		si.ObserveTx(l2cap.Frame{}, txReq, nil) // → WAIT_SEND_CONFIG (OPEN re-enters it)
-		si.ObserveRx(l2cap.Frame{}, rxReq)      // → WAIT_CONFIG_RSP
-		si.ObserveTx(l2cap.Frame{}, txRsp, nil) // → OPEN
-		si.ObserveRx(l2cap.Frame{}, rxRsp)
+		si.ObserveTx(txReq) // → WAIT_SEND_CONFIG (OPEN re-enters it)
+		si.ObserveRx(rxReq) // → WAIT_CONFIG_RSP
+		si.ObserveTx(txRsp) // → OPEN
+		si.ObserveRx(rxRsp)
 	}
 	exchange()
 	if !visitedSet(si)[sm.StateOpen] {
