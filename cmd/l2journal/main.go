@@ -39,11 +39,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"l2fuzz/internal/telemetry"
 	"l2fuzz/internal/telemetry/analyze"
 )
 
@@ -121,7 +123,18 @@ func parseJournalArg(fs *flag.FlagSet) (*analyze.Run, error) {
 	if fs.NArg() != 1 {
 		return nil, fmt.Errorf("want exactly one journal path (a journal.jsonl, a run directory, or an l2farm -journal directory)")
 	}
-	return analyze.ParseFile(fs.Arg(0))
+	return parseFile(fs.Arg(0))
+}
+
+// parseFile parses one journal. A torn last line — a farm killed
+// mid-write — is a warning: the run of the complete records renders.
+func parseFile(path string) (*analyze.Run, error) {
+	run, err := analyze.ParseFile(path)
+	if errors.Is(err, telemetry.ErrTornJournal) {
+		fmt.Fprintf(os.Stderr, "l2journal: warning: %s: %v; rendering the complete records\n", path, err)
+		return run, nil
+	}
+	return run, err
 }
 
 func figures(args []string) error {
@@ -200,11 +213,11 @@ func trend(args []string) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("want BASELINE and CURRENT journal paths")
 	}
-	base, err := analyze.ParseFile(fs.Arg(0))
+	base, err := parseFile(fs.Arg(0))
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
-	cur, err := analyze.ParseFile(fs.Arg(1))
+	cur, err := parseFile(fs.Arg(1))
 	if err != nil {
 		return fmt.Errorf("current: %w", err)
 	}

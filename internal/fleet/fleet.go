@@ -9,13 +9,14 @@ import (
 
 	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/corpus"
+	"l2fuzz/internal/fleet/record"
 	"l2fuzz/internal/telemetry"
 )
 
 // Kind selects the fuzzer a job runs. Each kind names a registered
 // Engine; the registry in engine.go is the single source of truth for
 // which kinds exist and how they execute.
-type Kind string
+type Kind = record.Kind
 
 // The job kinds a farm can schedule: the paper's four compared fuzzers,
 // the two §V extensions, and the scenario-diversity engines over the
@@ -271,32 +272,11 @@ func (c Config) variant(name string) Variant {
 }
 
 // Job is one cell×shard of the matrix: one fuzzer kind under one
-// configuration variant against one target with one derived seed.
-type Job struct {
-	// Index is the job's position in the matrix enumeration
-	// (device-major, then kind, then variant, then shard).
-	Index int
-	// Device is the target name: a catalog ID ("D1".."D8") or a custom
-	// spec name. Seeds, budgets and report sections key by it.
-	Device string
-	// Spec is the resolved target spec the job runs against. Catalog
-	// jobs share the package-wide catalog specs; treat it as read-only.
-	// Specs are pure data — defect triggers are declarative descriptors,
-	// not closures — so the spec serializes with the job: the proc
-	// executor ships it to worker subprocesses inline, and the telemetry
-	// endpoint's report snapshots carry it.
-	Spec *device.Spec `json:",omitempty"`
-	// Kind is the fuzzer kind.
-	Kind Kind
-	// Variant names the job's configuration variant.
-	Variant string
-	// Shard is the seed shard, 0..Shards-1.
-	Shard int
-	// Seed is the derived job seed.
-	Seed int64
-	// MaxPackets is the job's resolved traffic budget.
-	MaxPackets int
-}
+// configuration variant against one target with one derived seed. Its
+// fields and their JSON form are the record schema's (record.Job), so
+// the journal and the worker wire carry a Job as it is. Catalog jobs
+// share the package-wide catalog specs.
+type Job record.Job
 
 func (j Job) String() string {
 	if j.Variant == VariantBaseline || j.Variant == "" {

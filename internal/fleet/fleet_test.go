@@ -249,8 +249,8 @@ func TestJobSeedsDistinctAndStable(t *testing.T) {
 
 // TestReportJSONMarshalable pins that a live farm report serializes as
 // JSON — the telemetry endpoint's /snapshot path marshals Aggregator
-// snapshots verbatim, and catalog specs carry defect-trigger closures
-// that must stay out of the encoding (Job.Spec is json:"-").
+// snapshots verbatim — with each job in its record form, the same
+// object the journal writes.
 func TestReportJSONMarshalable(t *testing.T) {
 	report, err := Run(Config{
 		Devices:          []string{"D2"},
@@ -266,7 +266,7 @@ func TestReportJSONMarshalable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("farm report does not marshal: %v", err)
 	}
-	if !bytes.Contains(data, []byte(`"Device":"D2"`)) {
+	if !bytes.Contains(data, []byte(`"device":"D2"`)) {
 		t.Fatalf("marshaled report names no D2 job:\n%s", data)
 	}
 }

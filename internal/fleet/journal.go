@@ -5,147 +5,34 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
-	"l2fuzz/internal/bt/device"
-	"l2fuzz/internal/core"
-	"l2fuzz/internal/metrics"
+	"l2fuzz/internal/fleet/record"
 	"l2fuzz/internal/telemetry"
 )
 
-// journalVersion pins the farm record schema. ReplayJournal refuses a
-// journal written under a different version rather than silently
-// misfolding it. Version 2 added the encoded target spec to job
-// records, the executor worker id to result records, and the worker
-// lifecycle record. Version 3 added the per-job trace span to result
-// records and the counter-sample interval to the header, and re-based
-// every record's envelope offset onto the farm's start time.
-const journalVersion = 3
-
-// The farm's journal record types. A journal additionally carries
-// telemetry.RecordSample records when the writer runs a counter
-// sampler; replay ignores them.
-const (
-	recFarm       = "farm"
-	recJobStarted = "job-started"
-	recJobDone    = "job-done"
-	recFinding    = "finding"
-	recWorker     = "worker"
-)
-
-// journalFarm is the run header: enough of the matrix shape to sanity-
-// check a replay config against the journal it is asked to fold.
-type journalFarm struct {
-	Version  int      `json:"version"`
-	Jobs     int      `json:"jobs"`
-	Workers  int      `json:"workers"`
-	BaseSeed int64    `json:"baseSeed"`
-	Targets  []string `json:"targets"`
-	Kinds    []Kind   `json:"kinds"`
-	Variants []string `json:"variants"`
-	Shards   int      `json:"shards"`
-	// SampleInterval is how often the run's counter sampler wrote
-	// RecordSample records, when the writer declared it
-	// (Config.SampleInterval); an analyzer labels the sampled series'
-	// time axis with it. Zero means unknown or no sampler.
-	SampleInterval time.Duration `json:"sampleIntervalNs,omitempty"`
-}
-
-// journalJob is a Job with its resolved target spec inline: specs are
-// pure data (declarative defect descriptors), so the journal embeds the
-// full spec and is self-describing — a reader needs no catalog to know
-// exactly what configuration each job fuzzed. Replay ignores the field
-// and resolves specs from the config's target list, which keeps the
-// replayed report's Spec pointers identical to a live farm's.
-type journalJob struct {
-	Index      int          `json:"index"`
-	Device     string       `json:"device"`
-	Spec       *device.Spec `json:"spec,omitempty"`
-	Kind       Kind         `json:"kind"`
-	Variant    string       `json:"variant"`
-	Shard      int          `json:"shard"`
-	Seed       int64        `json:"seed"`
-	MaxPackets int          `json:"maxPackets"`
-}
-
+// The job-started and finding records exist for progress curves and
+// farm forensics; neither the replay nor the analyzer reads them, so
+// their payloads are declared here, next to their only writer.
 type journalStarted struct {
-	Job   journalJob `json:"job"`
-	Done  int        `json:"done"`
-	Total int        `json:"total"`
-}
-
-type journalOccurrence struct {
-	Finding core.Finding `json:"finding"`
-	Count   int          `json:"count"`
-	Dump    string       `json:"dump,omitempty"`
-}
-
-type journalResult struct {
-	Job         journalJob          `json:"job"`
-	Worker      string              `json:"worker,omitempty"`
-	Err         string              `json:"err,omitempty"`
-	PacketsSent int                 `json:"packetsSent"`
-	ElapsedNs   time.Duration       `json:"elapsedNs"`
-	WallNs      time.Duration       `json:"wallNs"`
-	Span        Span                `json:"span"`
-	Crashed     bool                `json:"crashed,omitempty"`
-	Findings    []journalOccurrence `json:"findings,omitempty"`
-	Summary     metrics.Summary     `json:"summary"`
-	Done        int                 `json:"done"`
-	Total       int                 `json:"total"`
+	Job record.Job `json:"job"`
+	record.Progress
 }
 
 type journalFinding struct {
 	Record FindingRecord `json:"record"`
-	Job    journalJob    `json:"job"`
-	Done   int           `json:"done"`
-	Total  int           `json:"total"`
+	Job    record.Job    `json:"job"`
+	record.Progress
 }
 
-// journalWorker is one executor worker lifecycle change. Replay
-// ignores these records — they exist for post-hoc farm forensics (which
-// worker died when, under which job counts).
-type journalWorker struct {
-	Worker string `json:"worker"`
-	Up     bool   `json:"up"`
-	Err    string `json:"err,omitempty"`
-	Done   int    `json:"done"`
-	Total  int    `json:"total"`
-}
-
-func toJournalJob(j Job) journalJob {
-	return journalJob{
-		Index:      j.Index,
-		Device:     j.Device,
-		Spec:       j.Spec,
-		Kind:       j.Kind,
-		Variant:    j.Variant,
-		Shard:      j.Shard,
-		Seed:       j.Seed,
-		MaxPackets: j.MaxPackets,
-	}
-}
-
-func fromJournalJob(j journalJob, specs map[string]*device.Spec) Job {
-	return Job{
-		Index:      j.Index,
-		Device:     j.Device,
-		Spec:       specs[j.Device],
-		Kind:       j.Kind,
-		Variant:    j.Variant,
-		Shard:      j.Shard,
-		Seed:       j.Seed,
-		MaxPackets: j.MaxPackets,
-	}
-}
+func (f *Farm) progress() record.Progress { return record.Progress{Done: f.done, Total: f.total} }
 
 // journalHeader writes the run header at Start.
 func (f *Farm) journalHeader(jobs []Job) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	hdr := journalFarm{
-		Version:        journalVersion,
+	hdr := record.Header{
+		Version:        record.Version,
 		Jobs:           len(jobs),
 		Workers:        f.cfg.Workers,
 		BaseSeed:       f.cfg.BaseSeed,
@@ -159,7 +46,7 @@ func (f *Farm) journalHeader(jobs []Job) {
 	for _, v := range f.cfg.Variants {
 		hdr.Variants = append(hdr.Variants, v.Name)
 	}
-	f.cfg.Journal.Write(recFarm, hdr)
+	f.cfg.Journal.Write(record.TypeFarm, hdr)
 }
 
 // journalStarted, journalResult and journalFinding record the event
@@ -169,46 +56,36 @@ func (f *Farm) journalStarted(job Job) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	f.cfg.Journal.Write(recJobStarted, journalStarted{Job: toJournalJob(job), Done: f.done, Total: f.total})
+	f.cfg.Journal.Write(record.TypeJobStarted, journalStarted{Job: record.Job(job), Progress: f.progress()})
 }
 
 func (f *Farm) journalResult(res JobResult) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	jr := journalResult{
-		Job:         toJournalJob(res.Job),
-		Worker:      res.Worker,
-		PacketsSent: res.PacketsSent,
-		ElapsedNs:   res.Elapsed,
-		WallNs:      res.Wall,
-		Span:        res.Span,
-		Crashed:     res.Crashed,
-		Summary:     res.Summary,
-		Done:        f.done,
-		Total:       f.total,
-	}
-	if res.Err != nil {
-		jr.Err = res.Err.Error()
-	}
-	for _, occ := range res.Findings {
-		jr.Findings = append(jr.Findings, journalOccurrence{Finding: occ.Finding, Count: occ.Count, Dump: occ.Dump})
-	}
-	f.cfg.Journal.Write(recJobDone, jr)
+	f.cfg.Journal.Write(record.TypeJobDone, record.Result{
+		Job:      record.Job(res.Job),
+		Worker:   res.Worker,
+		Outcome:  res.outcome(),
+		WallNs:   res.Wall,
+		Span:     res.Span,
+		Findings: res.Findings,
+		Progress: f.progress(),
+	})
 }
 
 func (f *Farm) journalFinding(rec FindingRecord, job Job) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	f.cfg.Journal.Write(recFinding, journalFinding{Record: rec, Job: toJournalJob(job), Done: f.done, Total: f.total})
+	f.cfg.Journal.Write(record.TypeFinding, journalFinding{Record: rec, Job: record.Job(job), Progress: f.progress()})
 }
 
 func (f *Farm) journalWorker(ev WorkerEvent) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	f.cfg.Journal.Write(recWorker, journalWorker{Worker: ev.Worker, Up: ev.Up, Err: ev.Err, Done: f.done, Total: f.total})
+	f.cfg.Journal.Write(record.TypeWorker, record.WorkerChange{Worker: ev.Worker, Up: ev.Up, Err: ev.Err, Progress: f.progress()})
 }
 
 // ReplayJournal folds a persisted run journal back into a Report, using
@@ -216,17 +93,23 @@ func (f *Farm) journalWorker(ev WorkerEvent) {
 // the live one field for field — job results (including per-job wall
 // times and trace spans, which are read from the journal, not
 // re-measured), breakdown tables, merged metrics and de-duplicated
-// findings. Only the top-level
-// Wall is zero: the farm stamps it from its own clock, which a replay
-// does not have.
+// findings. Only the top-level Wall is zero: the farm stamps it from
+// its own clock, which a replay does not have.
 //
-// cfg must be the configuration the journal was written under; the
-// journal's header is checked against the matrix it builds. Replay is a
-// pure re-fold: Corpus, Journal, Counters and OnJobDone are stripped,
-// so replaying never writes store entries — which also means the Known
-// flags of a corpus-backed run are not reconstructed (a replayed report
-// marks every finding new). Repro traces are store-owned and never
-// journaled, so replayed findings carry none.
+// cfg must be the configuration the journal was written under: the
+// journal's header is checked against the matrix it builds, and each
+// result is folded under the config's own job at the recorded index —
+// an index outside the matrix, or a seed other than that job's, is
+// rejected as the wrong config. Replay is a pure re-fold:
+// Corpus, Journal, Counters and OnJobDone are stripped, so replaying
+// never writes store entries — which also means the Known flags of a
+// corpus-backed run are not reconstructed (a replayed report marks
+// every finding new). Repro traces are store-owned and never journaled,
+// so replayed findings carry none.
+//
+// A journal whose writer died mid-record replays into the report of
+// its complete records, returned with an error wrapping
+// telemetry.ErrTornJournal; jobs without a result are left out.
 func ReplayJournal(cfg Config, r io.Reader) (*Report, error) {
 	cfg.Corpus = nil
 	cfg.Journal = nil
@@ -239,61 +122,46 @@ func ReplayJournal(cfg Config, r io.Reader) (*Report, error) {
 	}
 	jobs := buildJobs(rcfg)
 	agg := newAggregator(rcfg, len(jobs))
-	specs := make(map[string]*device.Spec, len(rcfg.targets))
-	for _, t := range rcfg.targets {
-		specs[t.Name] = t
-	}
 	sawHeader := false
 	err = telemetry.DecodeJournal(r, func(rec telemetry.Record) error {
 		switch rec.Type {
-		case recFarm:
-			var hdr journalFarm
+		case record.TypeFarm:
+			var hdr record.Header
 			if err := json.Unmarshal(rec.Data, &hdr); err != nil {
 				return fmt.Errorf("fleet: farm record: %w", err)
 			}
-			if hdr.Version != journalVersion {
-				return fmt.Errorf("fleet: journal schema version %d, this build reads %d", hdr.Version, journalVersion)
+			if hdr.Version != record.Version {
+				return fmt.Errorf("fleet: journal schema version %d, this build reads %d", hdr.Version, record.Version)
 			}
 			if hdr.Jobs != len(jobs) {
 				return fmt.Errorf("fleet: journal covers %d jobs but the config builds a %d-job matrix — wrong config for this journal", hdr.Jobs, len(jobs))
 			}
 			sawHeader = true
-		case recJobDone:
+		case record.TypeJobDone:
 			if !sawHeader {
 				return errors.New("fleet: journal carries results before its farm header")
 			}
-			var jr journalResult
-			if err := json.Unmarshal(rec.Data, &jr); err != nil {
-				return fmt.Errorf("fleet: job-done record: %w", err)
+			rr, err := record.DecodeResult(rec.Data)
+			if err != nil {
+				return fmt.Errorf("fleet: %w", err)
 			}
-			res := JobResult{
-				Job:         fromJournalJob(jr.Job, specs),
-				Worker:      jr.Worker,
-				PacketsSent: jr.PacketsSent,
-				Elapsed:     jr.ElapsedNs,
-				Wall:        jr.WallNs,
-				Span:        jr.Span,
-				Crashed:     jr.Crashed,
-				Summary:     jr.Summary,
+			i := rr.Job.Index
+			if i < 0 || i >= len(jobs) || rr.Job.Seed != jobs[i].Seed {
+				return fmt.Errorf("fleet: journal job %d with seed %d is not in the config's matrix — wrong config for this journal", i, rr.Job.Seed)
 			}
-			if jr.Err != "" {
-				res.Err = errors.New(jr.Err)
-			}
-			for _, occ := range jr.Findings {
-				res.Findings = append(res.Findings, Occurrence{Finding: occ.Finding, Count: occ.Count, Dump: occ.Dump})
-			}
+			res := JobResult{Job: jobs[i], Worker: rr.Worker, Wall: rr.WallNs, Span: rr.Span, Findings: rr.Findings}
+			res.setOutcome(rr.Outcome)
 			agg.Add(res)
 		}
 		// job-started, finding, worker and sample records carry no
-		// state the fold does not reconstruct; they exist for progress
-		// curves and farm forensics.
+		// state the fold does not reconstruct.
 		return nil
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, telemetry.ErrTornJournal) {
 		return nil, err
 	}
 	if !sawHeader {
 		return nil, errors.New("fleet: not a farm journal (no farm header record)")
 	}
-	return agg.Snapshot(), nil
+	return agg.Snapshot(), err
 }

@@ -3,9 +3,11 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -81,8 +83,81 @@ func TestJournalReplayRejectsMismatches(t *testing.T) {
 	if _, err := ReplayJournal(wrong, bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("replay with a mismatched matrix succeeded")
 	}
+	reseeded := journalMatrix(2)
+	reseeded.BaseSeed++
+	if _, err := ReplayJournal(reseeded, bytes.NewReader(buf.Bytes())); err == nil {
+		t.Error("replay under another base seed succeeded")
+	}
+	outside := regexp.MustCompile(`("type":"job-done","data":\{"job":\{"index":)\d+`).ReplaceAll(buf.Bytes(), []byte("${1}99"))
+	if _, err := ReplayJournal(journalMatrix(2), bytes.NewReader(outside)); err == nil {
+		t.Error("replay of results for jobs outside the matrix succeeded")
+	}
 	if _, err := ReplayJournal(journalMatrix(2), strings.NewReader("")); err == nil {
 		t.Error("replay of an empty journal succeeded")
+	}
+}
+
+// TestJournalTornPrefixReplays pins crash consistency: a journal cut at
+// any point still decodes and replays its complete records. A cut at a
+// line boundary, or one byte before it, leaves only complete records;
+// a cut mid-line delivers the records before the torn line and reports
+// telemetry.ErrTornJournal. The replay folds exactly the complete
+// job-done records.
+func TestJournalTornPrefixReplays(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := journalMatrix(2)
+	cfg.Journal = telemetry.NewJournal(&buf)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty remainder after the last newline
+	start, doneLines := 0, 0
+	for i, line := range lines {
+		end := start + len(line) // just past this line's newline
+		for _, cut := range []struct {
+			at       int
+			complete int
+		}{
+			{end, i + 1},
+			{end - 1, i + 1},
+			{start + len(line)/2, i},
+		} {
+			torn := cut.complete == i
+			got := 0
+			err := telemetry.DecodeJournal(bytes.NewReader(data[:cut.at]), func(telemetry.Record) error {
+				got++
+				return nil
+			})
+			if got != cut.complete || errors.Is(err, telemetry.ErrTornJournal) != torn || (err != nil && !torn) {
+				t.Fatalf("cut at byte %d: %d records, err %v; want %d records, torn %v", cut.at, got, err, cut.complete, torn)
+			}
+			want := doneLines
+			if !torn && bytes.Contains(line, []byte(`"type":"job-done"`)) {
+				want++
+			}
+			rep, err := ReplayJournal(journalMatrix(2), bytes.NewReader(data[:cut.at]))
+			if cut.complete == 0 {
+				if err == nil {
+					t.Fatalf("cut at byte %d, inside the header: replay succeeded", cut.at)
+				}
+				continue
+			}
+			if rep == nil || errors.Is(err, telemetry.ErrTornJournal) != torn || (err != nil && !torn) {
+				t.Fatalf("cut at byte %d: replay err %v, torn %v", cut.at, err, torn)
+			}
+			if rep.Completed+rep.Failed != want {
+				t.Fatalf("cut at byte %d: replay folded %d jobs, want the %d complete job-done records", cut.at, rep.Completed+rep.Failed, want)
+			}
+		}
+		if bytes.Contains(line, []byte(`"type":"job-done"`)) {
+			doneLines++
+		}
+		start = end
+	}
+	if doneLines != 12 {
+		t.Fatalf("journal holds %d job-done records, want the matrix's 12", doneLines)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"l2fuzz/internal/fleet/record"
 	"l2fuzz/internal/fleet/wire"
 )
 
@@ -223,7 +224,7 @@ func (e *ProcExecutor) acquire(ctx context.Context) (*procWorker, error) {
 // runOn runs one job on one worker. Any error is a transport failure:
 // the worker's pipes are no longer trustworthy.
 func (e *ProcExecutor) runOn(w *procWorker, job Job) (JobResult, error) {
-	wj := toWireJob(job)
+	wj := wireJob{Job: record.Job(job)}
 	// The span's Started phase begins as the job hits the wire: the
 	// worker echoes the offset back (a desync check) and adds its own
 	// measured execution time, so the coordinator can split this job's

@@ -1,25 +1,24 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
 	"l2fuzz/internal/core"
+	"l2fuzz/internal/fleet/record"
 	"l2fuzz/internal/metrics"
 )
 
 // Occurrence is one finding a job produced, with its per-job repeat
 // count (campaign jobs reproduce findings across runs).
-type Occurrence struct {
-	// Finding is the detected vulnerability.
-	Finding core.Finding
-	// Count is how many times this job reproduced it.
-	Count int
-	// Dump is the device-side crash artefact, "" when none.
-	Dump string
-}
+type Occurrence = record.Occurrence
+
+// Span is one job's trace through the farm's execution phases; see
+// record.Span for the phases and the windows derived from them.
+type Span = record.Span
 
 // JobResult is the outcome of one job.
 type JobResult struct {
@@ -53,6 +52,25 @@ type JobResult struct {
 	// Summary is the job's trace-metrics summary, including the
 	// visited-state set in Summary.States.
 	Summary metrics.Summary
+}
+
+// outcome is the result's executor-measured part in its record form,
+// as the journal and the worker wire carry it.
+func (r JobResult) outcome() record.Outcome {
+	o := record.Outcome{PacketsSent: r.PacketsSent, ElapsedNs: r.Elapsed, Crashed: r.Crashed, Summary: r.Summary}
+	if r.Err != nil {
+		o.Err = r.Err.Error()
+	}
+	return o
+}
+
+// setOutcome fills the result's executor-measured part from its record
+// form.
+func (r *JobResult) setOutcome(o record.Outcome) {
+	r.PacketsSent, r.Elapsed, r.Crashed, r.Summary = o.PacketsSent, o.ElapsedNs, o.Crashed, o.Summary
+	if o.Failed() {
+		r.Err = errors.New(o.Err)
+	}
 }
 
 // Signature is the black-box identity of a finding — the shared

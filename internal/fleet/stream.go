@@ -230,6 +230,16 @@ func (f *Farm) dispatch() {
 	}
 }
 
+// sinceEpoch places t on the farm's span clock. A zero epoch (a
+// hand-built config that never went through Start) yields zero offsets
+// rather than nonsense ones.
+func sinceEpoch(epoch, t time.Time) time.Duration {
+	if epoch.IsZero() {
+		return 0
+	}
+	return max(t.Sub(epoch), 0)
+}
+
 // queuedAt reports when a job last entered the feed: zero for the
 // initial enqueue (the whole matrix is queued at farm start), the
 // requeue time for jobs a worker died under.

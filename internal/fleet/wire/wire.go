@@ -11,8 +11,8 @@
 //
 // The package frames; it does not define the messages. The farm's
 // protocol structs (hello, farm config, job, result) live in the fleet
-// package next to the types they mirror, and their schema is pinned by
-// a golden test there.
+// package, built on the record types of internal/fleet/record, and
+// their schema is pinned by a golden test there.
 package wire
 
 import (

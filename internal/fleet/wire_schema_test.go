@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"l2fuzz/internal/fleet/record"
 )
 
 // TestWireSchemaGolden pins the worker wire protocol's message schema:
@@ -41,7 +43,7 @@ func TestWireSchemaGolden(t *testing.T) {
 	}
 	findings := 0
 	for _, job := range buildJobs(cfg) {
-		wj := toWireJob(job)
+		wj := wireJob{Job: record.Job(job)}
 		flatten("job", wj)
 		wr := workerRun(fc, wj)
 		if wr.Err != "" {
@@ -54,7 +56,7 @@ func TestWireSchemaGolden(t *testing.T) {
 		t.Fatal("matrix produced no findings; the occurrence schema would be unpinned")
 	}
 	// An errored result, for the err field omitempty hides on success.
-	bogus := toWireJob(buildJobs(cfg)[0])
+	bogus := wireJob{Job: record.Job(buildJobs(cfg)[0])}
 	bogus.Kind = Kind("no-such-kind")
 	if wr := workerRun(fc, bogus); wr.Err == "" {
 		t.Fatal("bogus kind produced no error; the err schema would be unpinned")

@@ -7,9 +7,9 @@ import (
 	"os"
 	"time"
 
-	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/core"
+	"l2fuzz/internal/fleet/record"
 	"l2fuzz/internal/fleet/wire"
 	"l2fuzz/internal/metrics"
 	"l2fuzz/internal/telemetry"
@@ -51,21 +51,15 @@ type wireFarm struct {
 	Counters bool `json:"counters,omitempty"`
 }
 
-// wireJob is one job assignment. The resolved target spec travels
-// inline — specs are pure data since defects became declarative — so a
-// worker needs no target catalog of its own and custom targets work
-// unchanged. Variants cross by name only: behaviour hooks cannot cross
-// a process boundary, so the worker resolves predefined names via
-// VariantByName and treats unknown names as hook-less.
+// wireJob is one job assignment: the job in its record form. The
+// resolved target spec travels inline — specs are pure data since
+// defects became declarative — so a worker needs no target catalog of
+// its own and custom targets work unchanged. Variants cross by name
+// only: behaviour hooks cannot cross a process boundary, so the worker
+// resolves predefined names via VariantByName and treats unknown names
+// as hook-less.
 type wireJob struct {
-	Index      int          `json:"index"`
-	Device     string       `json:"device"`
-	Spec       *device.Spec `json:"spec"`
-	Kind       Kind         `json:"kind"`
-	Variant    string       `json:"variant"`
-	Shard      int          `json:"shard"`
-	Seed       int64        `json:"seed"`
-	MaxPackets int          `json:"maxPackets"`
+	record.Job
 	// StartedNs is the job's span context: the offset on the farm's
 	// monotonic clock at which the coordinator put the job on the wire.
 	// The worker has no shared clock, so it cannot extend the span — it
@@ -74,10 +68,11 @@ type wireJob struct {
 	StartedNs time.Duration `json:"startedNs"`
 }
 
-// wireOccurrence is one finding occurrence. The repro trace travels in
-// its own field: core.Finding excludes Trace from JSON (report
-// snapshots must not embed traces), but the coordinator's corpus store
-// needs the worker-recorded ops, so the wire carries them explicitly.
+// wireOccurrence is one finding occurrence: record.Occurrence's fields
+// plus the repro trace, which travels in its own field — core.Finding
+// excludes Trace from JSON (report snapshots must not embed traces),
+// but the coordinator's corpus store needs the worker-recorded ops.
+// The fields stay flat for the same reason as wireResult's.
 type wireOccurrence struct {
 	Finding        core.Finding   `json:"finding"`
 	Trace          []host.TraceOp `json:"trace,omitempty"`
@@ -87,7 +82,10 @@ type wireOccurrence struct {
 }
 
 // wireResult is one job's outcome, echoing the job index so the
-// coordinator can detect a desynchronized worker.
+// coordinator can detect a desynchronized worker. Its outcome fields
+// are record.Outcome's, spelled out rather than embedded: the
+// coordinator decodes one result per job, and encoding/json spends one
+// more allocation per decode on an embedded struct.
 type wireResult struct {
 	Index       int           `json:"index"`
 	Err         string        `json:"err,omitempty"`
@@ -105,42 +103,25 @@ type wireResult struct {
 	Counters  *telemetry.CounterSnapshot `json:"counters,omitempty"`
 }
 
-// toWireJob strips a job to its wire form.
-func toWireJob(j Job) wireJob {
-	return wireJob{
-		Index:      j.Index,
-		Device:     j.Device,
-		Spec:       j.Spec,
-		Kind:       j.Kind,
-		Variant:    j.Variant,
-		Shard:      j.Shard,
-		Seed:       j.Seed,
-		MaxPackets: j.MaxPackets,
-	}
-}
-
 // fromWireResult rebuilds a JobResult on the coordinator side. job is
 // the coordinator's own Job (its Spec pointer stays pointer-identical
 // to the farm's target list, exactly as local execution leaves it), and
 // the worker-recorded traces are folded back into the findings so
 // corpus persistence works unchanged.
 func fromWireResult(wr wireResult, job Job, workerID string) JobResult {
-	res := JobResult{
-		Job:         job,
-		Worker:      workerID,
+	res := JobResult{Job: job, Worker: workerID}
+	res.setOutcome(record.Outcome{
+		Err:         wr.Err,
 		PacketsSent: wr.PacketsSent,
-		Elapsed:     wr.ElapsedNs,
+		ElapsedNs:   wr.ElapsedNs,
 		Crashed:     wr.Crashed,
 		Summary:     wr.Summary,
-	}
+	})
 	// The span's executor-side phases come back over the wire: Started
 	// from the coordinator's own send stamp (echoed), Exec measured by
 	// the worker. The dispatcher fills the farm-side phases.
 	res.Span.StartedNs = wr.StartedNs
 	res.Span.ExecNs = wr.ExecNs
-	if wr.Err != "" {
-		res.Err = errors.New(wr.Err)
-	}
 	for _, occ := range wr.Findings {
 		f := occ.Finding
 		f.Trace = occ.Trace
@@ -205,29 +186,18 @@ func workerRun(fc wireFarm, wj wireJob) wireResult {
 		local = &telemetry.Counters{}
 		cfg.Counters = local
 	}
-	job := Job{
-		Index:      wj.Index,
-		Device:     wj.Device,
-		Spec:       wj.Spec,
-		Kind:       wj.Kind,
-		Variant:    wj.Variant,
-		Shard:      wj.Shard,
-		Seed:       wj.Seed,
-		MaxPackets: wj.MaxPackets,
-	}
 	execStart := time.Now()
-	res := runJob(cfg, job)
+	res := runJob(cfg, Job(wj.Job))
+	o := res.outcome()
 	wr := wireResult{
 		Index:       wj.Index,
-		PacketsSent: res.PacketsSent,
-		ElapsedNs:   res.Elapsed,
+		Err:         o.Err,
+		PacketsSent: o.PacketsSent,
+		ElapsedNs:   o.ElapsedNs,
 		StartedNs:   wj.StartedNs,
 		ExecNs:      time.Since(execStart),
-		Crashed:     res.Crashed,
-		Summary:     res.Summary,
-	}
-	if res.Err != nil {
-		wr.Err = res.Err.Error()
+		Crashed:     o.Crashed,
+		Summary:     o.Summary,
 	}
 	for _, occ := range res.Findings {
 		wr.Findings = append(wr.Findings, wireOccurrence{

@@ -9,127 +9,22 @@ import (
 	"path/filepath"
 	"time"
 
+	"l2fuzz/internal/fleet/record"
 	"l2fuzz/internal/telemetry"
 )
 
-// minVersion..maxVersion is the journal schema range Parse reads.
-// Version 2 journals (pre-span) parse with zero spans and an unknown
-// sample interval; version 3 adds both.
-const (
-	minVersion = 2
-	maxVersion = 3
-)
+// minVersion is the oldest journal schema Parse reads: version 2
+// journals (pre-span) parse with zero spans and an unknown sample
+// interval. The newest is record.Version.
+const minVersion = 2
 
-// Header mirrors the journal's farm record: the matrix shape the run
-// was configured with.
-type Header struct {
-	Version  int      `json:"version"`
-	Jobs     int      `json:"jobs"`
-	Workers  int      `json:"workers"`
-	BaseSeed int64    `json:"baseSeed"`
-	Targets  []string `json:"targets"`
-	Kinds    []string `json:"kinds"`
-	Variants []string `json:"variants"`
-	Shards   int      `json:"shards"`
-	// SampleInterval is the counter sampler's period when the writer
-	// declared it (journal version 3); zero means unknown.
-	SampleInterval time.Duration `json:"sampleIntervalNs"`
-}
-
-// Span mirrors fleet.Span: one job's trace through the farm's phases
-// as monotonic offsets from the farm's start, plus the in-executor
-// execution time. The phase helpers replicate the fleet package's
-// arithmetic so both sides of the schema agree on what each window
-// means.
-type Span struct {
-	QueuedNs     time.Duration `json:"queuedNs"`
-	DispatchedNs time.Duration `json:"dispatchedNs"`
-	StartedNs    time.Duration `json:"startedNs"`
-	FinishedNs   time.Duration `json:"finishedNs"`
-	ExecNs       time.Duration `json:"execNs"`
-}
-
-// QueueWait is how long the job sat in the feed before dispatch.
-func (s Span) QueueWait() time.Duration { return clampDur(s.DispatchedNs - s.QueuedNs) }
-
-// DispatchWait is the dispatcher's delay before execution began (the
-// wait for an idle worker under a subprocess executor).
-func (s Span) DispatchWait() time.Duration { return clampDur(s.StartedNs - s.DispatchedNs) }
-
-// Execute is the in-executor execution time.
-func (s Span) Execute() time.Duration { return clampDur(s.ExecNs) }
-
-// Transport is the executor overhead around execution — the wire codec
-// and pipe cost of a subprocess worker, near zero in-process.
-func (s Span) Transport() time.Duration { return clampDur(s.FinishedNs - s.StartedNs - s.ExecNs) }
-
-// IsZero reports an unstamped span (a version-2 journal).
-func (s Span) IsZero() bool { return s == Span{} }
-
-func clampDur(d time.Duration) time.Duration {
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// Job identifies one matrix cell and shard.
-type Job struct {
-	Index   int    `json:"index"`
-	Device  string `json:"device"`
-	Kind    string `json:"kind"`
-	Variant string `json:"variant"`
-	Shard   int    `json:"shard"`
-}
-
-// Signature is a finding's de-duplication identity, mirroring
-// core.Signature's (state, port, error-class) triple.
-type Signature struct {
-	State int `json:"State"`
-	PSM   int `json:"PSM"`
-	Class int `json:"Error"`
-}
-
-// Occurrence is one finding a job produced with its repeat count. Only
-// the signature fields of the finding are decoded — identity is all the
-// coverage curve needs.
-type Occurrence struct {
-	Finding Signature `json:"finding"`
-	Count   int       `json:"count"`
-}
-
-// Summary is the slice of a job's trace-metrics summary the figures
-// consume.
-type Summary struct {
-	Transmitted   int      `json:"Transmitted"`
-	Malformed     int      `json:"Malformed"`
-	States        []string `json:"States"`
-	StatesCovered int      `json:"StatesCovered"`
-}
-
-// JobDone is one job-done journal record with its envelope offset.
+// JobDone is one job-done record with its envelope offset.
 type JobDone struct {
 	// At is the record's envelope offset: when the result folded, on
 	// the run's monotonic clock.
-	At          time.Duration `json:"-"`
-	Job         Job           `json:"job"`
-	Worker      string        `json:"worker"`
-	Err         string        `json:"err"`
-	PacketsSent int           `json:"packetsSent"`
-	Elapsed     time.Duration `json:"elapsedNs"`
-	Wall        time.Duration `json:"wallNs"`
-	Span        Span          `json:"span"`
-	Crashed     bool          `json:"crashed"`
-	Findings    []Occurrence  `json:"findings"`
-	Summary     Summary       `json:"summary"`
-	Done        int           `json:"done"`
-	Total       int           `json:"total"`
+	At time.Duration
+	record.Result
 }
-
-// Failed reports whether the job errored. Failed jobs contribute wall
-// time (they occupied a worker) but no packets, metrics or findings —
-// the same rule the farm's aggregator folds by.
-func (j JobDone) Failed() bool { return j.Err != "" }
 
 // Sample is one periodic counter snapshot with its envelope offset.
 type Sample struct {
@@ -137,17 +32,16 @@ type Sample struct {
 	telemetry.CounterSnapshot
 }
 
-// WorkerChange is one executor worker lifecycle record.
+// WorkerChange is one worker lifecycle record with its envelope
+// offset.
 type WorkerChange struct {
-	At     time.Duration `json:"-"`
-	Worker string        `json:"worker"`
-	Up     bool          `json:"up"`
-	Err    string        `json:"err"`
+	At time.Duration
+	record.WorkerChange
 }
 
 // Run is one parsed journal, ready for the figure builders.
 type Run struct {
-	Header  Header
+	Header  record.Header
 	Jobs    []JobDone // in journal (fold) order
 	Samples []Sample
 	Workers []WorkerChange
@@ -158,7 +52,9 @@ type Run struct {
 
 // Parse decodes a farm journal stream. The journal must open with a
 // farm header of a schema version this package reads; records the
-// figures do not consume (job-started, finding) are skipped.
+// figures do not consume (job-started, finding) are skipped. A journal
+// whose writer died mid-record parses into the run of its complete
+// records, returned with an error wrapping telemetry.ErrTornJournal.
 func Parse(r io.Reader) (*Run, error) {
 	run := &Run{}
 	sawHeader := false
@@ -167,24 +63,23 @@ func Parse(r io.Reader) (*Run, error) {
 			run.Duration = rec.Offset
 		}
 		switch rec.Type {
-		case "farm":
+		case record.TypeFarm:
 			if err := json.Unmarshal(rec.Data, &run.Header); err != nil {
 				return fmt.Errorf("analyze: farm record: %w", err)
 			}
-			if v := run.Header.Version; v < minVersion || v > maxVersion {
-				return fmt.Errorf("analyze: journal schema version %d, this build reads %d..%d", v, minVersion, maxVersion)
+			if v := run.Header.Version; v < minVersion || v > record.Version {
+				return fmt.Errorf("analyze: journal schema version %d, this build reads %d..%d", v, minVersion, record.Version)
 			}
 			sawHeader = true
-		case "job-done":
+		case record.TypeJobDone:
 			if !sawHeader {
 				return errors.New("analyze: journal carries results before its farm header")
 			}
-			var jd JobDone
-			if err := json.Unmarshal(rec.Data, &jd); err != nil {
-				return fmt.Errorf("analyze: job-done record: %w", err)
+			res, err := record.DecodeResult(rec.Data)
+			if err != nil {
+				return fmt.Errorf("analyze: %w", err)
 			}
-			jd.At = rec.Offset
-			run.Jobs = append(run.Jobs, jd)
+			run.Jobs = append(run.Jobs, JobDone{At: rec.Offset, Result: res})
 		case telemetry.RecordSample:
 			var s Sample
 			if err := json.Unmarshal(rec.Data, &s.CounterSnapshot); err != nil {
@@ -192,23 +87,22 @@ func Parse(r io.Reader) (*Run, error) {
 			}
 			s.At = rec.Offset
 			run.Samples = append(run.Samples, s)
-		case "worker":
-			var w WorkerChange
-			if err := json.Unmarshal(rec.Data, &w); err != nil {
+		case record.TypeWorker:
+			w := WorkerChange{At: rec.Offset}
+			if err := json.Unmarshal(rec.Data, &w.WorkerChange); err != nil {
 				return fmt.Errorf("analyze: worker record: %w", err)
 			}
-			w.At = rec.Offset
 			run.Workers = append(run.Workers, w)
 		}
 		return nil
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, telemetry.ErrTornJournal) {
 		return nil, err
 	}
 	if !sawHeader {
 		return nil, errors.New("analyze: not a farm journal (no farm header record)")
 	}
-	return run, nil
+	return run, err
 }
 
 // ParseFile parses a journal from disk. path may be the journal file

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -303,6 +304,11 @@ func TestParseRejectsNonJournals(t *testing.T) {
 	orphan := []byte(`{"time":"2026-01-01T00:00:00Z","offsetNs":0,"type":"job-done","data":{}}` + "\n")
 	if _, err := analyze.Parse(bytes.NewReader(orphan)); err == nil {
 		t.Error("job-done before the farm header was accepted")
+	}
+	negWall := []byte(`{"time":"2026-01-01T00:00:00Z","offsetNs":0,"type":"farm","data":{"version":3}}` + "\n" +
+		`{"time":"2026-01-01T00:00:00Z","offsetNs":1,"type":"job-done","data":{"wallNs":-5}}` + "\n")
+	if _, err := analyze.Parse(bytes.NewReader(negWall)); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("job-done with a negative wall time: got %v, want an error naming line 2", err)
 	}
 }
 

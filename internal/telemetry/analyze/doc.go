@@ -8,14 +8,16 @@
 // of the report fleet.ReplayJournal folds from the same journal, a
 // correspondence the package's tests pin exactly.
 //
-// The package deliberately decodes the journal with its own mirror
-// structs instead of importing the fleet package: analysis is a pure
-// consumer of the persisted schema (journal version 3), so the
-// dependency points at the record format, not at the farm
-// implementation. Renderers produce aligned text tables (Render*), CSV
-// (*CSV) and self-contained SVG documents (*SVG), all deterministic
-// functions of the parsed run so outputs are diffable and goldenable.
-// CompareTrend diffs two runs' coverage curves — exact on final totals,
-// tolerance-banded on normalized area-under-curve — which is the CI
-// regression gate cmd/l2journal exposes as "l2journal trend".
+// The journal's records are decoded into the farm's own record types
+// (internal/fleet/record), the package the farm writes them with, so
+// the analyzer depends on the record format and never imports the
+// fleet package. It reads schema versions 2 and 3, and like the fleet's
+// replay it rejects a job result with a negative duration and returns
+// the complete records of a journal with a torn last line. Renderers
+// produce aligned text tables (Render*), CSV (*CSV) and self-contained
+// SVG documents (*SVG), all deterministic functions of the parsed run
+// so outputs are diffable and goldenable. CompareTrend diffs two runs'
+// coverage curves — exact on final totals, tolerance-banded on
+// normalized area-under-curve — which is the CI regression gate
+// cmd/l2journal exposes as "l2journal trend".
 package analyze

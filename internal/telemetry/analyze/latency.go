@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"l2fuzz/internal/fleet/record"
 )
 
 // GroupBy selects the latency breakdown axis.
@@ -49,21 +51,21 @@ type LatencyRow struct {
 // sort by group name (kind rows by first appearance of the header's
 // kind order when available).
 func (r *Run) Latency(by GroupBy) ([]LatencyRow, error) {
-	key := func(j Job) string { return j.Device }
+	key := func(j record.Job) string { return j.Device }
 	switch by {
 	case ByDevice:
 	case ByKind:
-		key = func(j Job) string { return j.Kind }
+		key = func(j record.Job) string { return string(j.Kind) }
 	case ByVariant:
-		key = func(j Job) string { return j.Variant }
+		key = func(j record.Job) string { return j.Variant }
 	default:
 		return nil, fmt.Errorf("analyze: unknown latency axis %q (have device, kind, variant)", by)
 	}
 
 	var runMax time.Duration
 	for _, jd := range r.Jobs {
-		if jd.Wall > runMax {
-			runMax = jd.Wall
+		if jd.WallNs > runMax {
+			runMax = jd.WallNs
 		}
 	}
 	width := runMax / histBuckets
@@ -94,9 +96,9 @@ func (r *Run) Latency(by GroupBy) ([]LatencyRow, error) {
 			if jd.Failed() {
 				row.Failed++
 			}
-			walls = append(walls, jd.Wall)
-			sum += jd.Wall
-			b := int(jd.Wall / width)
+			walls = append(walls, jd.WallNs)
+			sum += jd.WallNs
+			b := int(jd.WallNs / width)
 			if b >= histBuckets {
 				b = histBuckets - 1
 			}

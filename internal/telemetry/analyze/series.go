@@ -1,6 +1,10 @@
 package analyze
 
-import "time"
+import (
+	"time"
+
+	"l2fuzz/internal/core"
+)
 
 // Point is one cumulative reading: Value as of offset At.
 type Point struct {
@@ -86,7 +90,7 @@ func (r *Run) Coverage() Coverage {
 		{Name: SeriesFindings, Points: []Point{{}}},
 	}
 	states := make(map[string]bool)
-	sigs := make(map[Signature]bool)
+	sigs := make(map[core.Signature]bool)
 	packets, malformed := 0, 0
 	for _, jd := range r.Jobs {
 		if jd.Failed() {
@@ -98,7 +102,7 @@ func (r *Run) Coverage() Coverage {
 			states[st] = true
 		}
 		for _, occ := range jd.Findings {
-			sigs[occ.Finding] = true
+			sigs[occ.Finding.Signature()] = true
 		}
 		for i, v := range []int{packets, malformed, len(states), len(sigs)} {
 			series[i].Points = append(series[i].Points, Point{At: jd.At, Value: v})

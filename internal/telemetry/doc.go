@@ -21,9 +21,12 @@
 // record per line ({"time", "type", "data"}), carrying the farm
 // header, every job start, every job result, every de-duplicated
 // finding and periodic counter samples (Sample / StartSampler). The
-// fleet package owns the record payloads and can re-fold a persisted
-// journal into the same Report the live farm produced
-// (fleet.ReplayJournal); the schema is pinned by a golden test there.
+// farm's record payloads are declared in internal/fleet/record; the
+// fleet package re-folds a persisted journal into the same Report the
+// live farm produced (fleet.ReplayJournal), and the schema is pinned by
+// a golden test there. DecodeJournal reads a journal back, delivering
+// the complete records of one whose last line was torn mid-write
+// (ErrTornJournal).
 //
 // # Live endpoint
 //

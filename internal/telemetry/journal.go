@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -204,12 +206,27 @@ func (j *Journal) StartSampler(c *Counters, every time.Duration) (stop func()) {
 // campaign's job result with a large summary stays far below this.
 const maxJournalLine = 16 << 20
 
+// ErrTornJournal marks a journal whose last line was cut off mid-record,
+// as a writer killed mid-write leaves it.
+var ErrTornJournal = errors.New("telemetry: journal ends in a torn line")
+
 // DecodeJournal streams records out of a persisted journal, calling fn
 // for each line in order. fn returning an error stops the decode and
-// returns that error.
+// returns that error, annotated with its line number. A line that does
+// not parse fails the decode, except a final line without a newline:
+// every earlier record has then been delivered, and the returned error
+// wraps ErrTornJournal.
 func DecodeJournal(r io.Reader, fn func(Record) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxJournalLine)
+	// unterminated reports whether the token the scanner last returned
+	// ended at EOF rather than at a newline.
+	unterminated := false
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		unterminated = atEOF && bytes.IndexByte(data[:adv], '\n') < 0
+		return adv, tok, err
+	})
 	line := 0
 	for sc.Scan() {
 		line++
@@ -219,10 +236,13 @@ func DecodeJournal(r io.Reader, fn func(Record) error) error {
 		}
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
+			if unterminated {
+				return fmt.Errorf("%w: line %d: %v", ErrTornJournal, line, err)
+			}
 			return fmt.Errorf("telemetry: journal line %d: %w", line, err)
 		}
 		if err := fn(rec); err != nil {
-			return err
+			return fmt.Errorf("telemetry: journal line %d: %w", line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -418,7 +418,9 @@ func NewTelemetryJournal(w io.Writer) *TelemetryJournal { return telemetry.NewJo
 // run gets its own directory.
 func OpenTelemetryJournal(dir string) (*TelemetryJournal, error) { return telemetry.OpenJournal(dir) }
 
-// DecodeTelemetryJournal streams a journal's records through fn.
+// DecodeTelemetryJournal streams a journal's records through fn. A
+// journal whose last line was torn mid-write delivers its complete
+// records and then returns an error.
 func DecodeTelemetryJournal(r io.Reader, fn func(TelemetryRecord) error) error {
 	return telemetry.DecodeJournal(r, fn)
 }
@@ -427,7 +429,9 @@ func DecodeTelemetryJournal(r io.Reader, fn func(TelemetryRecord) error) error {
 // aggregator and returns the reconstructed farm report. cfg must
 // describe the same job matrix the journal was recorded from; the
 // reconstructed report matches the live one exactly (the farm-level
-// Wall aside, which only the live farm's clock can stamp).
+// Wall aside, which only the live farm's clock can stamp). A journal
+// with a torn last line replays into the report of its complete
+// records, returned together with a non-nil error.
 func ReplayFleetJournal(cfg FleetConfig, r io.Reader) (*FleetReport, error) {
 	return fleet.ReplayJournal(cfg, r)
 }
