@@ -223,14 +223,15 @@ func BenchmarkAblation_MutateAllFields(b *testing.B) {
 // bound, so the speedup tracks available cores.) Allocations are
 // reported per worker count too: the farm is CPU-bound today, so the
 // per-job allocation volume is the hot-spot budget the ROADMAP's
-// fleet-scaling item chases.
+// fleet-scaling item chases. The engines point runs its own matrix (see
+// fleetBenchRun), so compare it only with itself across snapshots.
 func BenchmarkFleet(b *testing.B) {
 	for _, bc := range fleetBenchCases {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				report, err := fleetBenchRun(bc.workers, bc.telemetry, bc.proc)
+				report, err := fleetBenchRun(bc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -245,44 +246,59 @@ func BenchmarkFleet(b *testing.B) {
 	}
 }
 
-// fleetBenchCases is the recorded fleet trajectory: the three worker
-// counts, a telemetry-on point whose overhead against the plain
-// workers=4 point is the budget the telemetry hot path must hold, and
-// a process-isolated point whose overhead against the same baseline
-// prices the executor's serialization and pipe transport.
-var fleetBenchCases = []struct {
+// fleetBenchCase is one point of the recorded fleet trajectory.
+type fleetBenchCase struct {
 	name      string
 	workers   int
 	telemetry bool
 	proc      bool
-}{
-	{"workers=1", 1, false, false},
-	{"workers=4", 4, false, false},
-	{"workers=8", 8, false, false},
-	{"workers=4/telemetry", 4, true, false},
-	{"workers=4/proc", 4, false, true},
+	engines   bool
 }
 
-// fleetBenchRun executes BenchmarkFleet's fixed matrix once: eight
-// devices × L2Fuzz × two shards at 50k packets. With telemetry on, the
-// farm carries hot-path counters and writes a discarded run journal —
-// the full recording stack minus the disk. With proc on, jobs run in
-// worker subprocesses (re-executions of this test binary, see
-// TestMain) instead of the in-process pool.
-func fleetBenchRun(workers int, telemetry, proc bool) (*l2fuzz.FleetReport, error) {
+// fleetBenchCases is the recorded fleet trajectory: the three worker
+// counts, a telemetry-on point whose overhead against the plain
+// workers=4 point is the budget the telemetry hot path must hold, a
+// process-isolated point whose overhead against the same baseline
+// prices the executor's serialization and pipe transport, and an
+// engines point that runs every fuzzer kind, not L2Fuzz alone.
+var fleetBenchCases = []fleetBenchCase{
+	{name: "workers=1", workers: 1},
+	{name: "workers=4", workers: 4},
+	{name: "workers=8", workers: 8},
+	{name: "workers=4/telemetry", workers: 4, telemetry: true},
+	{name: "workers=4/proc", workers: 4, proc: true},
+	{name: "workers=4/engines", workers: 4, engines: true},
+}
+
+// fleetBenchRun executes one BenchmarkFleet matrix once: eight devices ×
+// L2Fuzz × two shards at 50k packets. With telemetry on, the farm
+// carries hot-path counters and writes a discarded run journal — the
+// full recording stack minus the disk. With proc on, jobs run in worker
+// subprocesses (re-executions of this test binary, see TestMain)
+// instead of the in-process pool. With engines on, the matrix is
+// instead eight measurement-grade devices × all eight fuzzer kinds ×
+// one shard at 4k packets: short jobs whose cost lies in the scenario
+// engines and their targets' SDP, RFCOMM and signaling handlers.
+func fleetBenchRun(bc fleetBenchCase) (*l2fuzz.FleetReport, error) {
 	cfg := l2fuzz.FleetConfig{
 		Shards:           2,
 		BaseSeed:         7,
-		Workers:          workers,
+		Workers:          bc.workers,
 		MaxPacketsPerJob: 50_000,
 	}
-	if telemetry {
+	if bc.engines {
+		cfg.Kinds = l2fuzz.FleetKinds()
+		cfg.Shards = 1
+		cfg.MaxPacketsPerJob = 4_000
+		cfg.MeasurementGrade = true
+	}
+	if bc.telemetry {
 		cfg.Counters = &l2fuzz.TelemetryCounters{}
 		cfg.Journal = l2fuzz.NewTelemetryJournal(io.Discard)
 	}
-	if proc {
+	if bc.proc {
 		cfg.Executor = l2fuzz.NewFleetProcExecutor(l2fuzz.FleetProcConfig{
-			Procs:   workers,
+			Procs:   bc.workers,
 			Command: []string{os.Args[0]},
 			Env:     []string{"L2FUZZ_FLEET_WORKER=1"},
 		})
@@ -305,7 +321,7 @@ func TestBenchSnapshot(t *testing.T) {
 	rows := make([]l2fuzz.BenchRow, 0, len(fleetBenchCases))
 	for _, bc := range fleetBenchCases {
 		row := l2fuzz.MeasureBenchRow(func() (int64, int) {
-			report, err := fleetBenchRun(bc.workers, bc.telemetry, bc.proc)
+			report, err := fleetBenchRun(bc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +379,7 @@ func TestAllocBudget(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			report, err := fleetBenchRun(4, false, false)
+			report, err := fleetBenchRun(fleetBenchCase{workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}

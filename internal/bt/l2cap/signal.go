@@ -50,7 +50,9 @@ func ParseSignals(payload []byte) ([]Frame, error) {
 // AppendSignals is ParseSignals with a caller-supplied destination: the
 // decoded frames are appended to dst (usually a reused scratch slice with
 // length 0), avoiding a slice allocation per payload on the hot path. The
-// same borrow semantics apply: Data and Tail alias payload.
+// same borrow semantics apply: Data and Tail alias payload. Its errors
+// are the bare ErrShortCommand and ErrDataLength, so a malformed payload
+// costs no formatting either.
 func AppendSignals(dst []Frame, payload []byte) ([]Frame, error) {
 	base := len(dst)
 	off := 0
@@ -58,7 +60,7 @@ func AppendSignals(dst []Frame, payload []byte) ([]Frame, error) {
 		rest := payload[off:]
 		if len(rest) < SignalHeaderSize {
 			if len(dst) == base {
-				return dst[:base], fmt.Errorf("%w: got %d bytes", ErrShortCommand, len(rest))
+				return dst[:base], ErrShortCommand
 			}
 			last := &dst[len(dst)-1]
 			last.Tail = appendTail(last.Tail, payload, off)
@@ -67,8 +69,7 @@ func AppendSignals(dst []Frame, payload []byte) ([]Frame, error) {
 		dataLen := int(binary.LittleEndian.Uint16(rest[2:4]))
 		if SignalHeaderSize+dataLen > len(rest) {
 			if len(dst) == base {
-				return dst[:base], fmt.Errorf("%w: declared %d, available %d",
-					ErrDataLength, dataLen, len(rest)-SignalHeaderSize)
+				return dst[:base], ErrDataLength
 			}
 			last := &dst[len(dst)-1]
 			last.Tail = appendTail(last.Tail, payload, off)

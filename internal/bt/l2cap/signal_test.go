@@ -60,6 +60,12 @@ func TestParseSignalsErrors(t *testing.T) {
 			if _, err := ParseSignals(tt.payload); !errors.Is(err, tt.wantErr) {
 				t.Fatalf("ParseSignals() error = %v, want %v", err, tt.wantErr)
 			}
+			// Every signaling-channel reader tests only err != nil, so a
+			// malformed payload must cost no error formatting.
+			scratch := make([]Frame, 0, 4)
+			if n := testing.AllocsPerRun(100, func() { _, _ = AppendSignals(scratch[:0], tt.payload) }); n != 0 {
+				t.Errorf("AppendSignals() allocates %.1f times on a malformed payload", n)
+			}
 		})
 	}
 }

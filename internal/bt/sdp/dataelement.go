@@ -101,26 +101,40 @@ func (e DataElement) Marshal(dst []byte) []byte {
 		return append(dst, 0x00)
 	case TypeUint, TypeUUID:
 		w := e.width()
-		sizeIdx := map[int]uint8{1: 0, 2: 1, 4: 2, 8: 3}[w]
+		// Size indexes 0-3 are the 1-, 2-, 4- and 8-byte integers.
+		var sizeIdx uint8
+		switch w {
+		case 2:
+			sizeIdx = 1
+		case 4:
+			sizeIdx = 2
+		case 8:
+			sizeIdx = 3
+		}
 		dst = append(dst, uint8(e.Type)<<3|sizeIdx)
 		var buf [8]byte
 		binary.BigEndian.PutUint64(buf[:], e.Uint)
 		return append(dst, buf[8-w:]...)
 	case TypeString:
-		// size index 5: 8-bit length prefix.
-		dst = append(dst, uint8(e.Type)<<3|5, uint8(len(e.Bytes)))
+		if len(e.Bytes) > 0xFF {
+			// size index 6: 16-bit length prefix (Vol 3 Part B §3.3).
+			dst = append(dst, uint8(e.Type)<<3|6)
+			dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Bytes)))
+		} else {
+			// size index 5: 8-bit length prefix.
+			dst = append(dst, uint8(e.Type)<<3|5, uint8(len(e.Bytes)))
+		}
 		return append(dst, e.Bytes...)
 	case TypeSequence:
-		var body []byte
+		// size index 6: 16-bit length prefix. The children are encoded
+		// in place behind the header, then the length is patched in.
+		start := len(dst)
+		dst = append(dst, uint8(e.Type)<<3|6, 0, 0)
 		for _, c := range e.Seq {
-			body = c.Marshal(body)
+			dst = c.Marshal(dst)
 		}
-		// size index 6: 16-bit length prefix.
-		dst = append(dst, uint8(e.Type)<<3|6)
-		var l [2]byte
-		binary.BigEndian.PutUint16(l[:], uint16(len(body)))
-		dst = append(dst, l[:]...)
-		return append(dst, body...)
+		binary.BigEndian.PutUint16(dst[start+1:start+3], uint16(len(dst)-start-3))
+		return dst
 	default:
 		// Encode unknown types as nil to keep Marshal total.
 		return append(dst, 0x00)

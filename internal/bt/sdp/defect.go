@@ -1,7 +1,5 @@
 package sdp
 
-import "encoding/binary"
-
 // ServerDefectKind names an SDP-server defect predicate family.
 type ServerDefectKind string
 
@@ -31,13 +29,10 @@ func (d *ServerDefect) Matches(raw []byte) bool {
 	}
 	switch d.Kind {
 	case ServerDefectOverread:
-		if len(raw) < pduHeaderSize {
-			// Shorter than a header: the parser bails before reading the
-			// declared length.
-			return false
-		}
-		declared := int(binary.BigEndian.Uint16(raw[3:5]))
-		return declared > len(raw)-pduHeaderSize
+		// A request shorter than a header fails with ErrShortPDU: the
+		// parser bails before reading the declared length.
+		_, _, declared, err := readHeader(raw)
+		return err == ErrPDULength && declared > len(raw)-pduHeaderSize
 	}
 	return false
 }

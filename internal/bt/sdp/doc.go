@@ -15,4 +15,13 @@
 // Continuation states and the other PDU types are omitted: responses in
 // the simulation always fit one L2CAP SDU, and the scanner only ever
 // issues the one transaction the paper's workflow needs.
+//
+// A Server's records never change once it is built, so NewServer encodes
+// its two answers once: the attribute response over its services and
+// the error response. Handle stamps the request's transaction ID into
+// the right one and returns it as a borrow, valid until the next Handle
+// and not to be modified; a caller that keeps an answer copies it, as
+// the simulated device does when it frames the answer for sending.
+// BuildAttributeResponse stays the reference encoding the server's
+// answer is built from and tested against.
 package sdp

@@ -76,19 +76,36 @@ func (p PDU) Marshal() []byte {
 
 // UnmarshalPDU decodes one PDU, copying the parameters.
 func UnmarshalPDU(raw []byte) (PDU, error) {
-	if len(raw) < pduHeaderSize {
-		return PDU{}, fmt.Errorf("%w: got %d bytes", ErrShortPDU, len(raw))
+	id, txn, declared, err := readHeader(raw)
+	if err == ErrShortPDU {
+		return PDU{}, fmt.Errorf("%w: got %d bytes", err, len(raw))
 	}
-	declared := int(binary.BigEndian.Uint16(raw[3:5]))
-	if declared != len(raw)-pduHeaderSize {
+	if err != nil {
 		return PDU{}, fmt.Errorf("%w: declared %d, got %d",
-			ErrPDULength, declared, len(raw)-pduHeaderSize)
+			err, declared, len(raw)-pduHeaderSize)
 	}
 	return PDU{
-		ID:     PDUID(raw[0]),
-		TxnID:  binary.BigEndian.Uint16(raw[1:3]),
+		ID:     id,
+		TxnID:  txn,
 		Params: append([]byte(nil), raw[pduHeaderSize:]...),
 	}, nil
+}
+
+// readHeader reads the header of the PDU raw should hold. It fails with
+// ErrShortPDU when raw is shorter than a header, and with ErrPDULength,
+// the header still read, when the declared parameter length differs
+// from the bytes that follow. The errors are the bare sentinels, so the
+// server can reject a request without formatting one.
+func readHeader(raw []byte) (id PDUID, txn uint16, declared int, err error) {
+	if len(raw) < pduHeaderSize {
+		return 0, 0, 0, ErrShortPDU
+	}
+	id, txn = PDUID(raw[0]), binary.BigEndian.Uint16(raw[1:3])
+	declared = int(binary.BigEndian.Uint16(raw[3:5]))
+	if declared != len(raw)-pduHeaderSize {
+		err = ErrPDULength
+	}
+	return id, txn, declared, err
 }
 
 // NewServiceSearchAttributeReq builds the browse-everything request the
@@ -130,11 +147,9 @@ func BuildAttributeResponse(txn uint16, services []ServiceInfo) PDU {
 		)
 		lists = append(lists, record)
 	}
-	body := SeqEl(lists...).Marshal(nil)
-
-	params := make([]byte, 2, 2+len(body)+1)
-	binary.BigEndian.PutUint16(params[0:2], uint16(len(body)))
-	params = append(params, body...)
+	// The attribute list follows its 2-byte byte count.
+	params := SeqEl(lists...).Marshal(make([]byte, 2))
+	binary.BigEndian.PutUint16(params[0:2], uint16(len(params)-2))
 	params = append(params, 0x00) // no continuation state
 	return PDU{ID: PDUServiceSearchAttributeRsp, TxnID: txn, Params: params}
 }
@@ -194,17 +209,24 @@ func parseRecord(rec DataElement) (ServiceInfo, error) {
 	return info, nil
 }
 
-// Server answers SDP requests from a device's service records. The zero
-// value answers with an empty service list.
+// Server answers SDP requests from a device's service records. The
+// records never change once the server is built, so it encodes its two
+// possible answers, the attribute response and the error response, at
+// construction; a request only selects one and stamps its transaction
+// ID into it.
 type Server struct {
-	services []ServiceInfo
-	defect   *ServerDefect
-	crashed  bool
+	attrRsp []byte // ServiceSearchAttribute response over the services
+	errRsp  []byte // error response: invalid request syntax
+	defect  *ServerDefect
+	crashed bool
 }
 
-// NewServer builds a server over the given services. The slice is copied.
+// NewServer builds a server over the given services.
 func NewServer(services []ServiceInfo) *Server {
-	return &Server{services: append([]ServiceInfo(nil), services...)}
+	return &Server{
+		attrRsp: BuildAttributeResponse(0, services).Marshal(),
+		errRsp:  PDU{ID: PDUErrorRsp, Params: []byte{0x00, 0x03}}.Marshal(),
+	}
 }
 
 // NewDefectiveServer builds a server carrying an injected parser defect.
@@ -220,9 +242,14 @@ func (s *Server) Crashed() bool { return s.crashed }
 
 // Handle processes one raw request PDU and returns the raw response.
 // Malformed or unsupported requests get an error response, as a real SDP
-// server would produce. A request that trips the injected defect kills
-// the server mid-parse: it returns nil — no response at all — and every
-// later request is swallowed the same way.
+// server would produce; it echoes the request's transaction ID only when
+// the header is consistent. A request that trips the injected defect
+// kills the server mid-parse: it returns nil — no response at all — and
+// every later request is swallowed the same way.
+//
+// The response is a borrow of the server's encoded answer, valid until
+// the next Handle; the caller must copy it to keep it and must not
+// modify it.
 func (s *Server) Handle(raw []byte) []byte {
 	if s.crashed {
 		return nil
@@ -231,12 +258,14 @@ func (s *Server) Handle(raw []byte) []byte {
 		s.crashed = true
 		return nil
 	}
-	pdu, err := UnmarshalPDU(raw)
-	if err != nil {
-		return PDU{ID: PDUErrorRsp, TxnID: 0, Params: []byte{0x00, 0x03}}.Marshal()
+	id, txn, _, err := readHeader(raw)
+	rsp := s.errRsp
+	switch {
+	case err != nil:
+		txn = 0
+	case id == PDUServiceSearchAttributeReq:
+		rsp = s.attrRsp
 	}
-	if pdu.ID != PDUServiceSearchAttributeReq {
-		return PDU{ID: PDUErrorRsp, TxnID: pdu.TxnID, Params: []byte{0x00, 0x03}}.Marshal()
-	}
-	return BuildAttributeResponse(pdu.TxnID, s.services).Marshal()
+	binary.BigEndian.PutUint16(rsp[1:3], txn)
+	return rsp
 }

@@ -3,6 +3,8 @@ package sdp
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -196,5 +198,55 @@ func TestQuickServerTotal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLongServiceNameRoundTrips pins the string length form: a name of
+// 256 bytes or more no longer fits the 8-bit length prefix, so it must
+// travel with the 16-bit one (size index 6) instead of wrapping its
+// length and corrupting the rest of the answer.
+func TestLongServiceNameRoundTrips(t *testing.T) {
+	services := []ServiceInfo{
+		{Handle: 0x10000, Name: "Service Discovery", PSM: l2cap.PSMSDP},
+		{Handle: 0x10001, Name: strings.Repeat("n", 300), PSM: 0x1001},
+		{Handle: 0x10002, Name: "AVDTP", PSM: l2cap.PSMAVDTP},
+	}
+	rsp, err := UnmarshalPDU(NewServer(services).Handle(NewServiceSearchAttributeReq(7).Marshal()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseAttributeResponse(rsp)
+	if err != nil {
+		t.Fatalf("ParseAttributeResponse() error = %v", err)
+	}
+	if !slices.Equal(got, services) {
+		t.Fatalf("services = %+v, want %+v", got, services)
+	}
+	if short := StringEl(strings.Repeat("s", 255)).Marshal(nil); short[0] != uint8(TypeString)<<3|5 || len(short) != 2+255 {
+		t.Errorf("255-byte string encoded as % x..., want the 8-bit length form", short[:2])
+	}
+}
+
+// TestWarmHandleDoesNotAllocate pins the server's request path: once
+// built, answering a valid request or rejecting an invalid one
+// allocates nothing.
+func TestWarmHandleDoesNotAllocate(t *testing.T) {
+	srv := NewServer([]ServiceInfo{
+		{Handle: 0x10000, Name: "Service Discovery", PSM: l2cap.PSMSDP},
+		{Handle: 0x10001, Name: "RFCOMM", PSM: l2cap.PSMRFCOMM},
+	})
+	for _, tt := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"valid", NewServiceSearchAttributeReq(1).Marshal()},
+		{"short", []byte{0x06, 0x00}},
+		{"bad length", []byte{0x06, 0x00, 0x01, 0x00, 0x09, 0x00}},
+		{"wrong id", PDU{ID: 0x02, TxnID: 3}.Marshal()},
+	} {
+		srv.Handle(tt.raw)
+		if n := testing.AllocsPerRun(100, func() { srv.Handle(tt.raw) }); n != 0 {
+			t.Errorf("%s request: warm Handle allocates %.1f times", tt.name, n)
+		}
 	}
 }

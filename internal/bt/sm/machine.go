@@ -56,28 +56,31 @@ const (
 	EvLocalOpenReq
 )
 
+// eventNames is indexed by event, so naming one neither allocates nor
+// hashes.
+var eventNames = [...]string{
+	EvRecvConnectReq:     "RecvConnectReq",
+	EvRecvConnectRsp:     "RecvConnectRsp",
+	EvRecvConfigReq:      "RecvConfigReq",
+	EvRecvConfigReqEFS:   "RecvConfigReqEFS",
+	EvRecvConfigRsp:      "RecvConfigRsp",
+	EvRecvDisconnectReq:  "RecvDisconnectReq",
+	EvRecvDisconnectRsp:  "RecvDisconnectRsp",
+	EvRecvCreateReq:      "RecvCreateReq",
+	EvRecvCreateRsp:      "RecvCreateRsp",
+	EvRecvMoveReq:        "RecvMoveReq",
+	EvRecvMoveRsp:        "RecvMoveRsp",
+	EvRecvMoveConfirmReq: "RecvMoveConfirmReq",
+	EvRecvMoveConfirmRsp: "RecvMoveConfirmRsp",
+	EvLocalAccept:        "LocalAccept",
+	EvLocalSendConfigReq: "LocalSendConfigReq",
+	EvLocalFinalRsp:      "LocalFinalRsp",
+	EvLocalOpenReq:       "LocalOpenReq",
+}
+
 func (e Event) String() string {
-	names := map[Event]string{
-		EvRecvConnectReq:     "RecvConnectReq",
-		EvRecvConnectRsp:     "RecvConnectRsp",
-		EvRecvConfigReq:      "RecvConfigReq",
-		EvRecvConfigReqEFS:   "RecvConfigReqEFS",
-		EvRecvConfigRsp:      "RecvConfigRsp",
-		EvRecvDisconnectReq:  "RecvDisconnectReq",
-		EvRecvDisconnectRsp:  "RecvDisconnectRsp",
-		EvRecvCreateReq:      "RecvCreateReq",
-		EvRecvCreateRsp:      "RecvCreateRsp",
-		EvRecvMoveReq:        "RecvMoveReq",
-		EvRecvMoveRsp:        "RecvMoveRsp",
-		EvRecvMoveConfirmReq: "RecvMoveConfirmReq",
-		EvRecvMoveConfirmRsp: "RecvMoveConfirmRsp",
-		EvLocalAccept:        "LocalAccept",
-		EvLocalSendConfigReq: "LocalSendConfigReq",
-		EvLocalFinalRsp:      "LocalFinalRsp",
-		EvLocalOpenReq:       "LocalOpenReq",
-	}
-	if n, ok := names[e]; ok {
-		return n
+	if int(e) < len(eventNames) && eventNames[e] != "" {
+		return eventNames[e]
 	}
 	return fmt.Sprintf("Event(%d)", uint8(e))
 }
@@ -154,23 +157,26 @@ const (
 	ActReject
 )
 
+// actionNames is indexed by action, so naming one neither allocates
+// nor hashes.
+var actionNames = [...]string{
+	ActNone:                 "None",
+	ActDeliverToUpper:       "DeliverToUpper",
+	ActSendConnectRsp:       "SendConnectRsp",
+	ActSendCreateRsp:        "SendCreateRsp",
+	ActSendConfigRsp:        "SendConfigRsp",
+	ActSendConfigRspPending: "SendConfigRspPending",
+	ActSendConfigReq:        "SendConfigReq",
+	ActSendDisconnectRsp:    "SendDisconnectRsp",
+	ActSendMoveRsp:          "SendMoveRsp",
+	ActSendMoveConfirmRsp:   "SendMoveConfirmRsp",
+	ActSendConnectReq:       "SendConnectReq",
+	ActReject:               "Reject",
+}
+
 func (a Action) String() string {
-	names := map[Action]string{
-		ActNone:                 "None",
-		ActDeliverToUpper:       "DeliverToUpper",
-		ActSendConnectRsp:       "SendConnectRsp",
-		ActSendCreateRsp:        "SendCreateRsp",
-		ActSendConfigRsp:        "SendConfigRsp",
-		ActSendConfigRspPending: "SendConfigRspPending",
-		ActSendConfigReq:        "SendConfigReq",
-		ActSendDisconnectRsp:    "SendDisconnectRsp",
-		ActSendMoveRsp:          "SendMoveRsp",
-		ActSendMoveConfirmRsp:   "SendMoveConfirmRsp",
-		ActSendConnectReq:       "SendConnectReq",
-		ActReject:               "Reject",
-	}
-	if n, ok := names[a]; ok {
-		return n
+	if int(a) < len(actionNames) && actionNames[a] != "" {
+		return actionNames[a]
 	}
 	return fmt.Sprintf("Action(%d)", uint8(a))
 }

@@ -333,3 +333,38 @@ func TestAppendVisitedReusesBuffer(t *testing.T) {
 		t.Fatalf("AppendVisited into a roomy buffer allocates %.1f times", n)
 	}
 }
+
+// TestEventAndActionNames pins the names the fixed arrays hand out,
+// and the numeric fallback for values outside them.
+func TestEventAndActionNames(t *testing.T) {
+	events := map[Event]string{
+		0: "Event(0)", EvRecvConnectReq: "RecvConnectReq", EvRecvConnectRsp: "RecvConnectRsp",
+		EvRecvConfigReq: "RecvConfigReq", EvRecvConfigReqEFS: "RecvConfigReqEFS",
+		EvRecvConfigRsp: "RecvConfigRsp", EvRecvDisconnectReq: "RecvDisconnectReq",
+		EvRecvDisconnectRsp: "RecvDisconnectRsp", EvRecvCreateReq: "RecvCreateReq",
+		EvRecvCreateRsp: "RecvCreateRsp", EvRecvMoveReq: "RecvMoveReq", EvRecvMoveRsp: "RecvMoveRsp",
+		EvRecvMoveConfirmReq: "RecvMoveConfirmReq", EvRecvMoveConfirmRsp: "RecvMoveConfirmRsp",
+		EvLocalAccept: "LocalAccept", EvLocalSendConfigReq: "LocalSendConfigReq",
+		EvLocalFinalRsp: "LocalFinalRsp", EvLocalOpenReq: "LocalOpenReq",
+		EvLocalOpenReq + 1: "Event(18)", 255: "Event(255)",
+	}
+	for e, want := range events {
+		if got := e.String(); got != want {
+			t.Errorf("Event(%d).String() = %q, want %q", uint8(e), got, want)
+		}
+	}
+	actions := map[Action]string{
+		0: "Action(0)", ActNone: "None", ActDeliverToUpper: "DeliverToUpper",
+		ActSendConnectRsp: "SendConnectRsp", ActSendCreateRsp: "SendCreateRsp",
+		ActSendConfigRsp: "SendConfigRsp", ActSendConfigRspPending: "SendConfigRspPending",
+		ActSendConfigReq: "SendConfigReq", ActSendDisconnectRsp: "SendDisconnectRsp",
+		ActSendMoveRsp: "SendMoveRsp", ActSendMoveConfirmRsp: "SendMoveConfirmRsp",
+		ActSendConnectReq: "SendConnectReq", ActReject: "Reject",
+		ActReject + 1: "Action(13)", 255: "Action(255)",
+	}
+	for a, want := range actions {
+		if got := a.String(); got != want {
+			t.Errorf("Action(%d).String() = %q, want %q", uint8(a), got, want)
+		}
+	}
+}

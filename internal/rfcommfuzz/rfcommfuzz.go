@@ -157,15 +157,14 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 		} {
 			for i := 0; i < f.cfg.FramesPerState && f.sent < f.cfg.MaxFrames; i++ {
 				frame := f.mutate(job.types)
-				desc := fmt.Sprintf("%v DLCI=%d tail=%dB in %s job", frame.Type, frame.DLCI, len(frame.Tail), job.name)
 				if err := f.send(frame); err != nil {
-					return finish(true, desc)
+					return finish(true, describe(frame, job.name))
 				}
 				// Liveness: every few frames, the control channel must
 				// still acknowledge a valid probe.
 				if f.sent%8 == 0 {
 					if alive := f.validFrame(rfcomm.Frame{DLCI: 0, CommandResponse: true, Type: rfcomm.FrameSABM, PollFinal: true}); !alive {
-						return finish(true, desc)
+						return finish(true, describe(frame, job.name))
 					}
 				}
 			}
@@ -175,6 +174,13 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 		f.cl.Drain()
 	}
 	return finish(false, "")
+}
+
+// describe is the finding report's text for the frame sent last, in
+// the named job. Only a finding formats it; the frame loop keeps the
+// frame instead.
+func describe(frame rfcomm.Frame, job string) string {
+	return fmt.Sprintf("%v DLCI=%d tail=%dB in %s job", frame.Type, frame.DLCI, len(frame.Tail), job)
 }
 
 // mutate builds one core-field-mutated frame: DLCI across its whole

@@ -62,6 +62,11 @@ func TestFindsReservedDLCIDefect(t *testing.T) {
 	}
 	t.Logf("found after %d frames in %v (L2CAP alive: %v): %s",
 		report.FramesSent, report.Elapsed, report.L2CAPAlive, report.LastFrame)
+	// The text is formatted only for a finding; pin it as the engine
+	// wrote it when it formatted every frame.
+	if want := "SABM DLCI=63 tail=4B in connecting job"; report.LastFrame != want {
+		t.Errorf("LastFrame = %q, want %q", report.LastFrame, want)
+	}
 }
 
 func TestRobustMuxSurvives(t *testing.T) {
@@ -126,6 +131,9 @@ func TestDeterministicForSeed(t *testing.T) {
 	a, b := run(), run()
 	if a.FramesSent != b.FramesSent || a.Elapsed != b.Elapsed || a.Found != b.Found {
 		t.Fatalf("same seed differs: %+v vs %+v", a, b)
+	}
+	if want := "SABM DLCI=26 tail=7B in connecting job"; a.LastFrame != want || b.LastFrame != want {
+		t.Errorf("LastFrame = %q and %q, want %q", a.LastFrame, b.LastFrame, want)
 	}
 }
 

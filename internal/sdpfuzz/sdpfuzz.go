@@ -147,60 +147,100 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 	}
 
 	for f.sent < f.cfg.MaxPDUs {
-		raw, desc := f.mutate()
+		raw, m := f.mutate()
 		if err := f.send(raw); err != nil {
 			// The link died under us: the server's death dropped the
 			// whole service (DoS class), not just the SDP channel.
-			return finish(true, desc)
+			return finish(true, m.String())
 		}
 		if f.sent%f.cfg.ProbeEvery == 0 {
 			if !f.probe() {
-				return finish(true, desc)
+				return finish(true, m.String())
 			}
 		}
 	}
 	return finish(false, "")
 }
 
+// shape is one way mutate damages a request; the values follow the
+// order of mutate's draw.
+type shape uint8
+
+const (
+	shapeOverdeclare shape = iota
+	shapeUnderdeclare
+	shapeUnassignedID
+	shapeTruncated
+	shapeReservedDescriptor
+	shapeGarbage
+	numShapes
+)
+
+// mutation describes one malformed request: its shape and the one
+// number the shape varies. Only a finding's report reads the text, so
+// String formats it on demand instead of every request paying for it.
+type mutation struct {
+	shape shape
+	n     int // declared length, PDU ID, truncated or garbage length
+	extra int // the overrun, for shapeOverdeclare
+}
+
+func (m mutation) String() string {
+	switch m.shape {
+	case shapeOverdeclare:
+		return fmt.Sprintf("header overdeclares %d parameter bytes (+%d)", m.n, m.extra)
+	case shapeUnderdeclare:
+		return fmt.Sprintf("header underdeclares %d parameter bytes", m.n)
+	case shapeUnassignedID:
+		return fmt.Sprintf("unassigned PDU ID 0x%02X", m.n)
+	case shapeTruncated:
+		return fmt.Sprintf("DataElement stream truncated to %d bytes", m.n)
+	case shapeReservedDescriptor:
+		return "reserved element descriptor (size index 7)"
+	default:
+		return fmt.Sprintf("%d garbage parameter bytes", m.n)
+	}
+}
+
 // mutate builds one malformed request: a grammar production of the SDP
 // wire format damaged in one deliberate way.
-func (f *Fuzzer) mutate() ([]byte, string) {
+func (f *Fuzzer) mutate() ([]byte, mutation) {
 	f.txn++
-	switch f.rng.Intn(6) {
-	case 0:
+	switch s := shape(f.rng.Intn(int(numShapes))); s {
+	case shapeOverdeclare:
 		// Declared-length overrun: a valid request whose header claims
 		// more parameter bytes than follow.
 		raw := sdp.NewServiceSearchAttributeReq(f.txn).Marshal()
 		extra := 1 + f.rng.Intn(64)
 		declared := len(raw) - 5 + extra
 		binary.BigEndian.PutUint16(raw[3:5], uint16(declared))
-		return raw, fmt.Sprintf("header overdeclares %d parameter bytes (+%d)", declared, extra)
-	case 1:
+		return raw, mutation{shape: s, n: declared, extra: extra}
+	case shapeUnderdeclare:
 		// Declared-length undershoot: the inverse lie. A robust parser
 		// rejects the mismatch with an error response.
 		raw := sdp.NewServiceSearchAttributeReq(f.txn).Marshal()
 		declared := f.rng.Intn(len(raw) - 5)
 		binary.BigEndian.PutUint16(raw[3:5], uint16(declared))
-		return raw, fmt.Sprintf("header underdeclares %d parameter bytes", declared)
-	case 2:
+		return raw, mutation{shape: s, n: declared}
+	case shapeUnassignedID:
 		// Unassigned PDU ID with plausible parameters.
 		raw := sdp.NewServiceSearchAttributeReq(f.txn).Marshal()
 		raw[0] = byte(0x08 + f.rng.Intn(0xF8))
-		return raw, fmt.Sprintf("unassigned PDU ID 0x%02X", raw[0])
-	case 3:
+		return raw, mutation{shape: s, n: int(raw[0])}
+	case shapeTruncated:
 		// Truncated DataElement stream: the header re-declares the cut
 		// length, so only the element parser sees the damage.
 		full := sdp.NewServiceSearchAttributeReq(f.txn).Marshal()
 		cut := 5 + f.rng.Intn(len(full)-5)
 		raw := append([]byte(nil), full[:cut]...)
 		binary.BigEndian.PutUint16(raw[3:5], uint16(cut-5))
-		return raw, fmt.Sprintf("DataElement stream truncated to %d bytes", cut-5)
-	case 4:
+		return raw, mutation{shape: s, n: cut - 5}
+	case shapeReservedDescriptor:
 		// Reserved element descriptor: size index 7 exists in no element
 		// type the specification defines.
 		params := []byte{byte(sdp.TypeSequence)<<3 | 7, 0xFF, 0xFF}
 		return sdp.PDU{ID: sdp.PDUServiceSearchAttributeReq, TxnID: f.txn, Params: params}.Marshal(),
-			"reserved element descriptor (size index 7)"
+			mutation{shape: s}
 	default:
 		// Garbage parameters: the floor the grammar-aware shapes are
 		// measured against.
@@ -209,7 +249,7 @@ func (f *Fuzzer) mutate() ([]byte, string) {
 			params[i] = byte(f.rng.Intn(256))
 		}
 		return sdp.PDU{ID: sdp.PDUServiceSearchAttributeReq, TxnID: f.txn, Params: params}.Marshal(),
-			fmt.Sprintf("%d garbage parameter bytes", len(params))
+			mutation{shape: shapeGarbage, n: len(params)}
 	}
 }
 

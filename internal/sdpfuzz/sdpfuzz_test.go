@@ -1,6 +1,9 @@
 package sdpfuzz
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"l2fuzz/internal/bt/device"
@@ -52,6 +55,31 @@ func TestFindsOverreadDefect(t *testing.T) {
 		t.Errorf("dump = %+v, want the SDP overread record", dump)
 	}
 	t.Logf("found after %d PDUs in %v: %s", report.PDUsSent, report.Elapsed, report.LastPDU)
+	// The text is formatted only for a finding; pin it as the engine
+	// wrote it when it formatted every request.
+	if want := "reserved element descriptor (size index 7)"; report.LastPDU != want {
+		t.Errorf("LastPDU = %q, want %q", report.LastPDU, want)
+	}
+}
+
+// TestMutationsPinned pins the first requests and descriptions of a
+// seed-1 run, byte for byte and character for character, as captured
+// when every request was described with fmt.Sprintf as it was built.
+// The draw covers all six shapes.
+func TestMutationsPinned(t *testing.T) {
+	want, err := os.ReadFile("testdata/mutations_seed1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(nil, DefaultConfig(1))
+	var b strings.Builder
+	for range strings.Count(string(want), "\n") {
+		raw, m := f.mutate()
+		fmt.Fprintf(&b, "%q %x\n", m, raw)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("mutations differ from the golden:\n got:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestRobustServerSurvives(t *testing.T) {
@@ -91,6 +119,9 @@ func TestSeedDeterminism(t *testing.T) {
 		a.Elapsed != b.Elapsed || a.LastPDU != b.LastPDU {
 		t.Errorf("runs diverged:\n a = %+v\n b = %+v", a, b)
 	}
+	if want := "header underdeclares 6 parameter bytes"; a.LastPDU != want {
+		t.Errorf("LastPDU = %q, want %q", a.LastPDU, want)
+	}
 }
 
 // TestDifferentSeedsDiverge guards against the seed being ignored.
@@ -108,5 +139,17 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 	if a.PDUsSent == b.PDUsSent && a.LastPDU == b.LastPDU {
 		t.Errorf("seeds 3 and 4 produced identical runs (%d PDUs, %q)",
 			a.PDUsSent, a.LastPDU)
+	}
+	for _, tt := range []struct {
+		seed int64
+		got  string
+		want string
+	}{
+		{3, a.LastPDU, "header underdeclares 1 parameter bytes"},
+		{4, b.LastPDU, "header overdeclares 21 parameter bytes (+4)"},
+	} {
+		if tt.got != tt.want {
+			t.Errorf("seed %d: LastPDU = %q, want %q", tt.seed, tt.got, tt.want)
+		}
 	}
 }

@@ -194,7 +194,7 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 		if _, err := f.cl.SendCommand(f.target, cmd, tail); err != nil {
 			// The link died under us: the walk's last command killed the
 			// target and its crash dropped every ACL link.
-			return finish(true, desc)
+			return finish(true, desc.String())
 		}
 		f.cl.Clock().Advance(f.cfg.ThinkTime)
 		f.sent++
@@ -211,7 +211,7 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 		if f.sincePing >= f.cfg.PingEvery {
 			f.sincePing = 0
 			if err := f.cl.Ping(f.target); err != nil {
-				return finish(true, desc)
+				return finish(true, desc.String())
 			}
 			f.sent++ // the echo probe is a transmitted packet
 		}
@@ -219,12 +219,31 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 	return finish(false, "")
 }
 
+// stepDesc describes one command of the walk: the event it raises, or
+// the code of a command injected regardless of the model, and the
+// shadow state it was sent in. Only a finding's report reads the text,
+// so String formats it on demand instead of every command paying for
+// it.
+type stepDesc struct {
+	event    sm.Event
+	code     l2cap.CommandCode
+	state    sm.State
+	injected bool
+}
+
+func (d stepDesc) String() string {
+	if d.injected {
+		return fmt.Sprintf("%v in %v (injected)", d.code, d.state)
+	}
+	return fmt.Sprintf("%v in %v (valid)", d.event, d.state)
+}
+
 // step picks the next command of the walk. Three draws in four follow
 // the model — an event the shadow state accepts; the fourth defects to
 // a command the specification says to reject here, probing the target's
 // invalid-transition handling. The returned event is zero when the
 // command raises none (or an invalid one): the shadow must not move.
-func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event, string) {
+func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event, stepDesc) {
 	var candidates []sm.Event
 	for _, ev := range sm.ValidEvents(f.model.State()) {
 		if _, ok := recvCommand[ev]; ok {
@@ -234,7 +253,7 @@ func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event, string) {
 	if len(candidates) > 0 && f.rng.Intn(4) != 0 {
 		ev := candidates[f.rng.Intn(len(candidates))]
 		cmd, tail := f.build(recvCommand[ev])
-		return cmd, tail, ev, fmt.Sprintf("%v in %v (valid)", ev, f.model.State())
+		return cmd, tail, ev, stepDesc{event: ev, state: f.model.State()}
 	}
 	// Defection: any signaling command, valid here or not. The shadow
 	// only moves if the specification accepts the event — a rejected
@@ -248,7 +267,7 @@ func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event, string) {
 	} else if _, valid := sm.Lookup(f.model.State(), ev); !valid {
 		ev = 0
 	}
-	return cmd, tail, ev, fmt.Sprintf("%v in %v (injected)", code, f.model.State())
+	return cmd, tail, ev, stepDesc{code: code, state: f.model.State(), injected: true}
 }
 
 // build constructs the command for code: specification defaults for the

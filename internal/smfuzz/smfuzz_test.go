@@ -55,6 +55,11 @@ func TestFindsCCBNullDeref(t *testing.T) {
 	}
 	t.Logf("found after %d packets in %v at %v: %s",
 		report.PacketsSent, report.Elapsed, report.FinalState, report.LastCommand)
+	// The text is formatted only for a finding; pin it as the engine
+	// wrote it when it formatted every command.
+	if want := "RecvDisconnectReq in WAIT_SEND_CONFIG (valid)"; report.LastCommand != want {
+		t.Errorf("LastCommand = %q, want %q", report.LastCommand, want)
+	}
 }
 
 func TestRobustStackSurvives(t *testing.T) {
@@ -116,6 +121,9 @@ func TestSeedDeterminism(t *testing.T) {
 		a.LastCommand != b.LastCommand {
 		t.Errorf("runs diverged:\n a = %+v\n b = %+v", a, b)
 	}
+	if want := "RecvDisconnectReq in WAIT_SEND_CONFIG (valid)"; a.LastCommand != want {
+		t.Errorf("LastCommand = %q, want %q", a.LastCommand, want)
+	}
 }
 
 // TestDifferentSeedsDiverge guards against the seed being ignored.
@@ -133,5 +141,17 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 	if a.PacketsSent == b.PacketsSent && a.LastCommand == b.LastCommand {
 		t.Errorf("seeds 3 and 4 produced identical runs (%d packets, %q)",
 			a.PacketsSent, a.LastCommand)
+	}
+	for _, tt := range []struct {
+		seed int64
+		got  string
+		want string
+	}{
+		{3, a.LastCommand, "RecvDisconnectReq in WAIT_SEND_CONFIG (valid)"},
+		{4, b.LastCommand, "ConnParamUpdateRsp in WAIT_SEND_CONFIG (injected)"},
+	} {
+		if tt.got != tt.want {
+			t.Errorf("seed %d: LastCommand = %q, want %q", tt.seed, tt.got, tt.want)
+		}
 	}
 }
