@@ -253,14 +253,17 @@ type fleetBenchCase struct {
 	telemetry bool
 	proc      bool
 	engines   bool
+	corpus    bool
 }
 
 // fleetBenchCases is the recorded fleet trajectory: the three worker
 // counts, a telemetry-on point whose overhead against the plain
 // workers=4 point is the budget the telemetry hot path must hold, a
 // process-isolated point whose overhead against the same baseline
-// prices the executor's serialization and pipe transport, and an
-// engines point that runs every fuzzer kind, not L2Fuzz alone.
+// prices the executor's serialization and pipe transport, an engines
+// point that runs every fuzzer kind, not L2Fuzz alone, and a corpus
+// point whose overhead against workers=4 prices the detection path:
+// recording every job's repro trace and writing each new finding's.
 var fleetBenchCases = []fleetBenchCase{
 	{name: "workers=1", workers: 1},
 	{name: "workers=4", workers: 4},
@@ -268,6 +271,7 @@ var fleetBenchCases = []fleetBenchCase{
 	{name: "workers=4/telemetry", workers: 4, telemetry: true},
 	{name: "workers=4/proc", workers: 4, proc: true},
 	{name: "workers=4/engines", workers: 4, engines: true},
+	{name: "workers=4/corpus", workers: 4, corpus: true},
 }
 
 // fleetBenchRun executes one BenchmarkFleet matrix once: eight devices ×
@@ -278,7 +282,9 @@ var fleetBenchCases = []fleetBenchCase{
 // instead of the in-process pool. With engines on, the matrix is
 // instead eight measurement-grade devices × all eight fuzzer kinds ×
 // one shard at 4k packets: short jobs whose cost lies in the scenario
-// engines and their targets' SDP, RFCOMM and signaling handlers.
+// engines and their targets' SDP, RFCOMM and signaling handlers. With
+// corpus on, the farm saves its findings to a store in a fresh
+// temporary directory, removed after the run.
 func fleetBenchRun(bc fleetBenchCase) (*l2fuzz.FleetReport, error) {
 	cfg := l2fuzz.FleetConfig{
 		Shards:           2,
@@ -302,6 +308,16 @@ func fleetBenchRun(bc fleetBenchCase) (*l2fuzz.FleetReport, error) {
 			Command: []string{os.Args[0]},
 			Env:     []string{"L2FUZZ_FLEET_WORKER=1"},
 		})
+	}
+	if bc.corpus {
+		dir, err := os.MkdirTemp("", "l2fuzz-bench-corpus-")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		if cfg.Corpus, err = l2fuzz.OpenCorpus(dir); err != nil {
+			return nil, err
+		}
 	}
 	return l2fuzz.RunFleet(cfg)
 }

@@ -49,6 +49,29 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 	if !bytes.Equal(pinned, first.AppendTo(nil)) {
 		t.Fatalf("recorded wire bytes differ from the packet's marshal")
 	}
+
+	// Reset rewinds the recorder's chunk and new sends refill it in
+	// place; a snapshot taken before holds its own copy.
+	held := make([][]byte, len(ops2))
+	for i, op := range ops2 {
+		held[i] = append([]byte(nil), op.Data...)
+	}
+	rec.Reset()
+	for i := 0; i < 64; i++ {
+		pkt := l2cap.SignalPacket(uint8(i%250+2), &l2cap.EchoReq{Data: bytes.Repeat([]byte{^byte(i)}, 32)}, nil)
+		if err := cl.Send(target, pkt); err != nil {
+			t.Fatal(err)
+		}
+		cl.Drain()
+	}
+	if rec.Len() != 64 {
+		t.Fatalf("recorder holds %d ops after Reset and 64 sends, want 64", rec.Len())
+	}
+	for i, op := range ops2 {
+		if !bytes.Equal(op.Data, held[i]) {
+			t.Fatalf("op %d of a snapshot taken before Reset changed under new sends:\n got %x\nwant %x", i, op.Data, held[i])
+		}
+	}
 }
 
 // TestDrainBatchStableUntilNextDrain pins the Drain ownership window
@@ -121,10 +144,11 @@ func TestDrainBatchStableUntilNextDrain(t *testing.T) {
 
 // TestWarmRoundTripDoesNotAllocate pins the inbox slabs' steady state:
 // once they have grown to a round's traffic, a SendCommand→Drain round
-// trip through the device and back allocates nothing.
+// trip through the device and back allocates nothing, with a trace
+// recorder attached: a recorded send only copies into the recorder's
+// current chunk.
 func TestWarmRoundTripDoesNotAllocate(t *testing.T) {
 	cl, _, target := recordRig(t, 0)
-	cl.SetRecorder(nil) // the recorder copies every send by design
 	if err := cl.Connect(target); err != nil {
 		t.Fatal(err)
 	}

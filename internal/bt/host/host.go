@@ -141,7 +141,7 @@ func (c *Client) Connect(peer radio.BDAddr) error {
 	if c.recorder != nil {
 		// Only a successful page changes peer-visible state; failed
 		// attempts leave nothing for a replay to redo.
-		c.recorder.record(TraceOp{Kind: TraceConnect})
+		c.recorder.record(opConnect, nil)
 	}
 	return nil
 }
@@ -156,7 +156,7 @@ func (c *Client) Connected(peer radio.BDAddr) bool {
 // for it, so a later Connect performs a genuine fresh page.
 func (c *Client) Disconnect(peer radio.BDAddr) {
 	if c.recorder != nil {
-		c.recorder.record(TraceOp{Kind: TraceDisconnect})
+		c.recorder.record(opDisconnect, nil)
 	}
 	c.handles = slices.DeleteFunc(c.handles, func(ph peerHandle) bool { return ph.peer == peer })
 	if h, ok := c.ctrl.HandleFor(peer); ok {

@@ -36,6 +36,9 @@ func recordRig(t *testing.T, limit int) (*host.Client, *host.TraceRecorder, radi
 // order — the operation alphabet replay is built on.
 func TestRecorderCapturesClientOps(t *testing.T) {
 	cl, rec, target := recordRig(t, 0)
+	if ops, truncated := rec.Snapshot(); ops != nil || truncated {
+		t.Fatalf("empty recorder snapshot = %v, %v; want nil, false", ops, truncated)
+	}
 	if err := cl.Connect(target); err != nil {
 		t.Fatal(err)
 	}
@@ -64,6 +67,9 @@ func TestRecorderCapturesClientOps(t *testing.T) {
 	}
 	if string(ops[1].Data) != string(pkt.AppendTo(nil)) {
 		t.Errorf("recorded wire bytes differ from the marshaled packet")
+	}
+	if ops[0].Data != nil || ops[2].Data != nil {
+		t.Errorf("connect and disconnect ops carry data %v and %v, want nil", ops[0].Data, ops[2].Data)
 	}
 
 	// A replayed snapshot is a copy: later ops must not reach it.

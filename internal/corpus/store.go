@@ -1,13 +1,18 @@
 package corpus
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
+	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/core"
 )
 
@@ -72,23 +77,40 @@ func (s *Store) Has(sig core.Signature) bool {
 // canonical trace is Entry.Trace. The write goes through a temp file
 // and rename, so a crashed writer never leaves a half-written entry
 // behind under the real key.
+//
+// The file is exactly json.MarshalIndent(e, "", "  ") plus a newline:
+// that is the corpus format, pinned by testdata/entry.golden.json and
+// checked by FuzzStoreRoundTrip. The write is streamed: only the entry
+// without its ops goes through MarshalIndent, and writeOps encodes the
+// ops array in place of that encoding's null, so a trace of many
+// megabytes is never held or re-indented as one document.
 func (s *Store) Put(e Entry) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
 	e.Finding.Trace = nil
 	e.Finding.TraceTruncated = false
-	data, err := json.MarshalIndent(e, "", "  ")
+	ops := e.Trace.Ops
+	e.Trace.Ops = nil
+	head, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return fmt.Errorf("corpus: encode %v: %w", e.Signature, err)
 	}
-	data = append(data, '\n')
+	at := opsNull(head)
+	if at < 0 {
+		return fmt.Errorf("corpus: encode %v: no ops in the trace's encoding", e.Signature)
+	}
 	key := KeyOf(e.Signature)
 	tmp, err := os.CreateTemp(s.dir, key+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	w := bufio.NewWriterSize(tmp, 64<<10)
+	w.Write(head[:at])
+	writeOps(w, ops)
+	w.Write(head[at+len("null"):])
+	w.WriteByte('\n')
+	if err := w.Flush(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("corpus: write %s: %w", key, err)
@@ -102,6 +124,65 @@ func (s *Store) Put(e Entry) error {
 		return fmt.Errorf("corpus: write %s: %w", key, err)
 	}
 	return nil
+}
+
+// opsKey is the trace's ops key as MarshalIndent lays it out: two
+// levels deep, so four spaces in.
+var opsKey = []byte("\n    \"ops\": ")
+
+// opsNull returns the offset of the null that encodes nil ops in an
+// indented entry, or -1. The trace's ops are the first key at that
+// depth named "ops": the signature, kind and finding before it have
+// none, string values escape their newlines, and only the spec comes
+// after it.
+func opsNull(head []byte) int {
+	i := bytes.Index(head, opsKey)
+	if i < 0 || !bytes.HasPrefix(head[i+len(opsKey):], []byte("null")) {
+		return -1
+	}
+	return i + len(opsKey)
+}
+
+// writeOps writes ops as json.MarshalIndent lays out the trace's ops
+// value: null for nil ops, [] for none, otherwise one object per op,
+// three levels deep, with data omitted when empty. Kinds are encoded
+// by json.Marshal, once per distinct kind, so their escaping is the
+// encoder's own. Each op is assembled in a reused buffer and written
+// with one call; write errors latch in w and surface at its Flush.
+func writeOps(w *bufio.Writer, ops []Op) {
+	if ops == nil {
+		w.WriteString("null")
+		return
+	}
+	if len(ops) == 0 {
+		w.WriteString("[]")
+		return
+	}
+	type kindJSON struct {
+		kind host.TraceOpKind
+		enc  []byte
+	}
+	var kinds []kindJSON
+	var buf []byte
+	sep := "[\n      {\n        \"op\": "
+	for _, op := range ops {
+		k := slices.IndexFunc(kinds, func(kj kindJSON) bool { return kj.kind == op.Kind })
+		if k < 0 {
+			enc, _ := json.Marshal(string(op.Kind)) // a string always encodes
+			kinds = append(kinds, kindJSON{op.Kind, enc})
+			k = len(kinds) - 1
+		}
+		buf = append(append(buf[:0], sep...), kinds[k].enc...)
+		sep = ",\n      {\n        \"op\": "
+		if len(op.Data) > 0 {
+			buf = append(buf, ",\n        \"data\": \""...)
+			buf = base64.StdEncoding.AppendEncode(buf, op.Data)
+			buf = append(buf, '"')
+		}
+		buf = append(buf, "\n      }"...)
+		w.Write(buf)
+	}
+	w.WriteString("\n    ]")
 }
 
 // Get loads the entry stored under sig.

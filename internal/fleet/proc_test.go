@@ -11,21 +11,28 @@ import (
 	"l2fuzz/internal/telemetry"
 )
 
-// workerEnv re-execs the test binary as a farm worker: TestMain sees
-// the variable and speaks the wire protocol on stdin/stdout instead of
-// running tests, giving the proc tests a worker command without
-// building a separate binary.
+// workerEnv re-execs the test binary as a child instead of running
+// tests: set to "1", TestMain speaks the wire protocol on stdin/stdout,
+// giving the proc tests a worker command without building a separate
+// binary; set to crashFarmRole, it runs crashFarm in its working
+// directory.
 const workerEnv = "L2FUZZ_FLEET_WORKER"
 
 func TestMain(m *testing.M) {
-	if os.Getenv(workerEnv) == "1" {
-		if err := RunWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
+	var err error
+	switch os.Getenv(workerEnv) {
+	case "1":
+		err = RunWorker(os.Stdin, os.Stdout)
+	case crashFarmRole:
+		err = crashFarm(os.Stdout)
+	default:
+		os.Exit(m.Run())
 	}
-	os.Exit(m.Run())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Exit(0)
 }
 
 // procConfig spawns workers by re-execing this test binary.
