@@ -75,8 +75,30 @@ type Device struct {
 	sigFrames []l2cap.Frame // AppendSignals scratch in onSignaling
 	sigWire   []byte        // signaling payload built by sendCmd
 	txWire    []byte        // wire bytes of the frame being sent
-	echoRsp   l2cap.EchoRsp // the echo reply, marshaled before it is reused
+
+	// Every signaling command the device sends is one of these values: a
+	// handler refills it and sendCmd marshals it before the next handler
+	// runs, so no answer allocates.
+	echoRsp        l2cap.EchoRsp
+	reject         l2cap.CommandReject // every reason; reuses its reason-data buffer
+	connRsp        l2cap.ConnectionRsp
+	createRsp      l2cap.CreateChannelRsp
+	ownConfigReq   l2cap.ConfigurationReq // options fixed by New
+	configRsp      l2cap.ConfigurationRsp
+	discRsp        l2cap.DisconnectionRsp
+	infoRsp        l2cap.InformationRsp
+	moveRsp        l2cap.MoveChannelRsp
+	moveConfirmRsp l2cap.MoveChannelConfirmRsp
+	creditConnRsp  l2cap.CreditBasedConnRsp
 }
+
+// Information Response data per supported capability, shared read-only
+// by every device's infoRsp.
+var (
+	infoConnectionlessMTU = [...]byte{0xA0, 0x02}             // 672
+	infoExtendedFeatures  = [...]byte{0x80, 0x02, 0x00, 0x00} // FCS + fixed channels
+	infoFixedChannels     = [...]byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
+)
 
 // handlerHits is the per-handler invocation tally: one counter per
 // command code plus the data-plane and undecodable-frame handlers.
@@ -147,6 +169,7 @@ func New(m *radio.Medium, cfg Config) (*Device, error) {
 		nextCID:   l2cap.CIDDynamicFirst,
 		nextSigID: 1,
 	}
+	d.ownConfigReq.Options = []l2cap.ConfigOption{l2cap.MTUOption(cfg.Profile.SignalingMTU)}
 	if len(cfg.RFCOMMServices) > 0 {
 		defect := cfg.RFCOMMDefect
 		if cfg.DisableVulns {
@@ -332,13 +355,14 @@ func (d *Device) crashFromRFCOMM() {
 // onSignaling handles a signaling-channel C-frame.
 func (d *Device) onSignaling(h hci.ConnHandle, pkt l2cap.Packet) {
 	if len(pkt.Payload) > int(d.cfg.Profile.SignalingMTU) {
-		d.sendCmd(h, 0, l2cap.NewMTUExceededReject(d.cfg.Profile.SignalingMTU), nil)
+		d.reject.SetMTUExceeded(d.cfg.Profile.SignalingMTU)
+		d.sendCmd(h, 0, &d.reject, nil)
 		return
 	}
 	frames, err := l2cap.AppendSignals(d.sigFrames[:0], pkt.Payload)
 	d.sigFrames = frames[:0]
 	if err != nil {
-		d.sendCmd(h, 0, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, 0)
 		return
 	}
 	for _, f := range frames {
@@ -354,7 +378,7 @@ func (d *Device) handleCommand(h hci.ConnHandle, f l2cap.Frame) {
 	cmd, err := d.dec.Decode(f)
 	if err != nil {
 		d.handlerHits.undecodable++
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
 	d.handlerHits.byCode[f.Code]++
@@ -389,18 +413,18 @@ func (d *Device) handleCommand(h hci.ConnHandle, f l2cap.Frame) {
 		// LE-only commands on an ACL-U link: tolerant stacks drop them,
 		// strict stacks do not understand them.
 		if !d.cfg.Profile.TolerateLEOnACLU {
-			d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+			d.rejectNotUnderstood(h, f.Identifier)
 		}
 	case *l2cap.FlowControlCredit:
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(0, c.CID), nil)
+		d.rejectInvalidCID(h, f.Identifier, 0, c.CID)
 	case *l2cap.CreditBasedConnReq:
 		d.onCreditConnReq(h, f, c)
 	case *l2cap.CreditBasedConnRsp, *l2cap.CreditBasedReconfReq, *l2cap.CreditBasedReconfRsp:
 		if !d.cfg.Profile.SupportsECRED {
-			d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+			d.rejectNotUnderstood(h, f.Identifier)
 		}
 	default:
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 	}
 }
 
@@ -410,9 +434,8 @@ func (d *Device) onConnectionReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Conne
 		return
 	}
 	reply := func(result l2cap.ConnResult, dcid l2cap.CID) {
-		d.sendCmd(h, f.Identifier, &l2cap.ConnectionRsp{
-			DCID: dcid, SCID: c.SCID, Result: result,
-		}, nil)
+		d.connRsp = l2cap.ConnectionRsp{DCID: dcid, SCID: c.SCID, Result: result}
+		d.sendCmd(h, f.Identifier, &d.connRsp, nil)
 	}
 	port, ok := d.lookupPort(c.PSM)
 	switch {
@@ -441,9 +464,8 @@ func (d *Device) onCreateChannelReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Cr
 		return
 	}
 	reply := func(result l2cap.ConnResult, dcid l2cap.CID) {
-		d.sendCmd(h, f.Identifier, &l2cap.CreateChannelRsp{
-			DCID: dcid, SCID: c.SCID, Result: result,
-		}, nil)
+		d.createRsp = l2cap.CreateChannelRsp{DCID: dcid, SCID: c.SCID, Result: result}
+		d.sendCmd(h, f.Identifier, &d.createRsp, nil)
 	}
 	port, ok := d.lookupPort(c.PSM)
 	switch {
@@ -482,7 +504,7 @@ func (d *Device) onConfigurationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Co
 		return
 	}
 	if ch == nil {
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(0, c.DCID), nil)
+		d.rejectInvalidCID(h, f.Identifier, 0, c.DCID)
 		return
 	}
 	ev := sm.EvRecvConfigReq
@@ -491,22 +513,20 @@ func (d *Device) onConfigurationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Co
 	}
 	tr, ok := ch.m.Apply(ev)
 	if !ok {
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
 	result := l2cap.ConfigSuccess
 	if tr.Action == sm.ActSendConfigRspPending {
 		result = l2cap.ConfigPending
 	}
-	d.sendCmd(h, f.Identifier, &l2cap.ConfigurationRsp{
-		SCID: ch.remoteCID, Result: result,
-	}, nil)
+	d.configRsp = l2cap.ConfigurationRsp{SCID: ch.remoteCID, Result: result}
+	d.sendCmd(h, f.Identifier, &d.configRsp, nil)
 	if tr.Action == sm.ActSendConfigRspPending {
 		// Complete the lockstep decision immediately: final response.
 		if tr2, ok2 := ch.m.Apply(sm.EvLocalFinalRsp); ok2 && tr2.Action == sm.ActSendConfigRsp {
-			d.sendCmd(h, d.sigID(), &l2cap.ConfigurationRsp{
-				SCID: ch.remoteCID, Result: l2cap.ConfigSuccess,
-			}, nil)
+			d.configRsp = l2cap.ConfigurationRsp{SCID: ch.remoteCID, Result: l2cap.ConfigSuccess}
+			d.sendCmd(h, d.sigID(), &d.configRsp, nil)
 		}
 		return
 	}
@@ -550,12 +570,12 @@ func (d *Device) onDisconnectionReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Di
 		return
 	}
 	if ch == nil || (!d.cfg.Profile.LenientChannelLookup && ch.remoteCID != c.SCID) {
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(c.DCID, c.SCID), nil)
+		d.rejectInvalidCID(h, f.Identifier, c.DCID, c.SCID)
 		return
 	}
 	tr, ok := ch.m.Apply(sm.EvRecvDisconnectReq)
 	if !ok {
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
 	if tr.Action == sm.ActDeliverToUpper {
@@ -566,24 +586,23 @@ func (d *Device) onDisconnectionReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Di
 		}
 	}
 	if tr.Action == sm.ActSendDisconnectRsp {
-		d.sendCmd(h, f.Identifier, &l2cap.DisconnectionRsp{DCID: c.DCID, SCID: c.SCID}, nil)
+		d.discRsp = l2cap.DisconnectionRsp{DCID: c.DCID, SCID: c.SCID}
+		d.sendCmd(h, f.Identifier, &d.discRsp, nil)
 	}
 	d.closeChannel(ch)
 }
 
 // onInformationReq answers capability queries.
 func (d *Device) onInformationReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.InformationReq) {
-	rsp := &l2cap.InformationRsp{InfoType: c.InfoType}
+	rsp := &d.infoRsp
+	*rsp = l2cap.InformationRsp{InfoType: c.InfoType, Result: l2cap.InfoResultSuccess}
 	switch c.InfoType {
 	case l2cap.InfoTypeConnectionlessMTU:
-		rsp.Result = l2cap.InfoResultSuccess
-		rsp.Data = []byte{0xA0, 0x02} // 672
+		rsp.Data = infoConnectionlessMTU[:]
 	case l2cap.InfoTypeExtendedFeatures:
-		rsp.Result = l2cap.InfoResultSuccess
-		rsp.Data = []byte{0x80, 0x02, 0x00, 0x00} // FCS + fixed channels
+		rsp.Data = infoExtendedFeatures[:]
 	case l2cap.InfoTypeFixedChannels:
-		rsp.Result = l2cap.InfoResultSuccess
-		rsp.Data = []byte{0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}
+		rsp.Data = infoFixedChannels[:]
 	default:
 		rsp.Result = l2cap.InfoResultNotSupported
 	}
@@ -601,17 +620,16 @@ func (d *Device) onMoveChannelReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Move
 		return
 	}
 	if ch == nil {
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(0, c.ICID), nil)
+		d.rejectInvalidCID(h, f.Identifier, 0, c.ICID)
 		return
 	}
 	if _, ok := ch.m.Apply(sm.EvRecvMoveReq); !ok {
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
 	if tr, ok := ch.m.Apply(sm.EvLocalAccept); ok && tr.Action == sm.ActSendMoveRsp {
-		d.sendCmd(h, f.Identifier, &l2cap.MoveChannelRsp{
-			ICID: c.ICID, Result: l2cap.MoveResultSuccess,
-		}, nil)
+		d.moveRsp = l2cap.MoveChannelRsp{ICID: c.ICID, Result: l2cap.MoveResultSuccess}
+		d.sendCmd(h, f.Identifier, &d.moveRsp, nil)
 	}
 }
 
@@ -626,14 +644,15 @@ func (d *Device) onMoveConfirmReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Move
 		return
 	}
 	if ch == nil {
-		d.sendCmd(h, f.Identifier, l2cap.NewInvalidCIDReject(0, c.ICID), nil)
+		d.rejectInvalidCID(h, f.Identifier, 0, c.ICID)
 		return
 	}
 	if tr, ok := ch.m.Apply(sm.EvRecvMoveConfirmReq); ok && tr.Action == sm.ActSendMoveConfirmRsp {
-		d.sendCmd(h, f.Identifier, &l2cap.MoveChannelConfirmRsp{ICID: c.ICID}, nil)
+		d.moveConfirmRsp.ICID = c.ICID
+		d.sendCmd(h, f.Identifier, &d.moveConfirmRsp, nil)
 		return
 	}
-	d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+	d.rejectNotUnderstood(h, f.Identifier)
 }
 
 // onCreditConnReq answers enhanced credit-based connections: supported
@@ -641,12 +660,13 @@ func (d *Device) onMoveConfirmReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.Move
 // others do not understand them.
 func (d *Device) onCreditConnReq(h hci.ConnHandle, f l2cap.Frame, c *l2cap.CreditBasedConnReq) {
 	if !d.cfg.Profile.SupportsECRED {
-		d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+		d.rejectNotUnderstood(h, f.Identifier)
 		return
 	}
-	d.sendCmd(h, f.Identifier, &l2cap.CreditBasedConnRsp{
+	d.creditConnRsp = l2cap.CreditBasedConnRsp{
 		Result: 0x0002, // all connections refused – SPSM not supported
-	}, nil)
+	}
+	d.sendCmd(h, f.Identifier, &d.creditConnRsp, nil)
 }
 
 // onStrayResponse handles response commands matching no request.
@@ -654,7 +674,7 @@ func (d *Device) onStrayResponse(h hci.ConnHandle, f l2cap.Frame) {
 	if d.cfg.Profile.AcceptStrayResponses {
 		return // the Android quirk: silently tolerated
 	}
-	d.sendCmd(h, f.Identifier, &l2cap.CommandReject{Reason: l2cap.RejectNotUnderstood}, nil)
+	d.rejectNotUnderstood(h, f.Identifier)
 }
 
 // checkVuln evaluates the injected defects against one command; when one
@@ -796,10 +816,8 @@ func (d *Device) sendOwnConfig(h hci.ConnHandle, ch *channel) {
 	if _, ok := ch.m.Apply(sm.EvLocalSendConfigReq); !ok {
 		return
 	}
-	d.sendCmd(h, d.sigID(), &l2cap.ConfigurationReq{
-		DCID:    ch.remoteCID,
-		Options: []l2cap.ConfigOption{l2cap.MTUOption(d.cfg.Profile.SignalingMTU)},
-	}, nil)
+	d.ownConfigReq.DCID = ch.remoteCID
+	d.sendCmd(h, d.sigID(), &d.ownConfigReq, nil)
 }
 
 func (d *Device) sigID() uint8 {
@@ -809,6 +827,20 @@ func (d *Device) sigID() uint8 {
 		d.nextSigID = 1
 	}
 	return id
+}
+
+// rejectNotUnderstood answers the command with identifier id with a
+// "command not understood" reject.
+func (d *Device) rejectNotUnderstood(h hci.ConnHandle, id uint8) {
+	d.reject.SetNotUnderstood()
+	d.sendCmd(h, id, &d.reject, nil)
+}
+
+// rejectInvalidCID answers the command with identifier id with an
+// "invalid CID" reject naming the (local, remote) endpoint pair.
+func (d *Device) rejectInvalidCID(h hci.ConnHandle, id uint8, local, remote l2cap.CID) {
+	d.reject.SetInvalidCID(local, remote)
+	d.sendCmd(h, id, &d.reject, nil)
 }
 
 func (d *Device) sendCmd(h hci.ConnHandle, id uint8, cmd l2cap.Command, tail []byte) {

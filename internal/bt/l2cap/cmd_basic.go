@@ -88,25 +88,36 @@ func (c *CommandReject) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command. A reject carries no port or channel
-// endpoint settings, so it exposes nothing to mutate.
-func (c *CommandReject) CoreFields() CoreFields { return CoreFields{} }
+// AppendCoreFields implements Command. A reject carries no port or
+// channel endpoint settings, so it exposes nothing to mutate.
+func (c *CommandReject) AppendCoreFields(f CoreFields) CoreFields { return f.reset() }
 
-// NewInvalidCIDReject builds the reject a stack sends for a command that
-// referenced a channel endpoint it never allocated.
-func NewInvalidCIDReject(local, remote CID) *CommandReject {
-	data := putU16(nil, uint16(local))
-	data = putU16(data, uint16(remote))
-	return &CommandReject{Reason: RejectInvalidCID, ReasonData: data}
+// The setters below turn c into the reject a stack sends for one reason.
+// They write the reason data into ReasonData's own backing array, so a
+// sender that keeps one CommandReject allocates its buffer once. Call
+// them only on a reject whose ReasonData the caller owns: a decoded
+// reject's ReasonData aliases the frame it came from.
+
+// SetNotUnderstood makes c the reject for a command the stack does not
+// understand: no reason data.
+func (c *CommandReject) SetNotUnderstood() {
+	c.Reason = RejectNotUnderstood
+	c.ReasonData = c.ReasonData[:0]
 }
 
-// NewMTUExceededReject builds the reject a stack sends for an oversized
-// signaling packet, reporting its actual signaling MTU.
-func NewMTUExceededReject(actualMTU uint16) *CommandReject {
-	return &CommandReject{
-		Reason:     RejectSignalingMTUExceeded,
-		ReasonData: putU16(nil, actualMTU),
-	}
+// SetInvalidCID makes c the reject for a command that referenced a
+// channel endpoint the stack never allocated, naming the (local, remote)
+// endpoint pair.
+func (c *CommandReject) SetInvalidCID(local, remote CID) {
+	c.Reason = RejectInvalidCID
+	c.ReasonData = putU16(putU16(c.ReasonData[:0], uint16(local)), uint16(remote))
+}
+
+// SetMTUExceeded makes c the reject for an oversized signaling packet,
+// reporting the stack's actual signaling MTU.
+func (c *CommandReject) SetMTUExceeded(actualMTU uint16) {
+	c.Reason = RejectSignalingMTUExceeded
+	c.ReasonData = putU16(c.ReasonData[:0], actualMTU)
 }
 
 // ConnectionReq (code 0x02) asks to open a connection-oriented channel to
@@ -137,9 +148,12 @@ func (c *ConnectionReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *ConnectionReq) CoreFields() CoreFields {
-	return CoreFields{PSM: &c.PSM, CIDs: []*CID{&c.SCID}}
+// AppendCoreFields implements Command.
+func (c *ConnectionReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.PSM = &c.PSM
+	f.CIDs = append(f.CIDs, &c.SCID)
+	return f
 }
 
 // ConnectionRsp (code 0x03) answers a ConnectionReq.
@@ -177,9 +191,11 @@ func (c *ConnectionRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *ConnectionRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID, &c.SCID}}
+// AppendCoreFields implements Command.
+func (c *ConnectionRsp) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.DCID, &c.SCID)
+	return f
 }
 
 // ConfigurationReq (code 0x04) proposes channel options for the channel
@@ -219,9 +235,11 @@ func (c *ConfigurationReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *ConfigurationReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID}}
+// AppendCoreFields implements Command.
+func (c *ConfigurationReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.DCID)
+	return f
 }
 
 // ConfigurationRsp (code 0x05) answers a ConfigurationReq.
@@ -263,9 +281,11 @@ func (c *ConfigurationRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *ConfigurationRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.SCID}}
+// AppendCoreFields implements Command.
+func (c *ConfigurationRsp) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.SCID)
+	return f
 }
 
 // DisconnectionReq (code 0x06) tears down a channel identified by the
@@ -296,9 +316,11 @@ func (c *DisconnectionReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *DisconnectionReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID, &c.SCID}}
+// AppendCoreFields implements Command.
+func (c *DisconnectionReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.DCID, &c.SCID)
+	return f
 }
 
 // DisconnectionRsp (code 0x07) confirms a DisconnectionReq.
@@ -328,9 +350,11 @@ func (c *DisconnectionRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *DisconnectionRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID, &c.SCID}}
+// AppendCoreFields implements Command.
+func (c *DisconnectionRsp) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.DCID, &c.SCID)
+	return f
 }
 
 // EchoReq (code 0x08) is the L2CAP ping. L2Fuzz's vulnerability-detecting
@@ -352,8 +376,8 @@ func (c *EchoReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *EchoReq) CoreFields() CoreFields { return CoreFields{} }
+// AppendCoreFields implements Command.
+func (c *EchoReq) AppendCoreFields(f CoreFields) CoreFields { return f.reset() }
 
 // EchoRsp (code 0x09) answers an EchoReq.
 type EchoRsp struct {
@@ -373,8 +397,8 @@ func (c *EchoRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *EchoRsp) CoreFields() CoreFields { return CoreFields{} }
+// AppendCoreFields implements Command.
+func (c *EchoRsp) AppendCoreFields(f CoreFields) CoreFields { return f.reset() }
 
 // InformationReq (code 0x0A) queries stack capabilities.
 type InformationReq struct {
@@ -399,8 +423,8 @@ func (c *InformationReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *InformationReq) CoreFields() CoreFields { return CoreFields{} }
+// AppendCoreFields implements Command.
+func (c *InformationReq) AppendCoreFields(f CoreFields) CoreFields { return f.reset() }
 
 // InformationRsp (code 0x0B) answers an InformationReq.
 type InformationRsp struct {
@@ -433,5 +457,5 @@ func (c *InformationRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *InformationRsp) CoreFields() CoreFields { return CoreFields{} }
+// AppendCoreFields implements Command.
+func (c *InformationRsp) AppendCoreFields(f CoreFields) CoreFields { return f.reset() }

@@ -48,13 +48,13 @@ func (c *CreateChannelReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *CreateChannelReq) CoreFields() CoreFields {
-	return CoreFields{
-		PSM:           &c.PSM,
-		CIDs:          []*CID{&c.SCID},
-		ControllerIDs: []*uint8{&c.ControllerID},
-	}
+// AppendCoreFields implements Command.
+func (c *CreateChannelReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.PSM = &c.PSM
+	f.CIDs = append(f.CIDs, &c.SCID)
+	f.ControllerIDs = append(f.ControllerIDs, &c.ControllerID)
+	return f
 }
 
 // CreateChannelRsp (code 0x0D) answers a CreateChannelReq.
@@ -92,9 +92,11 @@ func (c *CreateChannelRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *CreateChannelRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID, &c.SCID}}
+// AppendCoreFields implements Command.
+func (c *CreateChannelRsp) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.DCID, &c.SCID)
+	return f
 }
 
 // MoveChannelReq (code 0x0E) asks to move a channel to another controller.
@@ -124,12 +126,12 @@ func (c *MoveChannelReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *MoveChannelReq) CoreFields() CoreFields {
-	return CoreFields{
-		CIDs:          []*CID{&c.ICID},
-		ControllerIDs: []*uint8{&c.DestControllerID},
-	}
+// AppendCoreFields implements Command.
+func (c *MoveChannelReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.ICID)
+	f.ControllerIDs = append(f.ControllerIDs, &c.DestControllerID)
+	return f
 }
 
 // MoveChannelRsp (code 0x0F) answers a MoveChannelReq.
@@ -159,9 +161,11 @@ func (c *MoveChannelRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *MoveChannelRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.ICID}}
+// AppendCoreFields implements Command.
+func (c *MoveChannelRsp) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.ICID)
+	return f
 }
 
 // MoveChannelConfirmReq (code 0x10) confirms the final move outcome.
@@ -191,9 +195,11 @@ func (c *MoveChannelConfirmReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *MoveChannelConfirmReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.ICID}}
+// AppendCoreFields implements Command.
+func (c *MoveChannelConfirmReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.ICID)
+	return f
 }
 
 // MoveChannelConfirmRsp (code 0x11) acknowledges the confirmation.
@@ -219,7 +225,9 @@ func (c *MoveChannelConfirmRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *MoveChannelConfirmRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.ICID}}
+// AppendCoreFields implements Command.
+func (c *MoveChannelConfirmRsp) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.ICID)
+	return f
 }

@@ -21,17 +21,20 @@ const maxECREDChannels = 5
 // CreditFielder is implemented by the credit-based channel commands whose
 // payloads carry flow-control negotiation values — SPSM, MTU, MPS and
 // CREDIT, the mutable-application (MA) fields of the paper's Table I for
-// the LE/enhanced credit-based command family. CreditFields returns
-// pointers into the command so a mutator can overwrite the values in
-// place, mirroring how CoreFields exposes the protocol-core fields.
+// the LE/enhanced credit-based command family. AppendCreditFields
+// appends pointers into the command so a mutator can overwrite the
+// values in place, mirroring how AppendCoreFields exposes the
+// protocol-core fields.
 //
 // Result fields are excluded: they encode an outcome, not a negotiated
 // quantity, and the classification keeps them fixed-application.
 type CreditFielder interface {
 	Command
-	// CreditFields returns in-place references to the command's
-	// credit-negotiation fields, in wire order.
-	CreditFields() []*uint16
+	// AppendCreditFields appends in-place references to the command's
+	// credit-negotiation fields, in wire order, to dst and returns the
+	// extended slice; pass dst[:0] to reuse a scratch, nil for a fresh
+	// slice.
+	AppendCreditFields(dst []*uint16) []*uint16
 }
 
 var (
@@ -80,8 +83,8 @@ func (c *ConnParamUpdateReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *ConnParamUpdateReq) CoreFields() CoreFields { return CoreFields{} }
+// AppendCoreFields implements Command.
+func (c *ConnParamUpdateReq) AppendCoreFields(f CoreFields) CoreFields { return f.reset() }
 
 // ConnParamUpdateRsp (code 0x13) accepts or rejects the parameter update.
 type ConnParamUpdateRsp struct {
@@ -104,8 +107,8 @@ func (c *ConnParamUpdateRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *ConnParamUpdateRsp) CoreFields() CoreFields { return CoreFields{} }
+// AppendCoreFields implements Command.
+func (c *ConnParamUpdateRsp) AppendCoreFields(f CoreFields) CoreFields { return f.reset() }
 
 // LECreditConnReq (code 0x14) opens an LE credit-based channel. SPSM,
 // MTU, MPS and CREDIT are MA fields per the paper; the SCID is CIDP.
@@ -147,14 +150,16 @@ func (c *LECreditConnReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *LECreditConnReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.SCID}}
+// AppendCoreFields implements Command.
+func (c *LECreditConnReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.SCID)
+	return f
 }
 
-// CreditFields implements CreditFielder.
-func (c *LECreditConnReq) CreditFields() []*uint16 {
-	return []*uint16{&c.SPSM, &c.MTU, &c.MPS, &c.InitialCredits}
+// AppendCreditFields implements CreditFielder.
+func (c *LECreditConnReq) AppendCreditFields(dst []*uint16) []*uint16 {
+	return append(dst, &c.SPSM, &c.MTU, &c.MPS, &c.InitialCredits)
 }
 
 // LECreditConnRsp (code 0x15) answers an LECreditConnReq.
@@ -196,14 +201,16 @@ func (c *LECreditConnRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *LECreditConnRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.DCID}}
+// AppendCoreFields implements Command.
+func (c *LECreditConnRsp) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.DCID)
+	return f
 }
 
-// CreditFields implements CreditFielder.
-func (c *LECreditConnRsp) CreditFields() []*uint16 {
-	return []*uint16{&c.MTU, &c.MPS, &c.InitialCredits}
+// AppendCreditFields implements CreditFielder.
+func (c *LECreditConnRsp) AppendCreditFields(dst []*uint16) []*uint16 {
+	return append(dst, &c.MTU, &c.MPS, &c.InitialCredits)
 }
 
 // FlowControlCredit (code 0x16) grants additional credits on a
@@ -235,24 +242,25 @@ func (c *FlowControlCredit) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *FlowControlCredit) CoreFields() CoreFields {
-	return CoreFields{CIDs: []*CID{&c.CID}}
+// AppendCoreFields implements Command.
+func (c *FlowControlCredit) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = append(f.CIDs, &c.CID)
+	return f
 }
 
-// CreditFields implements CreditFielder.
-func (c *FlowControlCredit) CreditFields() []*uint16 {
-	return []*uint16{&c.Credits}
+// AppendCreditFields implements CreditFielder.
+func (c *FlowControlCredit) AppendCreditFields(dst []*uint16) []*uint16 {
+	return append(dst, &c.Credits)
 }
 
-// cidSliceRefs converts a CID slice into per-element pointers for
-// CoreFields.
-func cidSliceRefs(cids []CID) []*CID {
-	refs := make([]*CID, len(cids))
+// appendCIDRefs appends a pointer to each element of cids to dst, for
+// AppendCoreFields.
+func appendCIDRefs(dst []*CID, cids []CID) []*CID {
 	for i := range cids {
-		refs[i] = &cids[i]
+		dst = append(dst, &cids[i])
 	}
-	return refs
+	return dst
 }
 
 // marshalCIDs appends each CID in wire order.
@@ -326,14 +334,16 @@ func (c *CreditBasedConnReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *CreditBasedConnReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: cidSliceRefs(c.SCIDs)}
+// AppendCoreFields implements Command.
+func (c *CreditBasedConnReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = appendCIDRefs(f.CIDs, c.SCIDs)
+	return f
 }
 
-// CreditFields implements CreditFielder.
-func (c *CreditBasedConnReq) CreditFields() []*uint16 {
-	return []*uint16{&c.SPSM, &c.MTU, &c.MPS, &c.InitialCredits}
+// AppendCreditFields implements CreditFielder.
+func (c *CreditBasedConnReq) AppendCreditFields(dst []*uint16) []*uint16 {
+	return append(dst, &c.SPSM, &c.MTU, &c.MPS, &c.InitialCredits)
 }
 
 // CreditBasedConnRsp (code 0x18) answers a CreditBasedConnReq.
@@ -379,14 +389,16 @@ func (c *CreditBasedConnRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *CreditBasedConnRsp) CoreFields() CoreFields {
-	return CoreFields{CIDs: cidSliceRefs(c.DCIDs)}
+// AppendCoreFields implements Command.
+func (c *CreditBasedConnRsp) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = appendCIDRefs(f.CIDs, c.DCIDs)
+	return f
 }
 
-// CreditFields implements CreditFielder.
-func (c *CreditBasedConnRsp) CreditFields() []*uint16 {
-	return []*uint16{&c.MTU, &c.MPS, &c.InitialCredits}
+// AppendCreditFields implements CreditFielder.
+func (c *CreditBasedConnRsp) AppendCreditFields(dst []*uint16) []*uint16 {
+	return append(dst, &c.MTU, &c.MPS, &c.InitialCredits)
 }
 
 // CreditBasedReconfReq (code 0x19) renegotiates MTU/MPS on enhanced
@@ -425,14 +437,16 @@ func (c *CreditBasedReconfReq) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *CreditBasedReconfReq) CoreFields() CoreFields {
-	return CoreFields{CIDs: cidSliceRefs(c.DCIDs)}
+// AppendCoreFields implements Command.
+func (c *CreditBasedReconfReq) AppendCoreFields(f CoreFields) CoreFields {
+	f = f.reset()
+	f.CIDs = appendCIDRefs(f.CIDs, c.DCIDs)
+	return f
 }
 
-// CreditFields implements CreditFielder.
-func (c *CreditBasedReconfReq) CreditFields() []*uint16 {
-	return []*uint16{&c.MTU, &c.MPS}
+// AppendCreditFields implements CreditFielder.
+func (c *CreditBasedReconfReq) AppendCreditFields(dst []*uint16) []*uint16 {
+	return append(dst, &c.MTU, &c.MPS)
 }
 
 // CreditBasedReconfRsp (code 0x1A) answers a CreditBasedReconfReq.
@@ -456,5 +470,5 @@ func (c *CreditBasedReconfRsp) UnmarshalData(data []byte) error {
 	return nil
 }
 
-// CoreFields implements Command.
-func (c *CreditBasedReconfRsp) CoreFields() CoreFields { return CoreFields{} }
+// AppendCoreFields implements Command.
+func (c *CreditBasedReconfRsp) AppendCoreFields(f CoreFields) CoreFields { return f.reset() }

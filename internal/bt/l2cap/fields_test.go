@@ -50,15 +50,15 @@ func TestFieldClassificationMatchesPaperFigure6(t *testing.T) {
 }
 
 func TestCoreFieldsAgreeWithClassification(t *testing.T) {
-	// For every command, the CoreFields exposed by the concrete struct
+	// For every command, the core fields the concrete struct appends
 	// must be non-empty exactly when the classification table lists an MC
 	// field.
 	for _, cmd := range sampleCommands() {
 		code := cmd.Code()
 		wantCore := HasCoreFields(code)
-		gotCore := !cmd.CoreFields().Empty()
+		gotCore := !cmd.AppendCoreFields(CoreFields{}).Empty()
 		if wantCore != gotCore {
-			t.Errorf("%v: CoreFields().Empty() = %v but classification HasCoreFields = %v",
+			t.Errorf("%v: AppendCoreFields(CoreFields{}).Empty() = %v but classification HasCoreFields = %v",
 				code, !gotCore, wantCore)
 		}
 	}
@@ -66,11 +66,11 @@ func TestCoreFieldsAgreeWithClassification(t *testing.T) {
 
 func TestCoreFieldsMutateInPlace(t *testing.T) {
 	req := &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}
-	core := req.CoreFields()
+	core := req.AppendCoreFields(CoreFields{})
 	*core.PSM = 0x0100
 	*core.CIDs[0] = 0x1234
 	if req.PSM != 0x0100 || req.SCID != 0x1234 {
-		t.Fatalf("mutation through CoreFields did not reach the struct: %+v", req)
+		t.Fatalf("mutation through AppendCoreFields did not reach the struct: %+v", req)
 	}
 	data := req.AppendData(nil)
 	if getU16(data, 0) != 0x0100 || getU16(data, 2) != 0x1234 {

@@ -7,14 +7,21 @@ import (
 	"testing"
 )
 
+// newReject builds a CommandReject through one of its setters.
+func newReject(set func(*CommandReject)) *CommandReject {
+	r := &CommandReject{}
+	set(r)
+	return r
+}
+
 // sampleCommands returns a populated instance of every command type, with
 // representative non-default values so round-trip tests exercise every
 // field.
 func sampleCommands() []Command {
 	return []Command{
 		&CommandReject{Reason: RejectNotUnderstood},
-		NewMTUExceededReject(672),
-		NewInvalidCIDReject(0x0040, 0x0041),
+		newReject(func(r *CommandReject) { r.SetMTUExceeded(672) }),
+		newReject(func(r *CommandReject) { r.SetInvalidCID(0x0040, 0x0041) }),
 		&ConnectionReq{PSM: PSMRFCOMM, SCID: 0x0044},
 		&ConnectionRsp{DCID: 0x0052, SCID: 0x0044, Result: ConnResultPending, Status: 1},
 		&ConfigurationReq{DCID: 0x0052, Flags: 1, Options: []ConfigOption{

@@ -113,15 +113,21 @@ type Command interface {
 	// command is valid only while data is. Callers that retain the
 	// command past the buffer's lifetime must copy those fields.
 	UnmarshalData(data []byte) error
-	// CoreFields exposes the mutable-core (MC) fields of the command for
-	// L2Fuzz's core-field mutating: the PSM (port) and every channel ID
-	// carried in the payload (CIDP). Nil/empty members mean the command
-	// has no such field.
-	CoreFields() CoreFields
+	// AppendCoreFields refills f with the mutable-core (MC) fields of the
+	// command for L2Fuzz's core-field mutating: the PSM (port) and every
+	// channel ID carried in the payload (CIDP). It empties f first, so
+	// nothing of an earlier command survives, and appends into f's CIDs
+	// and ControllerIDs backing arrays, so a caller that passes back the
+	// previous result allocates nothing once they have grown. Pass the
+	// zero CoreFields for fresh slices. Nil/empty members mean the
+	// command has no such field.
+	AppendCoreFields(f CoreFields) CoreFields
 }
 
 // CoreFields references a command's mutable-core fields in place, letting
-// a mutator rewrite them without knowing the command layout.
+// a mutator rewrite them without knowing the command layout. The
+// pointers reach into the command that filled it and stay valid as long
+// as that command does.
 type CoreFields struct {
 	// PSM points at the command's port field, if any.
 	PSM *PSM
@@ -137,6 +143,12 @@ type CoreFields struct {
 // (echo and information commands, pure result responses).
 func (c CoreFields) Empty() bool {
 	return c.PSM == nil && len(c.CIDs) == 0 && len(c.ControllerIDs) == 0
+}
+
+// reset empties c for refilling: no PSM, and CIDs and ControllerIDs cut
+// to length zero over their backing arrays.
+func (c CoreFields) reset() CoreFields {
+	return CoreFields{CIDs: c.CIDs[:0], ControllerIDs: c.ControllerIDs[:0]}
 }
 
 // newCommand returns a zero-valued concrete command for code.

@@ -26,6 +26,8 @@ type Mutator struct {
 	defaults [256]l2cap.Command // indexed by command code
 	tail     []byte
 	payload  []byte
+	core     l2cap.CoreFields // AppendCoreFields scratch
+	credit   []*uint16        // AppendCreditFields scratch
 }
 
 // NewMutator builds a mutator over the given RNG.
@@ -154,7 +156,8 @@ func (mu *Mutator) Mutate(id uint8, code l2cap.CommandCode) (l2cap.Packet, Mutat
 	}
 	info := Mutation{Code: code}
 
-	core := cmd.CoreFields()
+	mu.core = cmd.AppendCoreFields(mu.core)
+	core := mu.core
 	if core.PSM != nil {
 		*core.PSM = mu.AbnormalPSM()
 		info.PSMMutated = true
@@ -173,7 +176,8 @@ func (mu *Mutator) Mutate(id uint8, code l2cap.CommandCode) (l2cap.Packet, Mutat
 
 	if mu.creditRNG != nil {
 		if cc, ok := cmd.(l2cap.CreditFielder); ok {
-			for _, field := range cc.CreditFields() {
+			mu.credit = cc.AppendCreditFields(mu.credit[:0])
+			for _, field := range mu.credit {
 				*field = mu.creditValue()
 				info.CreditFieldsMutated++
 			}

@@ -53,6 +53,7 @@ type Sniffer struct {
 	// Reused decode scratch: taps never nest, so one of each suffices.
 	dec       l2cap.Decoder
 	sigFrames []l2cap.Frame
+	core      l2cap.CoreFields // isMalformed's AppendCoreFields scratch
 
 	// rejectedByCode correlates received Command Reject packets back to
 	// the command code of the tester request they answered (matched via
@@ -160,7 +161,8 @@ func (s *Sniffer) isMalformed(fr l2cap.Frame, cmd l2cap.Command) bool {
 	if len(fr.Tail) > 0 {
 		return true
 	}
-	core := cmd.CoreFields()
+	s.core = cmd.AppendCoreFields(s.core)
+	core := s.core
 	if core.PSM != nil && l2cap.IsAbnormalPSM(*core.PSM) {
 		return true
 	}

@@ -133,6 +133,8 @@ type Fuzzer struct {
 	lastPSM   l2cap.PSM
 	sent      int
 	sincePing int
+	// core is build's AppendCoreFields scratch.
+	core l2cap.CoreFields
 }
 
 // New builds a fuzzer over a tester client.
@@ -280,7 +282,8 @@ func (f *Fuzzer) build(code l2cap.CommandCode) (l2cap.Command, []byte) {
 		// AllCommandCodes only returns codes DefaultCommand knows.
 		panic(fmt.Sprintf("smfuzz: no default for %v: %v", code, err))
 	}
-	core := cmd.CoreFields()
+	f.core = cmd.AppendCoreFields(f.core)
+	core := f.core
 	if core.PSM != nil {
 		*core.PSM = f.choosePSM()
 	}
