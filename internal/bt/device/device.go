@@ -207,9 +207,6 @@ func (d *Device) Controller() *hci.Controller { return d.ctrl }
 // Crashed reports whether any defect has fired.
 func (d *Device) Crashed() bool { return d.serviceDown || d.poweredOff }
 
-// ServiceDown reports whether the Bluetooth service was terminated (DoS).
-func (d *Device) ServiceDown() bool { return d.serviceDown }
-
 // PoweredOff reports whether the whole device died (firmware crash).
 func (d *Device) PoweredOff() bool { return d.poweredOff }
 

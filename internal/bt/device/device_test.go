@@ -424,7 +424,7 @@ func TestBlueDroidVulnerabilityFiresAndDoSesDevice(t *testing.T) {
 	if _, err := cl.SendCommand(d.Address(), &l2cap.ConfigurationReq{DCID: 0x1240}, []byte{0xD2, 0x3A, 0x91, 0x0E}); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Crashed() || !d.ServiceDown() {
+	if !d.Crashed() || !d.serviceDown {
 		t.Fatal("defect did not fire")
 	}
 	dump := d.CrashDump()

@@ -26,7 +26,6 @@ type Controller struct {
 	discoverable  bool
 	connectable   bool
 
-	aclBufSize int
 	nextHandle ConnHandle
 
 	// txScratch is the reused wire buffer for outbound ACL fragments. A
@@ -72,8 +71,6 @@ type Config struct {
 	Discoverable bool
 	// Connectable controls page (connection) acceptance.
 	Connectable bool
-	// ACLBufferSize bounds fragment payloads; zero means the default.
-	ACLBufferSize int
 }
 
 // NewController creates a controller and registers it on the medium.
@@ -85,11 +82,7 @@ func NewController(m *radio.Medium, cfg Config) (*Controller, error) {
 		classOfDevice: cfg.ClassOfDevice,
 		discoverable:  cfg.Discoverable,
 		connectable:   cfg.Connectable,
-		aclBufSize:    cfg.ACLBufferSize,
 		nextHandle:    0x0001,
-	}
-	if c.aclBufSize <= 0 {
-		c.aclBufSize = DefaultACLBufferSize
 	}
 	if err := m.Register(c); err != nil {
 		return nil, fmt.Errorf("register controller: %w", err)
@@ -193,7 +186,7 @@ func (c *Controller) SendL2CAP(h ConnHandle, l2capFrame []byte) error {
 	boundary := BoundaryFirstFlushable
 	rest := l2capFrame
 	for {
-		n := min(len(rest), c.aclBufSize)
+		n := min(len(rest), DefaultACLBufferSize)
 		frag := ACLPacket{Handle: h, Boundary: boundary, Data: rest[:n]}
 		c.txScratch = frag.AppendTo(c.txScratch[:0])
 		if err := c.medium.Carry(c.addr, l.peer, c.txScratch); err != nil {

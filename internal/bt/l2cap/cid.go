@@ -37,9 +37,6 @@ const (
 // dynamic allocation.
 func (c CID) IsDynamic() bool { return c >= CIDDynamicFirst }
 
-// IsReserved reports whether c lies in the reserved range [0x0000, 0x003F].
-func (c CID) IsReserved() bool { return c < CIDDynamicFirst }
-
 // String renders the CID in the 0xNNNN form used by the specification.
 func (c CID) String() string { return fmt.Sprintf("CID(0x%04X)", uint16(c)) }
 
@@ -73,14 +70,6 @@ const (
 	// PSMDynamicFirst is the first dynamically assignable PSM.
 	PSMDynamicFirst PSM = 0x1001
 )
-
-// IsWellFormed reports whether p obeys the structural PSM rule: the least
-// significant octet must be odd and the most significant octet must be
-// even. Devices reject connect requests whose PSM violates this rule with
-// "PSM not supported" before any service lookup happens.
-func (p PSM) IsWellFormed() bool {
-	return p&0x0001 == 0x0001 && p&0x0100 == 0
-}
 
 // IsDynamic reports whether p lies in the dynamically assigned PSM space
 // (≥ 0x1001).

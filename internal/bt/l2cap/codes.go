@@ -55,21 +55,6 @@ func (c CommandCode) Valid() bool {
 	return c >= CodeCommandReject && c <= CodeCreditBasedReconfRsp
 }
 
-// IsRequest reports whether c is a request (or indication) that expects a
-// response, as opposed to a response/confirmation.
-func (c CommandCode) IsRequest() bool {
-	switch c {
-	case CodeConnectionReq, CodeConfigurationReq, CodeDisconnectionReq,
-		CodeEchoReq, CodeInformationReq, CodeCreateChannelReq,
-		CodeMoveChannelReq, CodeMoveChannelConfirmReq,
-		CodeConnParamUpdateReq, CodeLECreditConnReq,
-		CodeCreditBasedConnReq, CodeCreditBasedReconfReq:
-		return true
-	default:
-		return false
-	}
-}
-
 // commandCodeNames is built once and indexed by code, so naming a code
 // neither allocates nor hashes.
 var commandCodeNames = [...]string{

@@ -175,25 +175,6 @@ var commandFields = map[CommandCode][]FieldSpec{
 	},
 }
 
-// Fields returns the classification of code's data fields in wire order,
-// or nil for an unknown code. The returned slice is shared; callers must
-// not mutate it.
-func Fields(code CommandCode) []FieldSpec {
-	return commandFields[code]
-}
-
-// HasCoreFields reports whether code carries any mutable-core field —
-// that is, whether core-field mutating can produce a distinct malformed
-// variant of it.
-func HasCoreFields(code CommandCode) bool {
-	for _, f := range commandFields[code] {
-		if f.Class == FieldMutableCore {
-			return true
-		}
-	}
-	return false
-}
-
 // DefaultCommand builds a command of the given code with the default
 // (well-formed, non-malicious) values L2Fuzz keeps for MA fields:
 // a benign SDP connect, a minimal config exchange, spec-minimum MTUs.

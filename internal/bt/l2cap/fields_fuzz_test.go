@@ -13,7 +13,7 @@ import (
 // REASON_DATA), which always come last.
 func fieldOffsets(code CommandCode, data []byte) (names []string, offsets []int) {
 	off := 0
-	for _, f := range Fields(code) {
+	for _, f := range commandFields[code] {
 		switch f.Name {
 		case "OPT", "DATA", "REASON_DATA":
 			return names, offsets

@@ -4,12 +4,12 @@ import "testing"
 
 func TestEveryCommandHasFieldClassification(t *testing.T) {
 	for _, code := range AllCommandCodes() {
-		if Fields(code) == nil {
-			t.Errorf("Fields(%v) = nil; every command needs a classification", code)
+		if commandFields[code] == nil {
+			t.Errorf("commandFields[%v] = nil; every command needs a classification", code)
 		}
 	}
-	if Fields(0x7F) != nil {
-		t.Error("Fields(unknown) should be nil")
+	if commandFields[0x7F] != nil {
+		t.Error("commandFields[unknown] should be nil")
 	}
 }
 
@@ -32,7 +32,7 @@ func TestFieldClassificationMatchesPaperFigure6(t *testing.T) {
 	}
 	for _, tt := range tests {
 		var got []string
-		for _, f := range Fields(tt.code) {
+		for _, f := range commandFields[tt.code] {
 			if f.Class == FieldMutableCore {
 				got = append(got, f.Name)
 			}
@@ -55,11 +55,15 @@ func TestCoreFieldsAgreeWithClassification(t *testing.T) {
 	// field.
 	for _, cmd := range sampleCommands() {
 		code := cmd.Code()
-		wantCore := HasCoreFields(code)
-		gotCore := !cmd.AppendCoreFields(CoreFields{}).Empty()
+		wantCore := false
+		for _, f := range commandFields[code] {
+			wantCore = wantCore || f.Class == FieldMutableCore
+		}
+		cf := cmd.AppendCoreFields(CoreFields{})
+		gotCore := cf.PSM != nil || len(cf.CIDs) > 0 || len(cf.ControllerIDs) > 0
 		if wantCore != gotCore {
-			t.Errorf("%v: AppendCoreFields(CoreFields{}).Empty() = %v but classification HasCoreFields = %v",
-				code, !gotCore, wantCore)
+			t.Errorf("%v: AppendCoreFields(CoreFields{}) non-empty = %v but the classification lists MC fields = %v",
+				code, gotCore, wantCore)
 		}
 	}
 }
@@ -133,31 +137,9 @@ func TestIsAbnormalPSM(t *testing.T) {
 	}
 }
 
-func TestPSMWellFormedness(t *testing.T) {
-	tests := []struct {
-		psm  PSM
-		want bool
-	}{
-		{0x0001, true},
-		{0x0003, true},
-		{0x1001, true},
-		{0x0002, false}, // even LSB octet
-		{0x0101, false}, // odd MSB octet
-		{0xFF01, false}, // odd MSB octet
-	}
-	for _, tt := range tests {
-		if got := tt.psm.IsWellFormed(); got != tt.want {
-			t.Errorf("PSM(%04X).IsWellFormed() = %v, want %v", uint16(tt.psm), got, tt.want)
-		}
-	}
-}
-
 func TestCIDRanges(t *testing.T) {
 	if CIDSignaling.IsDynamic() {
 		t.Error("signaling CID must not be dynamic")
-	}
-	if !CIDSignaling.IsReserved() {
-		t.Error("signaling CID must be reserved")
 	}
 	if !CID(0x0040).IsDynamic() {
 		t.Error("0x0040 must be dynamic")

@@ -59,12 +59,6 @@ type ConfigOption struct {
 	Value []byte
 }
 
-// IsHint reports whether the option may be skipped when unknown.
-func (o ConfigOption) IsHint() bool { return o.Type&optionHintBit != 0 }
-
-// WireSize is the encoded size of the option.
-func (o ConfigOption) WireSize() int { return 2 + len(o.Value) }
-
 // Known reports whether the option type (ignoring the hint bit) is one of
 // the seven defined by Bluetooth 5.2 and whether its payload length
 // matches the defined size.
@@ -76,20 +70,6 @@ func (o ConfigOption) Known() bool {
 // MTUOption builds the MTU configuration option.
 func MTUOption(mtu uint16) ConfigOption {
 	return ConfigOption{Type: OptionMTU, Value: putU16(nil, mtu)}
-}
-
-// FlushTimeoutOption builds the flush-timeout configuration option.
-func FlushTimeoutOption(timeout uint16) ConfigOption {
-	return ConfigOption{Type: OptionFlushTimeout, Value: putU16(nil, timeout)}
-}
-
-// MTUValue extracts the MTU from an OptionMTU value; ok is false when the
-// option is not a well-formed MTU option.
-func MTUValue(o ConfigOption) (mtu uint16, ok bool) {
-	if o.Type&^optionHintBit != OptionMTU || len(o.Value) != 2 {
-		return 0, false
-	}
-	return getU16(o.Value, 0), true
 }
 
 // appendOptions encodes options in order.

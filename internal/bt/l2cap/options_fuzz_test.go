@@ -10,7 +10,7 @@ import (
 // exactly the input bytes, and a list it rejects leaves the caller's dst
 // as it was.
 func FuzzAppendParsedOptions(f *testing.F) {
-	f.Add(appendOptions(nil, []ConfigOption{MTUOption(672), FlushTimeoutOption(0xFFFF)}))
+	f.Add(appendOptions(nil, []ConfigOption{MTUOption(672), {Type: OptionFlushTimeout, Value: []byte{0xFF, 0xFF}}}))
 	f.Add(appendOptions(nil, []ConfigOption{{Type: OptionQoS, Value: make([]byte, 22)}}))
 	f.Add(appendOptions(nil, []ConfigOption{{Type: 0x55 | optionHintBit, Value: []byte{1, 2, 3}}}))
 	f.Add([]byte{byte(OptionMTU)})             // truncated header
@@ -37,7 +37,7 @@ func FuzzAppendParsedOptions(f *testing.F) {
 			t.Fatalf("failed decode returned len %d cap %d, want dst (len %d cap %d)",
 				len(out), cap(out), len(dst), cap(dst))
 		}
-		if v, ok := MTUValue(out[0]); !ok || v != 672 {
+		if o := out[0]; o.Type != OptionMTU || len(o.Value) != 2 || getU16(o.Value, 0) != 672 {
 			t.Fatalf("failed decode changed dst[0] to %+v", out[0])
 		}
 	})

@@ -9,7 +9,7 @@ import (
 func TestOptionsRoundTrip(t *testing.T) {
 	in := []ConfigOption{
 		MTUOption(1024),
-		FlushTimeoutOption(0xFFFF),
+		{Type: OptionFlushTimeout, Value: []byte{0xFF, 0xFF}},
 		{Type: OptionFCS, Value: []byte{0x01}},
 		{Type: OptionQoS, Value: make([]byte, 22)},
 		{Type: 0x55 | 0x80, Value: []byte{1, 2, 3}}, // unknown hint
@@ -57,14 +57,8 @@ func TestParseOptionsEmpty(t *testing.T) {
 
 func TestOptionPredicates(t *testing.T) {
 	mtu := MTUOption(672)
-	if mtu.IsHint() {
-		t.Error("MTU option must not be a hint")
-	}
 	if !mtu.Known() {
 		t.Error("MTU option with 2-byte value must be Known")
-	}
-	if got := mtu.WireSize(); got != 4 {
-		t.Errorf("WireSize() = %d, want 4", got)
 	}
 
 	bad := ConfigOption{Type: OptionMTU, Value: []byte{1}}
@@ -73,9 +67,6 @@ func TestOptionPredicates(t *testing.T) {
 	}
 
 	hint := ConfigOption{Type: OptionMTU | 0x80, Value: []byte{0, 0}}
-	if !hint.IsHint() {
-		t.Error("high-bit option must be a hint")
-	}
 	if !hint.Known() {
 		t.Error("hinted MTU with right size must still be Known")
 	}
@@ -83,17 +74,5 @@ func TestOptionPredicates(t *testing.T) {
 	unknown := ConfigOption{Type: 0x55, Value: nil}
 	if unknown.Known() {
 		t.Error("unknown type must not be Known")
-	}
-}
-
-func TestMTUValue(t *testing.T) {
-	if v, ok := MTUValue(MTUOption(512)); !ok || v != 512 {
-		t.Errorf("MTUValue() = (%d, %v), want (512, true)", v, ok)
-	}
-	if _, ok := MTUValue(FlushTimeoutOption(1)); ok {
-		t.Error("MTUValue(flush timeout) must not be ok")
-	}
-	if _, ok := MTUValue(ConfigOption{Type: OptionMTU, Value: []byte{1}}); ok {
-		t.Error("MTUValue(short value) must not be ok")
 	}
 }

@@ -53,8 +53,8 @@ var (
 // derived from len(Payload): L2Fuzz keeps dependent fields at their
 // original values while appending garbage, so the declared length and the
 // actual byte count legitimately diverge in test packets. Use NewPacket to
-// build a consistent frame and AppendGarbage to grow the payload without
-// touching the declared length.
+// build a consistent frame and SignalPacket to carry a garbage tail
+// beyond the declared length.
 type Packet struct {
 	// Length is the declared payload length from the wire header.
 	Length uint16
@@ -75,30 +75,6 @@ func NewPacket(cid CID, payload []byte) Packet {
 	}
 }
 
-// AppendGarbage returns a copy of p with tail appended to the payload
-// while the declared header length stays unchanged — exactly the shape
-// L2Fuzz's core-field mutating produces (paper Figure 7). The original
-// packet is not modified.
-func (p Packet) AppendGarbage(tail []byte) Packet {
-	payload := make([]byte, 0, len(p.Payload)+len(tail))
-	payload = append(payload, p.Payload...)
-	payload = append(payload, tail...)
-	p.Payload = payload
-	return p
-}
-
-// TrailingGarbage returns the payload bytes beyond the declared length,
-// or nil when the declared length covers (or exceeds) the payload.
-func (p Packet) TrailingGarbage() []byte {
-	if int(p.Length) >= len(p.Payload) {
-		return nil
-	}
-	return p.Payload[p.Length:]
-}
-
-// WireSize returns the number of bytes AppendTo appends.
-func (p Packet) WireSize() int { return HeaderSize + len(p.Payload) }
-
 // AppendTo appends the wire form of the frame to dst and returns the
 // extended slice; pass nil for a fresh buffer.
 func (p Packet) AppendTo(dst []byte) []byte {
@@ -116,8 +92,8 @@ func (p Packet) AppendTo(dst []byte) []byte {
 //
 // A frame whose declared length exceeds the available bytes fails with
 // ErrLengthMismatch; a frame with *extra* bytes beyond the declared length
-// decodes successfully and reports them via TrailingGarbage, mirroring how
-// permissive stacks treat garbage tails.
+// decodes successfully and keeps them in Payload beyond Length, mirroring
+// how permissive stacks treat garbage tails.
 func ParsePacket(raw []byte) (Packet, error) {
 	if len(raw) < HeaderSize {
 		return Packet{}, fmt.Errorf("%w: got %d bytes", ErrShortPacket, len(raw))

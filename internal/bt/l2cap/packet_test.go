@@ -14,8 +14,8 @@ func TestNewPacketConsistency(t *testing.T) {
 	if !p.IsSignaling() {
 		t.Fatalf("IsSignaling() = false, want true")
 	}
-	if g := p.TrailingGarbage(); g != nil {
-		t.Fatalf("TrailingGarbage() = %v, want nil", g)
+	if len(p.Payload) != int(p.Length) {
+		t.Fatalf("payload of %d bytes beyond declared Length %d, want none", len(p.Payload), p.Length)
 	}
 }
 
@@ -69,30 +69,14 @@ func TestUnmarshalPacketErrors(t *testing.T) {
 	}
 }
 
-func TestAppendGarbageKeepsDeclaredLength(t *testing.T) {
-	base := NewPacket(CIDSignaling, []byte{0x08, 0x01, 0x00, 0x00})
-	mutated := base.AppendGarbage([]byte{0xD2, 0x3A, 0x91, 0x0E})
-
-	if mutated.Length != base.Length {
-		t.Errorf("mutated Length = %d, want %d (dependent field must stay)", mutated.Length, base.Length)
-	}
-	if got := mutated.TrailingGarbage(); !bytes.Equal(got, []byte{0xD2, 0x3A, 0x91, 0x0E}) {
-		t.Errorf("TrailingGarbage() = %x, want d23a910e", got)
-	}
-	// The original must be untouched (copy-at-boundary semantics).
-	if len(base.Payload) != 4 {
-		t.Errorf("base payload grew to %d bytes; AppendGarbage must not mutate its receiver", len(base.Payload))
-	}
-}
-
 func TestGarbagePacketRoundTripsThroughWire(t *testing.T) {
 	base := SignalPacket(1, &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}, []byte{0xDE, 0xAD})
 	out, err := ParsePacket(base.AppendTo(nil))
 	if err != nil {
 		t.Fatalf("ParsePacket() error = %v", err)
 	}
-	if got := out.TrailingGarbage(); !bytes.Equal(got, []byte{0xDE, 0xAD}) {
-		t.Fatalf("TrailingGarbage() = %x, want dead", got)
+	if got := out.Payload[out.Length:]; !bytes.Equal(got, []byte{0xDE, 0xAD}) {
+		t.Fatalf("bytes beyond the declared length = %x, want dead", got)
 	}
 	frames, err := ParseSignals(out.Payload)
 	if err != nil {
@@ -123,8 +107,8 @@ func TestFigure7MutationExample(t *testing.T) {
 	if mutated.Length != 0x0C {
 		t.Fatalf("mutated declared length = %#x, want unchanged 0x0C", mutated.Length)
 	}
-	if mutated.WireSize() != HeaderSize+0x0C+4 {
-		t.Fatalf("mutated wire size = %d, want %d", mutated.WireSize(), HeaderSize+0x0C+4)
+	if got := len(mutated.AppendTo(nil)); got != HeaderSize+0x0C+4 {
+		t.Fatalf("mutated wire size = %d, want %d", got, HeaderSize+0x0C+4)
 	}
 
 	frames, err := ParseSignals(mutated.Payload)

@@ -109,9 +109,9 @@ func TestQuickParseSignalsReassembly(t *testing.T) {
 	}
 }
 
-// Property: IsAbnormalPSM and IsWellFormed are mutually consistent — a
-// well-formed PSM outside the Table-IV bands is never abnormal, and every
-// even PSM is abnormal.
+// Property: IsAbnormalPSM agrees with the structural PSM rule and the
+// Table-IV bands — an odd PSM outside the bands is never abnormal, and
+// every even PSM is abnormal.
 func TestQuickPSMClassification(t *testing.T) {
 	f := func(v uint16) bool {
 		p := PSM(v)

@@ -25,7 +25,7 @@ func sampleCommands() []Command {
 		&ConnectionReq{PSM: PSMRFCOMM, SCID: 0x0044},
 		&ConnectionRsp{DCID: 0x0052, SCID: 0x0044, Result: ConnResultPending, Status: 1},
 		&ConfigurationReq{DCID: 0x0052, Flags: 1, Options: []ConfigOption{
-			MTUOption(1024), FlushTimeoutOption(0xFFFF),
+			MTUOption(1024), {Type: OptionFlushTimeout, Value: []byte{0xFF, 0xFF}},
 		}},
 		&ConfigurationRsp{SCID: 0x0044, Result: ConfigUnacceptableParams, Options: []ConfigOption{
 			MTUOption(512),

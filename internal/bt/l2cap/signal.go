@@ -139,12 +139,6 @@ type CoreFields struct {
 	ControllerIDs []*uint8
 }
 
-// Empty reports whether the command exposes no mutable-core fields at all
-// (echo and information commands, pure result responses).
-func (c CoreFields) Empty() bool {
-	return c.PSM == nil && len(c.CIDs) == 0 && len(c.ControllerIDs) == 0
-}
-
 // reset empties c for refilling: no PSM, and CIDs and ControllerIDs cut
 // to length zero over their backing arrays.
 func (c CoreFields) reset() CoreFields {

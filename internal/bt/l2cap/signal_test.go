@@ -120,14 +120,4 @@ func TestCommandCodeProperties(t *testing.T) {
 	if CommandCode(0x00).Valid() || CommandCode(0x1B).Valid() {
 		t.Error("out-of-range codes reported valid")
 	}
-	// Exactly 12 request-style codes.
-	reqs := 0
-	for _, c := range codes {
-		if c.IsRequest() {
-			reqs++
-		}
-	}
-	if reqs != 12 {
-		t.Errorf("IsRequest() true for %d codes, want 12", reqs)
-	}
 }

@@ -33,16 +33,6 @@ type InquiryResult struct {
 	ClassOfDevice uint32
 }
 
-// TapDirection distinguishes the two directions a tap observes.
-type TapDirection uint8
-
-const (
-	// DirTx is a frame leaving the tap owner's perspective device.
-	DirTx TapDirection = iota + 1
-	// DirRx is a frame arriving at the tap owner's perspective device.
-	DirRx
-)
-
 // TapFrame is one captured frame: what a Wireshark capture on the
 // paper's test machine would record.
 type TapFrame struct {

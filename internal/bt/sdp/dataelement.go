@@ -43,9 +43,6 @@ var (
 	ErrBadDescriptor = errors.New("sdp: unsupported element descriptor")
 )
 
-// Uint8El builds an 8-bit unsigned element.
-func Uint8El(v uint8) DataElement { return DataElement{Type: TypeUint, Uint: uint64(v)} }
-
 // Uint16El builds a 16-bit unsigned element.
 func Uint16El(v uint16) DataElement {
 	return DataElement{Type: TypeUint, Uint: uint64(v), Bytes: []byte{2}}

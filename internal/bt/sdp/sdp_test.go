@@ -17,7 +17,7 @@ func TestDataElementRoundTrips(t *testing.T) {
 		el   DataElement
 	}{
 		{"nil", DataElement{Type: TypeNil}},
-		{"uint8", Uint8El(0x7F)},
+		{"uint8", DataElement{Type: TypeUint, Uint: 0x7F}},
 		{"uint16", Uint16El(0x1234)},
 		{"uint32", Uint32El(0xDEADBEEF)},
 		{"uuid16", UUID16El(0x0100)},

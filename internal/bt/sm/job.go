@@ -31,14 +31,6 @@ const (
 // NumJobs is the number of jobs in the paper's Table I.
 const NumJobs = 7
 
-// AllJobs returns the seven jobs in declaration order.
-func AllJobs() []Job {
-	return []Job{
-		JobClosed, JobConnection, JobCreation, JobConfiguration,
-		JobDisconnection, JobMove, JobOpen,
-	}
-}
-
 func (j Job) String() string {
 	switch j {
 	case JobClosed:
@@ -98,17 +90,6 @@ func JobOf(state State) Job {
 	return jobOf[state]
 }
 
-// StatesOf returns the states belonging to job, in declaration order.
-func StatesOf(job Job) []State {
-	var out []State
-	for _, s := range AllStates() {
-		if jobOf[s] == job {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ValidCommands returns the signaling commands that are valid for a device
 // whose channel is in a state of the given job — the paper's Table III.
 // JobClosed and JobOpen accept all 26 commands; the intermediate jobs
@@ -134,15 +115,4 @@ func ValidCommands(job Job) []l2cap.CommandCode {
 	default:
 		return nil
 	}
-}
-
-// CommandValidInState reports whether a packet carrying code is valid for
-// a device whose channel is in state, per the job-based Table III map.
-func CommandValidInState(code l2cap.CommandCode, state State) bool {
-	for _, c := range ValidCommands(JobOf(state)) {
-		if c == code {
-			return true
-		}
-	}
-	return false
 }

@@ -373,14 +373,6 @@ func (m *Machine) Apply(event Event) (Transition, bool) {
 	return t, true
 }
 
-// Force moves the machine to state without consulting the table. The
-// vendor stacks use it to model implementation quirks (the paper notes
-// some Android devices accept events the specification says to reject).
-func (m *Machine) Force(state State) {
-	m.state = state
-	m.noteVisit(state)
-}
-
 func (m *Machine) noteVisit(s State) {
 	for _, v := range m.visited {
 		if v == s {

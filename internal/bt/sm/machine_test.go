@@ -185,13 +185,13 @@ func TestAllResponderReachableStatesAreReachable(t *testing.T) {
 			visited[s] = true
 		}
 	}
-	for _, s := range ResponderReachableStates() {
+	for s := range responderReachable {
 		if !visited[s] {
 			t.Errorf("responder-reachable state %v not reached by recipes", s)
 		}
 	}
 	for s := range visited {
-		if !s.ResponderReachable() {
+		if !responderReachable[s] {
 			t.Errorf("reached %v, which is marked responder-unreachable", s)
 		}
 	}
@@ -212,23 +212,6 @@ func TestVisitedDeduplicates(t *testing.T) {
 	reconfigure()
 	if got := len(m.Visited()); got != n {
 		t.Errorf("Visited() grew from %d to %d on identical revisits", n, got)
-	}
-}
-
-func TestForceRecordsVisit(t *testing.T) {
-	m := NewMachine()
-	m.Force(StateOpen)
-	if m.State() != StateOpen {
-		t.Fatalf("state = %v, want OPEN", m.State())
-	}
-	found := false
-	for _, s := range m.Visited() {
-		if s == StateOpen {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("forced state missing from Visited()")
 	}
 }
 

@@ -124,31 +124,3 @@ func (s State) String() string {
 		return fmt.Sprintf("State(%d)", uint8(s))
 	}
 }
-
-// ResponderReachable reports whether a master-side tester can steer an
-// acceptor (slave) device into s. Six states require the device itself to
-// initiate a transaction (connect, create, move or lockstep control) and
-// are unreachable from the tester side — the restriction the paper's
-// limitations section describes. The remaining 13 are exactly the states
-// Figure 10 reports L2Fuzz covering.
-func (s State) ResponderReachable() bool {
-	switch s {
-	case StateWaitConnectRsp, StateWaitCreateRsp, StateWaitMoveRsp,
-		StateWaitConfirmRsp, StateWaitFinalRsp, StateWaitControlInd:
-		return false
-	default:
-		return s.Valid()
-	}
-}
-
-// ResponderReachableStates returns the 13 states a master-side tester can
-// reach on an acceptor device, in declaration order.
-func ResponderReachableStates() []State {
-	var out []State
-	for _, s := range AllStates() {
-		if s.ResponderReachable() {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"slices"
 	"testing"
 
 	"l2fuzz/internal/bt/l2cap"
@@ -46,21 +47,17 @@ func TestJobPartitionMatchesTableI(t *testing.T) {
 		JobOpen:          {StateOpen},
 	}
 
+	got := make(map[Job][]State)
+	for _, s := range AllStates() {
+		got[JobOf(s)] = append(got[JobOf(s)], s)
+	}
 	total := 0
 	for job, states := range want {
-		got := StatesOf(job)
-		if len(got) != len(states) {
-			t.Errorf("StatesOf(%v) = %v, want %v", job, got, states)
+		if len(got[job]) != len(states) {
+			t.Errorf("states of %v = %v, want %v", job, got[job], states)
 			continue
 		}
-		gotSet := make(map[State]bool)
-		for _, s := range got {
-			gotSet[s] = true
-		}
 		for _, s := range states {
-			if !gotSet[s] {
-				t.Errorf("StatesOf(%v) missing %v", job, s)
-			}
 			if JobOf(s) != job {
 				t.Errorf("JobOf(%v) = %v, want %v", s, JobOf(s), job)
 			}
@@ -70,8 +67,8 @@ func TestJobPartitionMatchesTableI(t *testing.T) {
 	if total != NumStates {
 		t.Errorf("jobs partition %d states, want %d", total, NumStates)
 	}
-	if len(AllJobs()) != NumJobs {
-		t.Errorf("AllJobs() has %d jobs, want %d", len(AllJobs()), NumJobs)
+	if len(got) != NumJobs {
+		t.Errorf("JobOf maps the states onto %d jobs, want %d", len(got), NumJobs)
 	}
 }
 
@@ -128,26 +125,37 @@ func TestCommandValidInState(t *testing.T) {
 		{l2cap.CodeDisconnectionReq, StateWaitDisconnect, true},
 	}
 	for _, tt := range tests {
-		if got := CommandValidInState(tt.code, tt.state); got != tt.want {
-			t.Errorf("CommandValidInState(%v, %v) = %v, want %v",
-				tt.code, tt.state, got, tt.want)
+		if got := slices.Contains(ValidCommands(JobOf(tt.state)), tt.code); got != tt.want {
+			t.Errorf("%v valid in %v = %v, want %v", tt.code, tt.state, got, tt.want)
 		}
 	}
 }
 
+// responderReachable is the paper's Figure 10 set: the 13 states a
+// master-side tester can steer an acceptor device into.
+var responderReachable = map[State]bool{
+	StateClosed: true, StateWaitConnect: true, StateWaitCreate: true,
+	StateWaitConfig: true, StateWaitConfigRsp: true, StateWaitConfigReq: true,
+	StateWaitConfigReqRsp: true, StateWaitSendConfig: true, StateWaitIndFinalRsp: true,
+	StateWaitDisconnect: true, StateWaitMove: true, StateWaitMoveConfirm: true,
+	StateOpen: true,
+}
+
+// TestResponderReachableStates pins the Figure 10 set: 13 states, and
+// with the six the device itself must initiate (connect, create, move
+// or lockstep control) it partitions all 19.
 func TestResponderReachableStates(t *testing.T) {
-	reachable := ResponderReachableStates()
-	if len(reachable) != 13 {
-		t.Fatalf("len(ResponderReachableStates()) = %d, want 13 (paper Figure 10)", len(reachable))
+	if len(responderReachable) != 13 {
+		t.Fatalf("%d responder-reachable states, want 13 (paper Figure 10)", len(responderReachable))
 	}
 	unreachable := map[State]bool{
 		StateWaitConnectRsp: true, StateWaitCreateRsp: true,
 		StateWaitMoveRsp: true, StateWaitConfirmRsp: true,
 		StateWaitFinalRsp: true, StateWaitControlInd: true,
 	}
-	for _, s := range reachable {
-		if unreachable[s] {
-			t.Errorf("%v reported responder-reachable, want unreachable", s)
+	for _, s := range AllStates() {
+		if responderReachable[s] == unreachable[s] {
+			t.Errorf("%v is in both or neither of the reachable and unreachable sets", s)
 		}
 	}
 }

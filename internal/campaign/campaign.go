@@ -30,15 +30,16 @@ type Config struct {
 	MaxRuns int
 	// MaxPacketsPerRun bounds each run.
 	MaxPacketsPerRun int
-	// StopAfterDryRuns ends the campaign after this many consecutive
-	// runs without a finding (the target has probably been exhausted).
-	StopAfterDryRuns int
 	// MutateFuzz, when set, adjusts each run's derived fuzzer
 	// configuration after the campaign has applied its per-run seed and
 	// packet budget — the hook the fleet's ablation variants use to
 	// ablate campaign runs too.
 	MutateFuzz func(*core.Config)
 }
+
+// stopAfterDryRuns ends the campaign after this many consecutive runs
+// without a finding (the target has probably been exhausted).
+const stopAfterDryRuns = 2
 
 // DefaultConfig returns campaign defaults: up to eight runs, stopping
 // after two consecutive dry ones.
@@ -47,7 +48,6 @@ func DefaultConfig(seed int64) Config {
 		Seed:             seed,
 		MaxRuns:          8,
 		MaxPacketsPerRun: 250_000,
-		StopAfterDryRuns: 2,
 	}
 }
 
@@ -95,9 +95,6 @@ func New(cl *host.Client, dev *device.Device, cfg Config) *Runner {
 	if cfg.MaxPacketsPerRun <= 0 {
 		cfg.MaxPacketsPerRun = def.MaxPacketsPerRun
 	}
-	if cfg.StopAfterDryRuns <= 0 {
-		cfg.StopAfterDryRuns = def.StopAfterDryRuns
-	}
 	return &Runner{cl: cl, dev: dev, cfg: cfg}
 }
 
@@ -110,7 +107,7 @@ func (r *Runner) Run() (*Report, error) {
 	seen := make(map[core.Signature]int) // signature → index into Findings
 	dry := 0
 
-	for run := 0; run < r.cfg.MaxRuns && dry < r.cfg.StopAfterDryRuns; run++ {
+	for run := 0; run < r.cfg.MaxRuns && dry < stopAfterDryRuns; run++ {
 		// Every run is its own trace epoch, not just the runs that follow
 		// a finding and reset. A dry run still leaves link and channel
 		// state behind on the target, so a trace spanning the boundary

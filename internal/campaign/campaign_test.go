@@ -103,7 +103,6 @@ func TestCampaignCutsTraceEpochAtEveryRunBoundary(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.MaxRuns = 8
 	cfg.MaxPacketsPerRun = 5_000
-	cfg.StopAfterDryRuns = 2
 	report, err := New(cl, d, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,6 @@ func TestCampaignStopsOnDryStreak(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.MaxRuns = 8
 	cfg.MaxPacketsPerRun = 10_000
-	cfg.StopAfterDryRuns = 2
 	report, err := New(cl, d, cfg).Run()
 	if err != nil {
 		t.Fatal(err)

@@ -12,29 +12,15 @@ import (
 type Config struct {
 	// Seed drives every random choice; equal seeds give equal runs.
 	Seed int64
-	// PacketsPerCommand is n in Algorithm 1: malformed packets generated
-	// per valid command per state visit.
-	PacketsPerCommand int
-	// MaxGarbage bounds the appended garbage tail, keeping test packets
-	// under the signaling MTU.
-	MaxGarbage int
-	// ThinkTime is the fuzzer-side processing cost charged to the
-	// simulated clock per generated packet; together with the radio
-	// timing it sets the packets-per-second rate (§IV-C reports 524.27
-	// pps for L2Fuzz).
-	ThinkTime time.Duration
-	// PingEvery runs the echo liveness probe after every PingEvery test
-	// packets (and always after a send error).
-	PingEvery int
 	// MaxPackets caps the run; zero means DefaultMaxPackets. The run also
 	// ends when a vulnerability is detected.
 	MaxPackets int
 	// LogWriter receives the run log; nil discards it.
 	LogWriter io.Writer
-	// Counters, when set, receives hot-path telemetry: one bump per
-	// generated packet, malformed packet and successful mutation. All
-	// counter methods are nil-safe, so the fuzzer calls them
-	// unconditionally.
+	// Counters, when set, receives hot-path telemetry: the run's packet,
+	// malformed-packet and mutation tallies, kept locally and flushed
+	// through the batched Add* forms at every liveness probe and at run
+	// end, so no atomic sits on the per-packet path.
 	Counters *telemetry.Counters
 
 	// MutateAllFields widens mutation beyond MC for the ablation study:
@@ -49,15 +35,22 @@ type Config struct {
 	NoGarbage bool
 }
 
-// Defaults chosen to land the simulated pps near the paper's measurement.
+// The fuzzing constants, chosen to land the simulated pps near the
+// paper's measurement.
 const (
-	// DefaultPacketsPerCommand is the per-command fuzz depth.
+	// DefaultPacketsPerCommand is n in Algorithm 1: malformed packets
+	// generated per valid command per state visit.
 	DefaultPacketsPerCommand = 64
-	// DefaultMaxGarbage is the garbage-tail bound.
+	// DefaultMaxGarbage bounds the appended garbage tail, keeping test
+	// packets under the signaling MTU.
 	DefaultMaxGarbage = 16
-	// DefaultThinkTime approximates L2Fuzz's per-packet processing cost.
+	// DefaultThinkTime is the fuzzer-side processing cost charged to the
+	// simulated clock per generated packet; together with the radio
+	// timing it sets the packets-per-second rate (§IV-C reports 524.27
+	// pps for L2Fuzz).
 	DefaultThinkTime = 450 * time.Microsecond
-	// DefaultPingEvery is the liveness-probe cadence.
+	// DefaultPingEvery runs the echo liveness probe after every
+	// DefaultPingEvery test packets (and always after a send error).
 	DefaultPingEvery = 3
 	// DefaultMaxPackets bounds a run that finds nothing.
 	DefaultMaxPackets = 6_000_000
@@ -65,30 +58,11 @@ const (
 
 // DefaultConfig returns the paper-shaped configuration for a seed.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:              seed,
-		PacketsPerCommand: DefaultPacketsPerCommand,
-		MaxGarbage:        DefaultMaxGarbage,
-		ThinkTime:         DefaultThinkTime,
-		PingEvery:         DefaultPingEvery,
-		MaxPackets:        DefaultMaxPackets,
-	}
+	return Config{Seed: seed, MaxPackets: DefaultMaxPackets}
 }
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.PacketsPerCommand <= 0 {
-		c.PacketsPerCommand = DefaultPacketsPerCommand
-	}
-	if c.MaxGarbage <= 0 {
-		c.MaxGarbage = DefaultMaxGarbage
-	}
-	if c.ThinkTime <= 0 {
-		c.ThinkTime = DefaultThinkTime
-	}
-	if c.PingEvery <= 0 {
-		c.PingEvery = DefaultPingEvery
-	}
 	if c.MaxPackets <= 0 {
 		c.MaxPackets = DefaultMaxPackets
 	}

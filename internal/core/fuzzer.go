@@ -77,7 +77,7 @@ func (f *Fuzzer) flushCounters() {
 func New(cl *host.Client, cfg Config) *Fuzzer {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	maxGarbage := cfg.MaxGarbage
+	maxGarbage := DefaultMaxGarbage
 	if cfg.NoGarbage {
 		maxGarbage = 0
 	}
@@ -171,11 +171,11 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 }
 
 // fuzzState fuzzes one state: for every valid command of its job,
-// generate and send PacketsPerCommand mutated packets, probing liveness
-// as it goes.
+// generate and send DefaultPacketsPerCommand mutated packets, probing
+// liveness as it goes.
 func (f *Fuzzer) fuzzState(state sm.State, psm l2cap.PSM) (Finding, bool) {
 	for _, code := range f.commandsFor(state) {
-		for j := 0; j < f.cfg.PacketsPerCommand; j++ {
+		for j := 0; j < DefaultPacketsPerCommand; j++ {
 			if f.packetsSent >= f.cfg.MaxPackets {
 				return Finding{}, false
 			}
@@ -188,7 +188,7 @@ func (f *Fuzzer) fuzzState(state sm.State, psm l2cap.PSM) (Finding, bool) {
 				pkt = f.scrambleAllFields(pkt)
 			}
 			sendErr := f.cl.Send(f.target, pkt)
-			f.cl.Clock().Advance(f.cfg.ThinkTime)
+			f.cl.Clock().Advance(DefaultThinkTime)
 			f.packetsSent++
 			f.sincePing++
 			if info.IsMalformed() {
@@ -196,7 +196,7 @@ func (f *Fuzzer) fuzzState(state sm.State, psm l2cap.PSM) (Finding, bool) {
 			}
 			f.cl.Drain()
 
-			needProbe := sendErr != nil || f.sincePing >= f.cfg.PingEvery
+			needProbe := sendErr != nil || f.sincePing >= DefaultPingEvery
 			if !needProbe {
 				continue
 			}
@@ -259,7 +259,7 @@ func (f *Fuzzer) scrambleAllFields(pkt l2cap.Packet) l2cap.Packet {
 // pacing clock.
 func (f *Fuzzer) countSetupPackets(n int) {
 	f.packetsSent += n
-	f.cl.Clock().Advance(time.Duration(n) * f.cfg.ThinkTime)
+	f.cl.Clock().Advance(time.Duration(n) * DefaultThinkTime)
 }
 
 func (f *Fuzzer) logf(format string, args ...any) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/host"
@@ -124,8 +123,8 @@ func TestFuzzerDetectsPixel3DoS(t *testing.T) {
 	if sm.JobOf(report.Finding.State) != sm.JobConfiguration {
 		t.Errorf("finding state = %v, want a configuration-job state", report.Finding.State)
 	}
-	// Ground truth agrees.
-	if !d.ServiceDown() {
+	// Ground truth agrees: the service died, the power did not.
+	if !d.Crashed() || d.PoweredOff() {
 		t.Error("device not actually DoS-ed")
 	}
 	if d.CrashDump() == nil || d.CrashDump().Kind != device.DumpTombstone {
@@ -196,8 +195,16 @@ func TestFuzzerStateCoverageIsThirteen(t *testing.T) {
 	if got := len(report.StatesTested); got != 13 {
 		t.Fatalf("states tested = %d (%v), want 13", got, report.StatesTested)
 	}
+	// Figure 10's 13: every state but the six the device must initiate.
+	reachable := map[sm.State]bool{
+		sm.StateClosed: true, sm.StateWaitConnect: true, sm.StateWaitCreate: true,
+		sm.StateWaitConfig: true, sm.StateWaitConfigRsp: true, sm.StateWaitConfigReq: true,
+		sm.StateWaitConfigReqRsp: true, sm.StateWaitSendConfig: true, sm.StateWaitIndFinalRsp: true,
+		sm.StateWaitDisconnect: true, sm.StateWaitMove: true, sm.StateWaitMoveConfirm: true,
+		sm.StateOpen: true,
+	}
 	for _, s := range report.StatesTested {
-		if !s.ResponderReachable() {
+		if !reachable[s] {
 			t.Errorf("tested %v, which should be master-unreachable", s)
 		}
 	}
@@ -255,21 +262,5 @@ func TestNoGarbageAblationPreventsD2Crash(t *testing.T) {
 	}
 	if d.Crashed() {
 		t.Error("device crashed without garbage tails")
-	}
-}
-
-func TestThinkTimePacing(t *testing.T) {
-	d, cl := rig(t, "D4", false)
-	cfg := DefaultConfig(7)
-	cfg.MaxPackets = 5_000
-	cfg.ThinkTime = 10 * time.Millisecond
-	f := New(cl, cfg)
-	report, err := f.Run(d.Address())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pps := float64(report.PacketsSent) / report.Elapsed.Seconds()
-	if pps > 130 {
-		t.Errorf("pps = %.1f with 10ms think time, want < 130 (echo probes are unpaced)", pps)
 	}
 }

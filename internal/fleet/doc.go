@@ -18,15 +18,17 @@
 // gives equal results regardless of worker scheduling.
 //
 // The variant axis carries per-job configuration overrides: a Variant
-// names a set of hooks that mutate the resolved core.Config,
-// rfcommfuzz.Config or campaign.Config after the farm applies a job's
-// defaults. The predefined AblationVariants reproduce the paper's §IV-D
+// names a hook that mutates the resolved core.Config of L2Fuzz jobs and
+// of every campaign run after the farm applies a job's defaults. The
+// predefined AblationVariants reproduce the paper's §IV-D
 // design-argument grid (baseline, no-state-guiding, all-fields,
 // no-garbage) in one farm run, with a PerVariant breakdown in the
 // Report making the MP/PR/state-coverage deltas directly comparable.
 // Non-baseline variants salt the per-job seed derivation; an empty
 // Variants list means the baseline alone and reproduces pre-variant
-// farm reports byte-identically.
+// farm reports byte-identically. Proc workers resolve variants by name,
+// so Config validation refuses a variant that reuses a predefined name
+// with other behaviour.
 //
 // The execution core is streaming: Start launches the farm and returns
 // a Farm whose Events channel announces JobStarted, JobDone and

@@ -36,9 +36,9 @@ type Engine interface {
 	// on defect-armed farms — the reserved-DLCI mux defect).
 	NeedsRFCOMM() bool
 	// TraceBudget estimates the engine's total traffic for one job from
-	// the job's unresolved packet budget, sizing the repro-trace
-	// recorder before variant hooks run. Engines whose runners raise the
-	// budget afterwards call ensureTraceLimit with the resolved figure.
+	// the job's packet budget, sizing the repro-trace recorder before
+	// the variant hook runs. Engines whose hook may raise the budget
+	// afterwards call ensureTraceLimit with the resolved figure.
 	TraceBudget(cfg Config, job Job) int
 	// Run executes the job on its private rig, folding the outcome into
 	// res. Run reports failures through res.Err, never by panicking: one
@@ -177,15 +177,6 @@ func (rfcommEngine) TraceBudget(cfg Config, job Job) int { return job.MaxPackets
 func (rfcommEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
 	fcfg := rfcommfuzz.DefaultConfig(job.Seed)
 	fcfg.MaxFrames = job.MaxPackets
-	if v.RFCOMM != nil {
-		v.RFCOMM(&fcfg)
-	}
-	budget := fcfg.MaxFrames
-	if budget <= 0 {
-		// Mirror the runner's zero-means-default normalization.
-		budget = rfcommfuzz.DefaultConfig(job.Seed).MaxFrames
-	}
-	ensureTraceLimit(r, budget)
 	report, err := rfcommfuzz.New(r.Client, fcfg).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err
@@ -232,53 +223,25 @@ func (campaignEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *J
 	ccfg := campaign.DefaultConfig(job.Seed)
 	ccfg.MaxRuns = cfg.CampaignRuns
 	ccfg.MaxPacketsPerRun = job.MaxPackets
-	if v.Campaign != nil {
-		v.Campaign(&ccfg)
-	}
-	if v.Core != nil {
-		// Chain behind any hook the Campaign override installed, so both
-		// see each run's config.
-		prev := ccfg.MutateFuzz
-		ccfg.MutateFuzz = func(fc *core.Config) {
-			if prev != nil {
-				prev(fc)
-			}
+	ctr := cfg.Counters
+	ccfg.MutateFuzz = func(fc *core.Config) {
+		if v.Core != nil {
 			v.Core(fc)
 		}
+		// Telemetry wires after the variant hook, as for L2Fuzz jobs.
+		fc.Counters = ctr
 	}
-	if cfg.Counters != nil {
-		// Chain last so every per-run core config carries the farm's
-		// counters, whatever the variant hooks rewrote.
-		prev := ccfg.MutateFuzz
-		ctr := cfg.Counters
-		ccfg.MutateFuzz = func(fc *core.Config) {
-			if prev != nil {
-				prev(fc)
-			}
-			fc.Counters = ctr
-		}
-	}
-	// Resolve the traffic budget the way the campaign runner will —
-	// zero-valued knobs fall back to campaign defaults, then the chained
-	// per-run hook applies — so the trace recorder is sized for the
-	// worst case of a whole run landing in one trace epoch.
-	resolved := ccfg
-	def := campaign.DefaultConfig(ccfg.Seed)
-	if resolved.MaxRuns <= 0 {
-		resolved.MaxRuns = def.MaxRuns
-	}
-	if resolved.MaxPacketsPerRun <= 0 {
-		resolved.MaxPacketsPerRun = def.MaxPacketsPerRun
-	}
+	// The variant hook may raise the per-run budget past the one newRig
+	// sized the recorder for, which must hold the worst case of a whole
+	// job's traffic landing in one trace epoch.
 	perRun := core.DefaultConfig(job.Seed)
-	perRun.MaxPackets = resolved.MaxPacketsPerRun
-	if ccfg.MutateFuzz != nil {
-		ccfg.MutateFuzz(&perRun)
-	}
+	perRun.MaxPackets = job.MaxPackets
+	ccfg.MutateFuzz(&perRun)
 	if perRun.MaxPackets <= 0 {
+		// Mirror the runner's zero-means-default normalization.
 		perRun.MaxPackets = core.DefaultMaxPackets
 	}
-	ensureTraceLimit(r, resolved.MaxRuns*perRun.MaxPackets)
+	ensureTraceLimit(r, cfg.CampaignRuns*perRun.MaxPackets)
 	report, err := campaign.New(r.Client, r.Device, ccfg).Run()
 	if err != nil {
 		res.Err = err

@@ -33,15 +33,6 @@ func (sdpEngine) TraceBudget(cfg Config, job Job) int { return job.MaxPackets }
 func (sdpEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
 	fcfg := sdpfuzz.DefaultConfig(job.Seed)
 	fcfg.MaxPDUs = job.MaxPackets
-	if v.SDP != nil {
-		v.SDP(&fcfg)
-	}
-	budget := fcfg.MaxPDUs
-	if budget <= 0 {
-		// Mirror the runner's zero-means-default normalization.
-		budget = sdpfuzz.DefaultConfig(job.Seed).MaxPDUs
-	}
-	ensureTraceLimit(r, budget)
 	report, err := sdpfuzz.New(r.Client, fcfg).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err
@@ -86,15 +77,6 @@ func (smEngine) TraceBudget(cfg Config, job Job) int { return job.MaxPackets }
 func (smEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
 	fcfg := smfuzz.DefaultConfig(job.Seed)
 	fcfg.MaxPackets = job.MaxPackets
-	if v.SM != nil {
-		v.SM(&fcfg)
-	}
-	budget := fcfg.MaxPackets
-	if budget <= 0 {
-		// Mirror the runner's zero-means-default normalization.
-		budget = smfuzz.DefaultConfig(job.Seed).MaxPackets
-	}
-	ensureTraceLimit(r, budget)
 	report, err := smfuzz.New(r.Client, fcfg).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err

@@ -112,10 +112,6 @@ type Config struct {
 	// A later cmd/l2repro (or corpus.Replay) can then reproduce,
 	// minimize and triage any stored finding on a fresh rig.
 	Corpus *corpus.Store
-	// OnJobDone, when set, is called after every job completes, with
-	// calls serialized (done counts completed jobs so far, total the
-	// matrix size). It must not mutate the result.
-	OnJobDone func(res JobResult, done, total int)
 	// Counters, when set, receives the farm's hot-path telemetry: frame
 	// and byte counts from the rigs' radio media, packet and mutation
 	// counts from the fuzzer cores, and job/finding counts from the
@@ -224,6 +220,9 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		if seenVariant[v.Name] {
 			return c, fmt.Errorf("fleet: duplicate variant %q in matrix", v.Name)
+		}
+		if err := v.checkPredefined(); err != nil {
+			return c, err
 		}
 		seenVariant[v.Name] = true
 	}
@@ -336,21 +335,15 @@ func buildJobs(cfg Config) []Job {
 
 // Run executes the farm: every job of the matrix on a pool of
 // cfg.Workers workers, aggregated into one Report. It is a thin wrapper
-// over the streaming core — Start the farm, drain its event stream
-// (feeding cfg.OnJobDone from the JobDone events), return the final
-// snapshot — so batch and streaming consumers share one aggregation
-// path. The error return covers matrix validation only; individual job
-// failures are recorded in their JobResult and counted in
-// Report.Failed.
+// over the streaming core — Start the farm, then Wait, which drains its
+// event stream and returns the final snapshot — so batch and streaming
+// consumers share one aggregation path. The error return covers matrix
+// validation only; individual job failures are recorded in their
+// JobResult and counted in Report.Failed.
 func Run(cfg Config) (*Report, error) {
 	farm, err := Start(cfg)
 	if err != nil {
 		return nil, err
-	}
-	for ev := range farm.Events() {
-		if ev.Type == EventJobDone && cfg.OnJobDone != nil {
-			cfg.OnJobDone(*ev.Result, ev.Done, ev.Total)
-		}
 	}
 	return farm.Wait(), nil
 }

@@ -166,38 +166,6 @@ func TestMeasurementGradeSweepIsQuiet(t *testing.T) {
 	}
 }
 
-func TestProgressCallback(t *testing.T) {
-	var dones []int
-	var total int
-	cfg := Config{
-		Devices:          []string{"D4"},
-		Kinds:            []Kind{KindBSS, KindDefensics},
-		Shards:           2,
-		BaseSeed:         1,
-		Workers:          4,
-		MaxPacketsPerJob: 2_000,
-		OnJobDone: func(res JobResult, done, tot int) {
-			dones = append(dones, done)
-			total = tot
-		},
-	}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != len(rep.Jobs) || total != 4 {
-		t.Fatalf("callback total = %d, want the 4-job matrix", total)
-	}
-	if len(dones) != 4 {
-		t.Fatalf("callback fired %d times, want 4", len(dones))
-	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("done sequence %v not the serialized 1..n count", dones)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Devices: []string{"D9"}}); err == nil {
 		t.Error("unknown device accepted")

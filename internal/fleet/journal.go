@@ -101,7 +101,7 @@ func (f *Farm) journalWorker(ev WorkerEvent) {
 // result is folded under the config's own job at the recorded index —
 // an index outside the matrix, or a seed other than that job's, is
 // rejected as the wrong config. Replay is a pure re-fold:
-// Corpus, Journal, Counters and OnJobDone are stripped, so replaying
+// Corpus, Journal, Counters and Executor are stripped, so replaying
 // never writes store entries — which also means the Known flags of a
 // corpus-backed run are not reconstructed (a replayed report marks
 // every finding new). Repro traces are store-owned and never journaled,
@@ -114,7 +114,6 @@ func ReplayJournal(cfg Config, r io.Reader) (*Report, error) {
 	cfg.Corpus = nil
 	cfg.Journal = nil
 	cfg.Counters = nil
-	cfg.OnJobDone = nil
 	cfg.Executor = nil
 	rcfg, err := cfg.withDefaults()
 	if err != nil {

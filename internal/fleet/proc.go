@@ -22,7 +22,8 @@ type ProcConfig struct {
 	// Command is the argv spawning one worker; the spawned process must
 	// run the wire protocol on its stdin/stdout (RunWorker). Empty means
 	// re-exec this binary with the single argument "-worker" — the
-	// cmd/l2farm convention.
+	// cmd/l2farm convention. It is a test hook: tests set it to run
+	// their own test binary as the worker; no program sets it.
 	Command []string
 	// Env entries are appended to the parent environment of every
 	// spawned worker.
@@ -43,9 +44,9 @@ type ProcConfig struct {
 //
 // Variants cross the process boundary by name only. Start rejects
 // configs whose hook-carrying variants are not the predefined ablation
-// variants (VariantByName resolves those on the worker side); a custom
-// variant that reuses a predefined name silently gets the predefined
-// hooks instead, so don't do that.
+// variants (VariantByName resolves those on the worker side); a variant
+// that reuses a predefined name with other behaviour never gets this
+// far, because the farm's config validation refuses it.
 type ProcExecutor struct {
 	pc  ProcConfig
 	cfg Config
@@ -100,10 +101,8 @@ func (e *ProcExecutor) workerIDs() []string {
 // whole Start; the farm surfaces that instead of limping from the off.
 func (e *ProcExecutor) Start(cfg Config) error {
 	for _, v := range cfg.Variants {
-		if v.Core != nil || v.RFCOMM != nil || v.Campaign != nil || v.SDP != nil || v.SM != nil {
-			if _, err := VariantByName(v.Name); err != nil {
-				return fmt.Errorf("fleet: variant %q carries behaviour hooks, which cannot cross the worker process boundary (only the predefined ablation variants resolve by name on workers)", v.Name)
-			}
+		if _, err := VariantByName(v.Name); err != nil && v.Core != nil {
+			return fmt.Errorf("fleet: variant %q carries a Core hook, which cannot cross the worker process boundary (only the predefined ablation variants resolve by name on workers)", v.Name)
 		}
 	}
 	e.cfg = cfg
@@ -292,11 +291,11 @@ func (e *ProcExecutor) retire(w *procWorker, reason string) {
 	}
 }
 
-// KillOne kills the OS process of one live worker — the chaos hook the
-// robustness tests use to simulate a worker crash. Only the process
-// dies here; the executor notices at the worker's next use, retires it
-// then, and the farm requeues the affected job. Returns the victim's
-// id, or "" when no worker is live.
+// KillOne kills the OS process of one live worker. It is a test hook,
+// exported for the robustness tests that simulate a worker crash; no
+// program calls it. Only the process dies here; the executor notices at
+// the worker's next use, retires it then, and the farm requeues the
+// affected job. Returns the victim's id, or "" when no worker is live.
 func (e *ProcExecutor) KillOne() string {
 	e.mu.Lock()
 	var victim *procWorker

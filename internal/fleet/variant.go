@@ -2,13 +2,10 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
-	"l2fuzz/internal/campaign"
 	"l2fuzz/internal/core"
-	"l2fuzz/internal/rfcommfuzz"
-	"l2fuzz/internal/sdpfuzz"
-	"l2fuzz/internal/smfuzz"
 )
 
 // Names of the predefined variants: the paper's §IV-D ablation grid.
@@ -29,13 +26,17 @@ const (
 	VariantNoGarbage = "no-garbage"
 )
 
-// Variant is one point on the matrix's variant axis: a named per-job
-// configuration override. The override hooks run after the farm has
-// resolved a job's defaults (seed, packet budget), so a variant may
-// adjust any knob, including the budget itself. Hooks for fuzzer kinds a
-// job does not run are ignored; the baseline comparison fuzzers
-// (Defensics, BFuzz, BSS) expose no knobs, so variants only distinguish
-// their jobs through the variant-salted seed.
+// Variant is one point on the matrix's variant axis: a named override
+// of the L2Fuzz configuration. Its Core hook runs after the farm has
+// resolved a job's seed and packet budget, so it may adjust the budget
+// too. Only L2Fuzz and campaign jobs run the hook; every other kind
+// exposes no knobs, so a variant distinguishes their jobs through its
+// variant-salted seed alone.
+//
+// Proc workers resolve a variant by name (VariantByName), so a variant
+// named like a predefined one must change core.Config exactly as that
+// one does, and a hook-carrying variant must use a predefined name
+// under a ProcExecutor.
 type Variant struct {
 	// Name identifies the variant in jobs, reports and seed derivation.
 	// It must be unique within a matrix and non-empty.
@@ -43,17 +44,6 @@ type Variant struct {
 	// Core, when set, mutates the resolved core.Config of KindL2Fuzz
 	// jobs and of every run inside KindCampaign jobs.
 	Core func(*core.Config)
-	// RFCOMM, when set, mutates the resolved rfcommfuzz.Config of
-	// KindRFCOMM jobs.
-	RFCOMM func(*rfcommfuzz.Config)
-	// Campaign, when set, mutates the resolved campaign.Config of
-	// KindCampaign jobs (run counts, dry-run cutoffs; per-run fuzzer
-	// knobs belong in Core).
-	Campaign func(*campaign.Config)
-	// SDP, when set, mutates the resolved sdpfuzz.Config of KindSDP jobs.
-	SDP func(*sdpfuzz.Config)
-	// SM, when set, mutates the resolved smfuzz.Config of KindSM jobs.
-	SM func(*smfuzz.Config)
 }
 
 // BaselineVariant returns the un-ablated reference variant.
@@ -97,6 +87,26 @@ func AblationVariants() []Variant {
 		AllFieldsVariant(),
 		NoGarbageVariant(),
 	}
+}
+
+// apply returns the core.DefaultConfig the variant's hook leaves.
+func (v Variant) apply() core.Config {
+	c := core.DefaultConfig(0)
+	if v.Core != nil {
+		v.Core(&c)
+	}
+	return c
+}
+
+// checkPredefined rejects a variant that reuses a predefined variant's
+// name but changes core.Config differently: workers resolve variants by
+// name, so the two executors would run different configurations.
+func (v Variant) checkPredefined() error {
+	pv, err := VariantByName(v.Name)
+	if err != nil || reflect.DeepEqual(v.apply(), pv.apply()) {
+		return nil
+	}
+	return fmt.Errorf("fleet: variant %q changes core.Config unlike the predefined variant of that name; rename it", v.Name)
 }
 
 // VariantByName resolves one of the predefined ablation variants.

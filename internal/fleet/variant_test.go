@@ -7,9 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"l2fuzz/internal/campaign"
 	"l2fuzz/internal/core"
-	"l2fuzz/internal/rfcommfuzz"
 )
 
 // legacySeed is the pre-variant seed derivation, reproduced here so the
@@ -204,24 +202,21 @@ func TestAblationFarmReproducesBenchOrdering(t *testing.T) {
 	}
 }
 
-// TestVariantOverridesApply checks the override hooks reach every
-// fuzzer kind: a packet-budget override must shrink an L2Fuzz job, an
-// RFCOMM override an RFCOMM job, and a campaign override (plus the Core
-// hook chained through campaign.MutateFuzz) a campaign job.
+// TestVariantOverridesApply checks the Core hook reaches both kinds
+// that run it: a packet-budget override must shrink an L2Fuzz job and,
+// chained through campaign.MutateFuzz, every run of a campaign job.
 func TestVariantOverridesApply(t *testing.T) {
 	tiny := Config{
 		Devices: []string{"D4"},
-		Kinds:   []Kind{KindL2Fuzz, KindRFCOMM, KindCampaign},
+		Kinds:   []Kind{KindL2Fuzz, KindCampaign},
 		Variants: []Variant{{
-			Name:     "tiny",
-			Core:     func(c *core.Config) { c.MaxPackets = 500 },
-			RFCOMM:   func(c *rfcommfuzz.Config) { c.MaxFrames = 500 },
-			Campaign: func(c *campaign.Config) { c.MaxRuns = 1 },
+			Name: "tiny",
+			Core: func(c *core.Config) { c.MaxPackets = 500 },
 		}},
 		BaseSeed:         7,
 		Workers:          2,
 		MaxPacketsPerJob: 20_000,
-		CampaignRuns:     3,
+		CampaignRuns:     1,
 	}
 	rep, err := Run(tiny)
 	if err != nil {
@@ -258,5 +253,48 @@ func TestVariantValidation(t *testing.T) {
 		if err != nil || got.Name != v.Name {
 			t.Errorf("VariantByName(%q) = %+v, %v", v.Name, got, err)
 		}
+	}
+}
+
+// TestPredefinedVariantNamesKeepTheirBehaviour pins that a variant
+// named like a predefined one behaves like it under every executor:
+// proc workers resolve variants by name, so a config whose variant
+// changes core.Config otherwise than its namesake is refused, and the
+// predefined grid renders the same report in process and on workers.
+func TestPredefinedVariantNamesKeepTheirBehaviour(t *testing.T) {
+	for _, v := range []Variant{
+		{Name: VariantNoGarbage},
+		{Name: VariantAllFields, Core: func(c *core.Config) { c.NoGarbage = true }},
+		{Name: VariantBaseline, Core: func(c *core.Config) { c.MaxPackets = 500 }},
+	} {
+		if _, err := (Config{Devices: []string{"D2"}, Variants: []Variant{v}}).withDefaults(); err == nil {
+			t.Errorf("variant %q with other behaviour than its predefined namesake accepted", v.Name)
+		}
+	}
+	grid := func() Config {
+		return Config{
+			Devices:          []string{"D2"},
+			Kinds:            []Kind{KindL2Fuzz, KindCampaign},
+			Variants:         AblationVariants(),
+			BaseSeed:         7,
+			Workers:          2,
+			MaxPacketsPerJob: 20_000,
+			CampaignRuns:     1,
+		}
+	}
+	local, err := Run(grid())
+	if err != nil {
+		t.Fatalf("AblationVariants refused: %v", err)
+	}
+	pcfg := grid()
+	pcfg.Executor = NewProcExecutor(procConfig(2))
+	proc, err := Run(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local.ScrubWall()
+	proc.ScrubWall()
+	if l, p := local.Render(), proc.Render(); l != p {
+		t.Errorf("ablation grid renders differently:\nlocal:\n%s\nproc:\n%s", l, p)
 	}
 }

@@ -55,7 +55,7 @@ type wireFarm struct {
 // resolved target spec travels inline — specs are pure data since
 // defects became declarative — so a worker needs no target catalog of
 // its own and custom targets work unchanged. Variants cross by name
-// only: behaviour hooks cannot cross a process boundary, so the worker
+// only: a Core hook cannot cross a process boundary, so the worker
 // resolves predefined names via VariantByName and treats unknown names
 // as hook-less.
 type wireJob struct {
@@ -176,11 +176,12 @@ func workerRun(fc wireFarm, wj wireJob) wireResult {
 	if v, err := VariantByName(wj.Variant); err == nil {
 		cfg.Variants = []Variant{v}
 	}
-	// Unknown variant names resolve to the baseline hooks — the exact
+	// Unknown variant names resolve to the baseline — the exact
 	// behaviour of a hook-less custom variant, whose only job-visible
-	// effect is the seed salt already baked into wj.Seed. Hook-carrying
-	// custom variants never reach a worker: ProcExecutor.Start rejects
-	// them.
+	// effect is the seed salt already baked into wj.Seed. A custom
+	// variant with a Core hook never reaches a worker
+	// (ProcExecutor.Start rejects it), and neither does one that reuses
+	// a predefined name with other behaviour (Config validation does).
 	var local *telemetry.Counters
 	if fc.Counters {
 		local = &telemetry.Counters{}

@@ -62,13 +62,3 @@ func unionSorted(a, b []string) []string {
 	out = append(out, b[j:]...)
 	return out
 }
-
-// MergeAll folds any number of summaries with Merge. An empty slice
-// yields the zero Summary.
-func MergeAll(sums []Summary) Summary {
-	var out Summary
-	for _, s := range sums {
-		out = out.Merge(s)
-	}
-	return out
-}

@@ -89,17 +89,20 @@ func TestMergeZeroIsIdentity(t *testing.T) {
 }
 
 func TestMergeAll(t *testing.T) {
-	if got := MergeAll(nil); !reflect.DeepEqual(got, Summary{}) {
-		t.Errorf("MergeAll(nil) = %+v, want zero", got)
+	if got := (Summary{}).Merge(Summary{}); !reflect.DeepEqual(got, Summary{}) {
+		t.Errorf("zero.Merge(zero) = %+v, want zero", got)
 	}
 	sums := []Summary{
 		{Transmitted: 10, Span: time.Second},
 		{Transmitted: 20, Span: time.Second},
 		{Transmitted: 30, Span: 2 * time.Second},
 	}
-	m := MergeAll(sums)
+	var m Summary
+	for _, s := range sums {
+		m = m.Merge(s)
+	}
 	if m.Transmitted != 60 || m.Span != 4*time.Second {
-		t.Errorf("MergeAll = %+v, want Transmitted 60 over 4s", m)
+		t.Errorf("three-way fold = %+v, want Transmitted 60 over 4s", m)
 	}
 	if math.Abs(m.PacketsPerSecond-15) > 1e-12 {
 		t.Errorf("PacketsPerSecond = %v, want 15", m.PacketsPerSecond)

@@ -39,25 +39,23 @@ import (
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
-	// FramesPerState is the fuzz depth per DLC state.
-	FramesPerState int
-	// MaxGarbage bounds the tail appended beyond the FCS.
-	MaxGarbage int
-	// MaxFrames caps the whole run.
+	// MaxFrames caps the whole run; zero means DefaultConfig's.
 	MaxFrames int
-	// ThinkTime is charged to the simulated clock per frame.
-	ThinkTime time.Duration
 }
+
+// The run's L2Fuzz-flavoured constants.
+const (
+	// framesPerState is the fuzz depth per DLC state.
+	framesPerState = 64
+	// maxGarbage bounds the tail appended beyond the FCS.
+	maxGarbage = 8
+	// thinkTime is charged to the simulated clock per frame.
+	thinkTime = 450 * time.Microsecond
+)
 
 // DefaultConfig returns L2Fuzz-flavoured defaults.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:           seed,
-		FramesPerState: 64,
-		MaxGarbage:     8,
-		MaxFrames:      50_000,
-		ThinkTime:      450 * time.Microsecond,
-	}
+	return Config{Seed: seed, MaxFrames: 50_000}
 }
 
 // Report is the outcome of one run.
@@ -99,14 +97,8 @@ type Fuzzer struct {
 
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
-	if cfg.FramesPerState <= 0 {
-		cfg.FramesPerState = 64
-	}
 	if cfg.MaxFrames <= 0 {
-		cfg.MaxFrames = 50_000
-	}
-	if cfg.ThinkTime <= 0 {
-		cfg.ThinkTime = 450 * time.Microsecond
+		cfg.MaxFrames = DefaultConfig(cfg.Seed).MaxFrames
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
@@ -155,7 +147,7 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 			{name: "connected", types: []rfcomm.FrameType{rfcomm.FrameUIH, rfcomm.FrameSABM, rfcomm.FrameDISC}},
 			{name: "disconnecting", types: []rfcomm.FrameType{rfcomm.FrameDISC, rfcomm.FrameDM}},
 		} {
-			for i := 0; i < f.cfg.FramesPerState && f.sent < f.cfg.MaxFrames; i++ {
+			for i := 0; i < framesPerState && f.sent < f.cfg.MaxFrames; i++ {
 				frame := f.mutate(job.types)
 				if err := f.send(frame); err != nil {
 					return finish(true, describe(frame, job.name))
@@ -196,7 +188,7 @@ func (f *Fuzzer) mutate(types []rfcomm.FrameType) rfcomm.Frame {
 	if frame.Type == rfcomm.FrameUIH {
 		frame.Payload = []byte{0x00} // benign application data
 	}
-	if n := f.rng.Intn(f.cfg.MaxGarbage + 1); n > 0 {
+	if n := f.rng.Intn(maxGarbage + 1); n > 0 {
 		tail := make([]byte, n)
 		for i := range tail {
 			tail[i] = byte(f.rng.Intn(256))
@@ -209,7 +201,7 @@ func (f *Fuzzer) mutate(types []rfcomm.FrameType) rfcomm.Frame {
 // send transmits one RFCOMM frame over the fuzzing channel.
 func (f *Fuzzer) send(frame rfcomm.Frame) error {
 	err := f.cl.Send(f.target, l2cap.NewPacket(f.remote, frame.Marshal()))
-	f.cl.Clock().Advance(f.cfg.ThinkTime)
+	f.cl.Clock().Advance(thinkTime)
 	f.sent++
 	f.cl.Drain()
 	return err
@@ -222,7 +214,7 @@ func (f *Fuzzer) validFrame(frame rfcomm.Frame) bool {
 	if err := f.cl.Send(f.target, l2cap.NewPacket(f.remote, frame.Marshal())); err != nil {
 		return false
 	}
-	f.cl.Clock().Advance(f.cfg.ThinkTime)
+	f.cl.Clock().Advance(thinkTime)
 	f.sent++
 	for _, pkt := range f.cl.Drain() {
 		if pkt.ChannelID == f.local {

@@ -44,26 +44,24 @@ import (
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
-	// MaxGarbage bounds generated garbage parameter payloads.
-	MaxGarbage int
-	// MaxPDUs caps the whole run.
+	// MaxPDUs caps the whole run; zero means DefaultConfig's.
 	MaxPDUs int
-	// ProbeEvery runs the valid-request liveness probe after every
-	// ProbeEvery malformed requests.
-	ProbeEvery int
-	// ThinkTime is charged to the simulated clock per request.
-	ThinkTime time.Duration
 }
+
+// The run's L2Fuzz-flavoured constants.
+const (
+	// maxGarbage bounds generated garbage parameter payloads.
+	maxGarbage = 16
+	// probeEvery runs the valid-request liveness probe after every
+	// probeEvery malformed requests.
+	probeEvery = 8
+	// thinkTime is charged to the simulated clock per request.
+	thinkTime = 450 * time.Microsecond
+)
 
 // DefaultConfig returns L2Fuzz-flavoured defaults.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:       seed,
-		MaxGarbage: 16,
-		MaxPDUs:    50_000,
-		ProbeEvery: 8,
-		ThinkTime:  450 * time.Microsecond,
-	}
+	return Config{Seed: seed, MaxPDUs: 50_000}
 }
 
 // Report is the outcome of one run.
@@ -103,17 +101,8 @@ type Fuzzer struct {
 
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
-	if cfg.MaxGarbage < 0 {
-		cfg.MaxGarbage = 0
-	}
 	if cfg.MaxPDUs <= 0 {
-		cfg.MaxPDUs = 50_000
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 8
-	}
-	if cfg.ThinkTime <= 0 {
-		cfg.ThinkTime = 450 * time.Microsecond
+		cfg.MaxPDUs = DefaultConfig(cfg.Seed).MaxPDUs
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
@@ -153,7 +142,7 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 			// whole service (DoS class), not just the SDP channel.
 			return finish(true, m.String())
 		}
-		if f.sent%f.cfg.ProbeEvery == 0 {
+		if f.sent%probeEvery == 0 {
 			if !f.probe() {
 				return finish(true, m.String())
 			}
@@ -244,7 +233,7 @@ func (f *Fuzzer) mutate() ([]byte, mutation) {
 	default:
 		// Garbage parameters: the floor the grammar-aware shapes are
 		// measured against.
-		params := make([]byte, f.rng.Intn(f.cfg.MaxGarbage+1))
+		params := make([]byte, f.rng.Intn(maxGarbage+1))
 		for i := range params {
 			params[i] = byte(f.rng.Intn(256))
 		}
@@ -256,7 +245,7 @@ func (f *Fuzzer) mutate() ([]byte, mutation) {
 // send transmits one request over the SDP channel.
 func (f *Fuzzer) send(raw []byte) error {
 	err := f.cl.Send(f.target, l2cap.NewPacket(f.remote, raw))
-	f.cl.Clock().Advance(f.cfg.ThinkTime)
+	f.cl.Clock().Advance(thinkTime)
 	f.sent++
 	f.cl.Drain()
 	return err
@@ -273,7 +262,7 @@ func (f *Fuzzer) probe() bool {
 	if err := f.cl.Send(f.target, l2cap.NewPacket(f.remote, raw)); err != nil {
 		return false
 	}
-	f.cl.Clock().Advance(f.cfg.ThinkTime)
+	f.cl.Clock().Advance(thinkTime)
 	f.sent++
 	for _, pkt := range f.cl.Drain() {
 		if pkt.ChannelID == f.local {

@@ -41,25 +41,23 @@ import (
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
-	// MaxGarbage bounds appended garbage tails.
-	MaxGarbage int
-	// MaxPackets caps the whole run.
+	// MaxPackets caps the whole run; zero means DefaultConfig's.
 	MaxPackets int
-	// PingEvery probes liveness after every PingEvery commands.
-	PingEvery int
-	// ThinkTime is charged to the simulated clock per command.
-	ThinkTime time.Duration
 }
+
+// The walk's L2Fuzz-flavoured constants.
+const (
+	// maxGarbage bounds appended garbage tails.
+	maxGarbage = 16
+	// pingEvery probes liveness after every pingEvery commands.
+	pingEvery = 8
+	// thinkTime is charged to the simulated clock per command.
+	thinkTime = 450 * time.Microsecond
+)
 
 // DefaultConfig returns L2Fuzz-flavoured defaults.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:       seed,
-		MaxGarbage: 16,
-		MaxPackets: 50_000,
-		PingEvery:  8,
-		ThinkTime:  450 * time.Microsecond,
-	}
+	return Config{Seed: seed, MaxPackets: 50_000}
 }
 
 // Report is the outcome of one run.
@@ -139,17 +137,8 @@ type Fuzzer struct {
 
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
-	if cfg.MaxGarbage < 0 {
-		cfg.MaxGarbage = 0
-	}
 	if cfg.MaxPackets <= 0 {
-		cfg.MaxPackets = 50_000
-	}
-	if cfg.PingEvery <= 0 {
-		cfg.PingEvery = 8
-	}
-	if cfg.ThinkTime <= 0 {
-		cfg.ThinkTime = 450 * time.Microsecond
+		cfg.MaxPackets = DefaultConfig(cfg.Seed).MaxPackets
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
@@ -198,7 +187,7 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 			// target and its crash dropped every ACL link.
 			return finish(true, desc.String())
 		}
-		f.cl.Clock().Advance(f.cfg.ThinkTime)
+		f.cl.Clock().Advance(thinkTime)
 		f.sent++
 		f.sincePing++
 		f.harvest()
@@ -210,7 +199,7 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 				f.model.Apply(sm.EvLocalAccept)
 			}
 		}
-		if f.sincePing >= f.cfg.PingEvery {
+		if f.sincePing >= pingEvery {
 			f.sincePing = 0
 			if err := f.cl.Ping(f.target); err != nil {
 				return finish(true, desc.String())
@@ -300,8 +289,8 @@ func (f *Fuzzer) build(code l2cap.CommandCode) (l2cap.Command, []byte) {
 		f.lastPSM = req.PSM
 	}
 	var tail []byte
-	if f.rng.Intn(2) == 0 && f.cfg.MaxGarbage > 0 {
-		tail = make([]byte, 1+f.rng.Intn(f.cfg.MaxGarbage))
+	if f.rng.Intn(2) == 0 {
+		tail = make([]byte, 1+f.rng.Intn(maxGarbage))
 		for i := range tail {
 			tail[i] = byte(f.rng.Intn(256))
 		}

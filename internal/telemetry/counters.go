@@ -20,23 +20,6 @@ type Counters struct {
 	jobsFailed  atomic.Int64
 }
 
-// CountFrame records one frame of n bytes carried on the radio medium.
-func (c *Counters) CountFrame(n int) {
-	if c == nil {
-		return
-	}
-	c.frames.Add(1)
-	c.bytes.Add(int64(n))
-}
-
-// CountPacket records one fuzzing packet handed to the target.
-func (c *Counters) CountPacket() {
-	if c == nil {
-		return
-	}
-	c.packets.Add(1)
-}
-
 // AddPackets records n fuzzing packets at once (connection setup
 // traffic is counted in bulk).
 func (c *Counters) AddPackets(n int) {
@@ -47,30 +30,13 @@ func (c *Counters) AddPackets(n int) {
 }
 
 // AddFrames records frames radio frames carrying bytes payload bytes at
-// once — the batch form of CountFrame for taps that tally locally and
-// flush periodically.
+// once, for taps that tally locally and flush periodically.
 func (c *Counters) AddFrames(frames int, bytes int64) {
 	if c == nil || frames == 0 {
 		return
 	}
 	c.frames.Add(int64(frames))
 	c.bytes.Add(bytes)
-}
-
-// CountMalformed records one malformed packet.
-func (c *Counters) CountMalformed() {
-	if c == nil {
-		return
-	}
-	c.malformed.Add(1)
-}
-
-// CountMutation records one successful mutation.
-func (c *Counters) CountMutation() {
-	if c == nil {
-		return
-	}
-	c.mutations.Add(1)
 }
 
 // AddMalformed records n malformed packets at once (batch form).

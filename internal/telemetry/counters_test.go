@@ -7,13 +7,9 @@ import (
 
 func TestCountersNilSafe(t *testing.T) {
 	var c *Counters
-	c.CountFrame(42)
 	c.AddFrames(3, 99)
-	c.CountPacket()
 	c.AddPackets(7)
-	c.CountMalformed()
 	c.AddMalformed(2)
-	c.CountMutation()
 	c.AddMutations(2)
 	c.AddFindings(3)
 	c.CountJobStarted()
@@ -47,13 +43,13 @@ func TestCountersMerge(t *testing.T) {
 
 func TestCountersSnapshot(t *testing.T) {
 	var c Counters
-	c.CountFrame(100)
-	c.CountFrame(24)
-	c.CountPacket()
+	c.AddFrames(1, 100)
+	c.AddFrames(1, 24)
+	c.AddPackets(1)
 	c.AddPackets(9)
-	c.CountMalformed()
-	c.CountMutation()
-	c.CountMutation()
+	c.AddMalformed(1)
+	c.AddMutations(1)
+	c.AddMutations(1)
 	c.AddFindings(2)
 	c.CountJobStarted()
 	c.CountJobStarted()
@@ -84,8 +80,8 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				c.CountFrame(10)
-				c.CountPacket()
+				c.AddFrames(1, 10)
+				c.AddPackets(1)
 			}
 		}()
 	}

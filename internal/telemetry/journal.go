@@ -82,9 +82,10 @@ func OpenJournal(dir string) (*Journal, error) {
 // OpenJournal, empty otherwise.
 func (j *Journal) Dir() string { return j.dir }
 
-// SetClock replaces the timestamp source; tests pin it for byte-stable
-// goldens. The offset epoch is re-based onto the new clock (consuming
-// one reading), so pinned clocks yield deterministic offsets too.
+// SetClock replaces the timestamp source. It is a test hook: tests pin
+// the clock for byte-stable goldens, and no program calls it. The offset
+// epoch is re-based onto the new clock (consuming one reading), so
+// pinned clocks yield deterministic offsets too.
 func (j *Journal) SetClock(now func() time.Time) {
 	j.mu.Lock()
 	j.now = now

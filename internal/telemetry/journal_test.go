@@ -35,9 +35,9 @@ func TestJournalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c Counters
-	c.CountFrame(64)
+	c.AddFrames(1, 64)
 	c.AddPackets(12)
-	c.CountMutation()
+	c.AddMutations(1)
 	if err := j.Sample(&c); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	var c Counters
-	c.CountFrame(128)
+	c.AddFrames(1, 128)
 	c.AddPackets(42)
 	c.AddFindings(1)
 	h := NewHandler(ServerConfig{
@@ -96,7 +96,7 @@ func TestHandlerNoSnapshot(t *testing.T) {
 
 func TestServe(t *testing.T) {
 	var c Counters
-	c.CountPacket()
+	c.AddPackets(1)
 	s, err := Serve("127.0.0.1:0", ServerConfig{Counters: &c})
 	if err != nil {
 		t.Fatal(err)

@@ -124,6 +124,7 @@ import (
 	"l2fuzz/internal/sdpfuzz"
 	"l2fuzz/internal/smfuzz"
 	"l2fuzz/internal/telemetry"
+	"l2fuzz/internal/testbed"
 	"l2fuzz/internal/triage"
 )
 
@@ -195,8 +196,8 @@ type (
 	// FleetKind selects the fuzzer a farm job runs.
 	FleetKind = fleet.Kind
 	// FleetVariant is one point on a farm matrix's variant axis: a named
-	// per-job configuration override (the paper's §IV-D ablations, or
-	// arbitrary core/rfcommfuzz/campaign knob overrides).
+	// override of the L2Fuzz configuration that L2Fuzz and campaign jobs
+	// run under (the paper's §IV-D ablations, or a custom hook).
 	FleetVariant = fleet.Variant
 	// FleetVariantStats is a per-variant report row: job counters plus
 	// the variant's own merged trace metrics.
@@ -594,21 +595,18 @@ type Simulation struct {
 // ErrUnknownDevice reports a device name the simulation does not hold.
 var ErrUnknownDevice = errors.New("l2fuzz: unknown device")
 
-// testerAddr is the tester endpoint's fixed address.
-var testerAddr = radio.MustBDAddr("00:1B:DC:F0:00:01")
-
 // NewSimulation builds an empty testbed with a tester endpoint and an
 // attached trace sniffer.
 func NewSimulation() (*Simulation, error) {
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	cl, err := host.NewClient(m, testerAddr, "test-machine")
+	cl, err := host.NewClient(m, testbed.TesterAddr, "test-machine")
 	if err != nil {
 		return nil, fmt.Errorf("l2fuzz: %w", err)
 	}
 	return &Simulation{
 		medium:  m,
 		client:  cl,
-		sniffer: metrics.NewSniffer(m, testerAddr),
+		sniffer: metrics.NewSniffer(m, testbed.TesterAddr),
 		devices: make(map[string]*device.Device),
 	}, nil
 }
