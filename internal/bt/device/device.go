@@ -207,16 +207,15 @@ func (d *Device) Controller() *hci.Controller { return d.ctrl }
 // Crashed reports whether any defect has fired.
 func (d *Device) Crashed() bool { return d.serviceDown || d.poweredOff }
 
-// PoweredOff reports whether the whole device died (firmware crash).
-func (d *Device) PoweredOff() bool { return d.poweredOff }
-
 // CrashDump returns the crash artefact, or nil.
 func (d *Device) CrashDump() *CrashDump { return d.dump }
 
 // Reset restores a crashed device: the manual reset the paper's testers
 // performed between runs. Channels are cleared, the service comes back,
-// and the crash artefact is discarded.
-func (d *Device) Reset() {
+// the crash artefact is discarded, and a device that powered off is
+// registered on its medium again.
+func (d *Device) Reset() error {
+	wasOff := d.poweredOff
 	d.serviceDown = false
 	d.poweredOff = false
 	d.dump = nil
@@ -234,6 +233,12 @@ func (d *Device) Reset() {
 	}
 	d.ctrl.SetConnectable(true)
 	d.ctrl.SetDiscoverable(true)
+	if wasOff {
+		if err := d.medium.Register(d.ctrl); err != nil {
+			return fmt.Errorf("device: re-register after reset: %w", err)
+		}
+	}
+	return nil
 }
 
 // StatesVisited returns every L2CAP state any of the device's channels
@@ -869,10 +874,6 @@ func hasEFSOption(opts []l2cap.ConfigOption) bool {
 	}
 	return false
 }
-
-// Medium exposes the radio medium the device lives on, for tooling that
-// needs to restore a vanished device (campaign auto-reset).
-func (d *Device) Medium() *radio.Medium { return d.medium }
 
 // HandlerCoverage returns the per-handler invocation counts since
 // construction: the simulated analogue of the limited code-coverage

@@ -483,7 +483,7 @@ func TestRTKitCrashRemovesDeviceFromAir(t *testing.T) {
 	if _, err := cl.SendCommand(d.Address(), &l2cap.ConnectionReq{PSM: 0x0101, SCID: 0x0040}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !d.PoweredOff() {
+	if !d.poweredOff {
 		t.Fatal("RTKit defect did not power the device off")
 	}
 	// The device vanished: inquiry no longer sees it, pages fail.
@@ -506,7 +506,9 @@ func TestResetRestoresCrashedDevice(t *testing.T) {
 	if !d.Crashed() {
 		t.Fatal("defect did not fire")
 	}
-	d.Reset()
+	if err := d.Reset(); err != nil {
+		t.Fatal(err)
+	}
 	if d.Crashed() || d.CrashDump() != nil {
 		t.Fatal("Reset did not clear crash state")
 	}

@@ -46,7 +46,9 @@ func TestQuickDeviceNeverPanicsOnArbitraryPackets(t *testing.T) {
 
 		f := func(cid uint16, payload []byte) bool {
 			if d.Crashed() {
-				d.Reset()
+				if err := d.Reset(); err != nil {
+					t.Fatal(err)
+				}
 				tester.reconnect()
 			}
 			pkt := l2cap.NewPacket(l2cap.CID(cid), payload)

@@ -1,4 +1,4 @@
-package host_test
+package host
 
 // Aliasing/reuse regression tests for the packet path's ownership
 // windows: anything a component retains past its window must be a copy,
@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"testing"
 
-	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/bt/l2cap"
 )
 
@@ -28,7 +27,7 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops, _ := rec.Snapshot()
-	if len(ops) != 2 || ops[1].Kind != host.TraceSend {
+	if len(ops) != 2 || ops[1].Kind != TraceSend {
 		t.Fatalf("unexpected ops %v", ops)
 	}
 	pinned := append([]byte(nil), ops[1].Data...)
@@ -64,8 +63,8 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 		}
 		cl.Drain()
 	}
-	if rec.Len() != 64 {
-		t.Fatalf("recorder holds %d ops after Reset and 64 sends, want 64", rec.Len())
+	if len(rec.ops) != 64 {
+		t.Fatalf("recorder holds %d ops after Reset and 64 sends, want 64", len(rec.ops))
 	}
 	for i, op := range ops2 {
 		if !bytes.Equal(op.Data, held[i]) {

@@ -111,24 +111,6 @@ func (r *TraceRecorder) record(kind opKind, wire []byte) {
 	r.ops = append(r.ops, opRef{kind: kind, n: uint32(len(wire))})
 }
 
-// Len returns the number of recorded operations.
-func (r *TraceRecorder) Len() int { return len(r.ops) }
-
-// EnsureLimit raises the recorder's cap to at least n operations. A
-// runner that discovers its real traffic budget only after resolving
-// its configuration (e.g. a farm variant hook raising the packet cap)
-// calls this so the trace is not truncated at an estimate made before
-// the hooks ran. The cap can only grow: shrinking it could retroactively
-// invalidate an already-recorded prefix.
-func (r *TraceRecorder) EnsureLimit(n int) {
-	if n > r.limit {
-		r.limit = n
-	}
-}
-
-// Truncated reports whether the trace outgrew the recorder's limit.
-func (r *TraceRecorder) Truncated() bool { return r.truncated }
-
 // Snapshot returns a copy of the operations recorded so far (nil when
 // there are none) and whether the trace is truncated. The copy is the
 // caller's to keep: the send ops' Data are capacity-clipped sub-slices

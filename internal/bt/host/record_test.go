@@ -1,17 +1,16 @@
-package host_test
+package host
 
 import (
 	"testing"
 
 	"l2fuzz/internal/bt/device"
-	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/bt/l2cap"
 	"l2fuzz/internal/bt/radio"
 )
 
 // recordRig builds a medium with one recorded client and one echo-happy
 // target device.
-func recordRig(t *testing.T, limit int) (*host.Client, *host.TraceRecorder, radio.BDAddr) {
+func recordRig(t *testing.T, limit int) (*Client, *TraceRecorder, radio.BDAddr) {
 	t.Helper()
 	m := radio.NewMedium(nil, radio.DefaultTiming())
 	d, err := device.New(m, device.Config{
@@ -22,11 +21,11 @@ func recordRig(t *testing.T, limit int) (*host.Client, *host.TraceRecorder, radi
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := host.NewClient(m, radio.MustBDAddr("AA:00:00:00:00:02"), "tester")
+	cl, err := NewClient(m, radio.MustBDAddr("AA:00:00:00:00:02"), "tester")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := host.NewTraceRecorder(limit)
+	rec := NewTraceRecorder(limit)
 	cl.SetRecorder(rec)
 	return cl, rec, d.Address()
 }
@@ -52,11 +51,11 @@ func TestRecorderCapturesClientOps(t *testing.T) {
 	if truncated {
 		t.Fatal("tiny trace reported truncated")
 	}
-	kinds := make([]host.TraceOpKind, len(ops))
+	kinds := make([]TraceOpKind, len(ops))
 	for i, op := range ops {
 		kinds[i] = op.Kind
 	}
-	want := []host.TraceOpKind{host.TraceConnect, host.TraceSend, host.TraceDisconnect}
+	want := []TraceOpKind{TraceConnect, TraceSend, TraceDisconnect}
 	if len(kinds) != len(want) {
 		t.Fatalf("recorded ops %v, want %v", kinds, want)
 	}
@@ -74,16 +73,16 @@ func TestRecorderCapturesClientOps(t *testing.T) {
 
 	// A replayed snapshot is a copy: later ops must not reach it.
 	_ = cl.Connect(target)
-	if rec.Len() != 4 {
-		t.Fatalf("recorder has %d ops, want 4", rec.Len())
+	if len(rec.ops) != 4 {
+		t.Fatalf("recorder has %d ops, want 4", len(rec.ops))
 	}
 	if len(ops) != 3 {
 		t.Errorf("snapshot grew with the recorder")
 	}
 
 	rec.Reset()
-	if rec.Len() != 0 || rec.Truncated() {
-		t.Errorf("Reset left ops=%d truncated=%v", rec.Len(), rec.Truncated())
+	if len(rec.ops) != 0 || rec.truncated {
+		t.Errorf("Reset left ops=%d truncated=%v", len(rec.ops), rec.truncated)
 	}
 }
 
@@ -101,11 +100,11 @@ func TestRecorderTruncation(t *testing.T) {
 	if !truncated || len(ops) != 2 {
 		t.Fatalf("got %d ops truncated=%v, want the first 2 ops marked truncated", len(ops), truncated)
 	}
-	if ops[0].Kind != host.TraceConnect {
+	if ops[0].Kind != TraceConnect {
 		t.Errorf("truncation dropped the trace head")
 	}
 	rec.Reset()
-	if rec.Truncated() {
+	if rec.truncated {
 		t.Error("Reset did not clear truncation")
 	}
 }

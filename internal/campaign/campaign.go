@@ -18,8 +18,8 @@ import (
 
 	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/host"
-	"l2fuzz/internal/bt/radio"
 	"l2fuzz/internal/core"
+	"l2fuzz/internal/telemetry"
 )
 
 // Config parameterises a campaign.
@@ -30,11 +30,11 @@ type Config struct {
 	MaxRuns int
 	// MaxPacketsPerRun bounds each run.
 	MaxPacketsPerRun int
-	// MutateFuzz, when set, adjusts each run's derived fuzzer
-	// configuration after the campaign has applied its per-run seed and
-	// packet budget — the hook the fleet's ablation variants use to
-	// ablate campaign runs too.
-	MutateFuzz func(*core.Config)
+	// Ablation switches off design choices in every run, as a fleet
+	// ablation variant does for its campaign jobs.
+	Ablation core.Ablation
+	// Counters, when set, receives every run's hot-path telemetry.
+	Counters *telemetry.Counters
 }
 
 // stopAfterDryRuns ends the campaign after this many consecutive runs
@@ -119,9 +119,8 @@ func (r *Runner) Run() (*Report, error) {
 		}
 		fcfg := core.DefaultConfig(r.cfg.Seed + int64(run)*7919)
 		fcfg.MaxPackets = r.cfg.MaxPacketsPerRun
-		if r.cfg.MutateFuzz != nil {
-			r.cfg.MutateFuzz(&fcfg)
-		}
+		fcfg.Ablation = r.cfg.Ablation
+		fcfg.Counters = r.cfg.Counters
 		fz := core.New(r.cl, fcfg)
 		res, err := fz.Run(r.dev.Address())
 		if err != nil {
@@ -149,28 +148,12 @@ func (r *Runner) Run() (*Report, error) {
 		}
 
 		// The automatic reset: the virtual analogue of walking over and
-		// rebooting the phone.
-		if err := r.reset(); err != nil {
+		// rebooting the phone, then dropping the tester's stale link.
+		if err := r.dev.Reset(); err != nil {
 			return nil, fmt.Errorf("campaign reset after run %d: %w", run+1, err)
 		}
+		r.cl.Disconnect(r.dev.Address())
 		report.Resets++
 	}
 	return report, nil
 }
-
-// reset restores a crashed device and the tester's link state.
-func (r *Runner) reset() error {
-	wasGone := r.dev.PoweredOff()
-	r.dev.Reset()
-	if wasGone {
-		if err := r.medium().Register(r.dev.Controller()); err != nil {
-			return fmt.Errorf("re-register: %w", err)
-		}
-	}
-	r.cl.Disconnect(r.dev.Address())
-	return nil
-}
-
-// medium digs the medium out via the client's clock owner. The client
-// and device share one medium by construction; the controller knows it.
-func (r *Runner) medium() *radio.Medium { return r.dev.Medium() }

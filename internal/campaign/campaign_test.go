@@ -110,7 +110,8 @@ func TestCampaignCutsTraceEpochAtEveryRunBoundary(t *testing.T) {
 	if report.Runs != 2 {
 		t.Fatalf("runs = %d, want 2 dry runs", report.Runs)
 	}
-	got := rec.Len()
+	ops, _ := rec.Snapshot()
+	got := len(ops)
 	if got == 0 {
 		t.Fatal("recorder saw no operations")
 	}

@@ -22,17 +22,24 @@ type Config struct {
 	// through the batched Add* forms at every liveness probe and at run
 	// end, so no atomic sits on the per-packet path.
 	Counters *telemetry.Counters
+	// Ablation switches off design choices for the §IV-D study; the
+	// zero value runs L2Fuzz as published.
+	Ablation
+}
 
-	// MutateAllFields widens mutation beyond MC for the ablation study:
-	// dependent fields and MA fields are scrambled too, reproducing the
-	// dumb-mutation strategy the paper argues against.
-	MutateAllFields bool
-	// NoStateGuiding disables job-valid command selection for the
-	// ablation study: commands are drawn uniformly from all 26 codes in
-	// every state.
-	NoStateGuiding bool
-	// NoGarbage suppresses the garbage tail for the ablation study.
-	NoGarbage bool
+// Ablation names the paper's design choices a run switches off, one
+// bool each, for the §IV-D design-choice study. It is plain data, so a
+// farm ships it to worker processes inside its variants.
+type Ablation struct {
+	// NoStateGuiding disables job-valid command selection: commands are
+	// drawn uniformly from all 26 codes in every state.
+	NoStateGuiding bool `json:"noStateGuiding"`
+	// MutateAllFields widens mutation beyond MC: dependent fields and MA
+	// fields are scrambled too, reproducing the dumb-mutation strategy
+	// the paper argues against.
+	MutateAllFields bool `json:"mutateAllFields"`
+	// NoGarbage suppresses the garbage tail.
+	NoGarbage bool `json:"noGarbage"`
 }
 
 // The fuzzing constants, chosen to land the simulated pps near the

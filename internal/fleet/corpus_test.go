@@ -7,7 +7,6 @@ import (
 	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/l2cap"
 	"l2fuzz/internal/bt/radio"
-	"l2fuzz/internal/core"
 	"l2fuzz/internal/corpus"
 )
 
@@ -75,13 +74,13 @@ func TestCorpusFarmSchedulingIndependence(t *testing.T) {
 	}
 }
 
-// TestVariantRaisedBudgetDoesNotTruncateTrace is the regression test
-// for sizing the trace recorder before variant hooks run: a Core hook
-// may raise a job's packet cap far past the matrix budget, and a
-// finding landing beyond the pre-resolution estimate must still record
-// a complete, persistable trace. The target's defect fires only after
-// more commands than the unresolved budget's trace limit would hold.
-func TestVariantRaisedBudgetDoesNotTruncateTrace(t *testing.T) {
+// TestDeepFindingRecordsCompleteTrace pins that the trace recorder is
+// sized from the job's own packet budget: a target whose Budgets entry
+// lies far past the matrix budget, and whose finding lands beyond the
+// trace limit that matrix budget would give, must still record a
+// complete, persistable trace. The target's defect fires only after
+// more commands than that limit would hold.
+func TestDeepFindingRecordsCompleteTrace(t *testing.T) {
 	const fireAfter = 10_000
 	spec := device.Spec{
 		Name: "slow-burn",
@@ -116,14 +115,11 @@ func TestVariantRaisedBudgetDoesNotTruncateTrace(t *testing.T) {
 	}
 	rep, err := Run(Config{
 		CustomDevices: []device.Spec{spec},
-		Variants: []Variant{{
-			Name: "deep",
-			Core: func(c *core.Config) { c.MaxPackets = 20 * fireAfter },
-		}},
-		BaseSeed: 3,
-		Workers:  1,
-		// Small matrix budget: the pre-resolution trace-limit estimate
-		// from this cannot hold a finding at fireAfter commands.
+		Budgets:       map[string]int{"slow-burn": 20 * fireAfter},
+		BaseSeed:      3,
+		Workers:       1,
+		// Small matrix budget: a trace limit sized from it cannot hold
+		// a finding at fireAfter commands.
 		MaxPacketsPerJob: 1_000,
 		Corpus:           store,
 	})
@@ -144,7 +140,7 @@ func TestVariantRaisedBudgetDoesNotTruncateTrace(t *testing.T) {
 		t.Fatalf("stored trace truncated=%v ops=%d, want a complete trace", entry.Trace.Truncated, len(entry.Trace.Ops))
 	}
 	if len(entry.Trace.Ops) <= traceLimit(1_000) {
-		t.Fatalf("trace has %d ops, within the pre-resolution limit %d — the test no longer exercises the raise",
+		t.Fatalf("trace has %d ops, within the matrix budget's limit %d — the test no longer reaches past it",
 			len(entry.Trace.Ops), traceLimit(1_000))
 	}
 }

@@ -17,18 +17,19 @@
 // individual job stays bit-for-bit deterministic: equal (job, seed)
 // gives equal results regardless of worker scheduling.
 //
-// The variant axis carries per-job configuration overrides: a Variant
-// names a hook that mutates the resolved core.Config of L2Fuzz jobs and
-// of every campaign run after the farm applies a job's defaults. The
-// predefined AblationVariants reproduce the paper's §IV-D
+// The variant axis carries per-job ablations: a Variant is a name plus
+// the core.Ablation applied to L2Fuzz jobs and to every campaign run.
+// The predefined AblationVariants reproduce the paper's §IV-D
 // design-argument grid (baseline, no-state-guiding, all-fields,
 // no-garbage) in one farm run, with a PerVariant breakdown in the
 // Report making the MP/PR/state-coverage deltas directly comparable.
 // Non-baseline variants salt the per-job seed derivation; an empty
 // Variants list means the baseline alone and reproduces pre-variant
-// farm reports byte-identically. Proc workers resolve variants by name,
-// so Config validation refuses a variant that reuses a predefined name
-// with other behaviour.
+// farm reports byte-identically. Variants are plain data: proc workers
+// receive the matrix's list once per session and resolve each job's
+// variant from it, as the in-process pool does. Config validation
+// refuses a variant that reuses a predefined name with another
+// ablation.
 //
 // The execution core is streaming: Start launches the farm and returns
 // a Farm whose Events channel announces JobStarted, JobDone and

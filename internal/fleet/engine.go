@@ -36,9 +36,9 @@ type Engine interface {
 	// on defect-armed farms — the reserved-DLCI mux defect).
 	NeedsRFCOMM() bool
 	// TraceBudget estimates the engine's total traffic for one job from
-	// the job's packet budget, sizing the repro-trace recorder before
-	// the variant hook runs. Engines whose hook may raise the budget
-	// afterwards call ensureTraceLimit with the resolved figure.
+	// the job's packet budget, sizing the repro-trace recorder. No
+	// variant can change a job's budget, so the estimate made when the
+	// rig is built holds for the whole job.
 	TraceBudget(cfg Config, job Job) int
 	// Run executes the job on its private rig, folding the outcome into
 	// res. Run reports failures through res.Err, never by panicking: one
@@ -110,20 +110,8 @@ func (l2fuzzEngine) TraceBudget(cfg Config, job Job) int { return job.MaxPackets
 func (l2fuzzEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
 	fcfg := core.DefaultConfig(job.Seed)
 	fcfg.MaxPackets = job.MaxPackets
-	if v.Core != nil {
-		v.Core(&fcfg)
-	}
-	// Telemetry wires after the variant hook so a variant cannot
-	// accidentally detach the farm's counters.
 	fcfg.Counters = cfg.Counters
-	budget := fcfg.MaxPackets
-	if budget <= 0 {
-		// Mirror the runner's zero-means-default normalization, or a
-		// hook zeroing the cap would shrink the trace limit while the
-		// run grows to the library default.
-		budget = core.DefaultMaxPackets
-	}
-	ensureTraceLimit(r, budget)
+	fcfg.Ablation = v.Ablation
 	report, err := core.New(r.Client, fcfg).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err
@@ -220,29 +208,13 @@ func (campaignEngine) TraceBudget(cfg Config, job Job) int {
 }
 
 func (campaignEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
-	ccfg := campaign.DefaultConfig(job.Seed)
-	ccfg.MaxRuns = cfg.CampaignRuns
-	ccfg.MaxPacketsPerRun = job.MaxPackets
-	ctr := cfg.Counters
-	ccfg.MutateFuzz = func(fc *core.Config) {
-		if v.Core != nil {
-			v.Core(fc)
-		}
-		// Telemetry wires after the variant hook, as for L2Fuzz jobs.
-		fc.Counters = ctr
-	}
-	// The variant hook may raise the per-run budget past the one newRig
-	// sized the recorder for, which must hold the worst case of a whole
-	// job's traffic landing in one trace epoch.
-	perRun := core.DefaultConfig(job.Seed)
-	perRun.MaxPackets = job.MaxPackets
-	ccfg.MutateFuzz(&perRun)
-	if perRun.MaxPackets <= 0 {
-		// Mirror the runner's zero-means-default normalization.
-		perRun.MaxPackets = core.DefaultMaxPackets
-	}
-	ensureTraceLimit(r, cfg.CampaignRuns*perRun.MaxPackets)
-	report, err := campaign.New(r.Client, r.Device, ccfg).Run()
+	report, err := campaign.New(r.Client, r.Device, campaign.Config{
+		Seed:             job.Seed,
+		MaxRuns:          cfg.CampaignRuns,
+		MaxPacketsPerRun: job.MaxPackets,
+		Ablation:         v.Ablation,
+		Counters:         cfg.Counters,
+	}).Run()
 	if err != nil {
 		res.Err = err
 		return

@@ -75,10 +75,10 @@ type Config struct {
 	// Kinds are the fuzzer kinds to run against every device. Empty
 	// means KindL2Fuzz only.
 	Kinds []Kind
-	// Variants are the per-job configuration overrides to run for every
-	// (device, kind) cell — the matrix's third axis. Empty means the
-	// baseline variant only, which reproduces pre-variant farms
-	// byte-identically. See AblationVariants for the paper's §IV-D grid.
+	// Variants are the ablations to run for every (device, kind) cell —
+	// the matrix's third axis. Empty means the baseline variant only,
+	// which reproduces pre-variant farms byte-identically. See
+	// AblationVariants for the paper's §IV-D grid.
 	Variants []Variant
 	// Shards is the number of seed shards per (device, kind, variant)
 	// cell: each shard is an independent job with its own derived seed,

@@ -42,11 +42,8 @@ type ProcConfig struct {
 // and requeues the lost job, and when no worker is left Execute returns
 // ErrNoWorkers.
 //
-// Variants cross the process boundary by name only. Start rejects
-// configs whose hook-carrying variants are not the predefined ablation
-// variants (VariantByName resolves those on the worker side); a variant
-// that reuses a predefined name with other behaviour never gets this
-// far, because the farm's config validation refuses it.
+// Each worker session starts with the farm's matrix variants (wireFarm),
+// so workers run every variant the in-process pool runs.
 type ProcExecutor struct {
 	pc  ProcConfig
 	cfg Config
@@ -96,15 +93,10 @@ func (e *ProcExecutor) workerIDs() []string {
 	return ids
 }
 
-// Start validates the config against the process boundary and spawns
-// the worker pool. A worker that fails to spawn or handshake fails the
-// whole Start; the farm surfaces that instead of limping from the off.
+// Start spawns the worker pool. A worker that fails to spawn or
+// handshake fails the whole Start; the farm surfaces that instead of
+// limping from the off.
 func (e *ProcExecutor) Start(cfg Config) error {
-	for _, v := range cfg.Variants {
-		if _, err := VariantByName(v.Name); err != nil && v.Core != nil {
-			return fmt.Errorf("fleet: variant %q carries a Core hook, which cannot cross the worker process boundary (only the predefined ablation variants resolve by name on workers)", v.Name)
-		}
-	}
 	e.cfg = cfg
 	procs := e.pc.Procs
 	if procs <= 0 {
@@ -114,6 +106,7 @@ func (e *ProcExecutor) Start(cfg Config) error {
 		Version:          wireVersion,
 		MeasurementGrade: cfg.MeasurementGrade,
 		CampaignRuns:     cfg.CampaignRuns,
+		Variants:         cfg.Variants,
 		Record:           cfg.Corpus != nil,
 		Counters:         cfg.Counters != nil,
 	}

@@ -29,11 +29,9 @@ func newRig(cfg Config, eng Engine, job Job) (*testbed.Rig, error) {
 		// record the repro traces of every job that can contribute
 		// findings (the baseline kinds never do, so recording them
 		// would only hold wire buffers for nothing).
-		// This limit comes from the job's budget; the L2Fuzz and
-		// campaign engines raise it (ensureTraceLimit) when a variant's
-		// Core hook lifts the real traffic cap. A trace that still
-		// outgrows it is marked truncated and skipped at store time
-		// rather than persisted unreplayable.
+		// The limit comes from the job's budget, which no variant can
+		// move. A trace that still outgrows it is marked truncated and
+		// skipped at store time rather than persisted unreplayable.
 		opts.Record = true
 		opts.RecordLimit = traceLimit(eng.TraceBudget(cfg, job))
 	}
@@ -45,20 +43,11 @@ func newRig(cfg Config, eng Engine, job Job) (*testbed.Rig, error) {
 // absorbs scan and setup traffic.
 func traceLimit(budget int) int { return 2*budget + 4096 }
 
-// ensureTraceLimit raises the rig recorder's cap once an engine knows
-// its resolved traffic budget — a variant's Core hook may have lifted
-// it past the job budget newRig recorded with.
-func ensureTraceLimit(r *testbed.Rig, budget int) {
-	if r.Recorder != nil {
-		r.Recorder.EnsureLimit(traceLimit(budget))
-	}
-}
-
 // runJob executes one job on a fresh rig and folds the outcome into a
-// JobResult. The job's kind resolves to its registered engine; the
-// job's variant hook runs after the engine resolves its defaults, so
-// it may adjust the packet budget too. Job errors are recorded, not
-// returned: one failed cell must not bring the farm down.
+// JobResult. The job's kind resolves to its registered engine and its
+// variant to the entry of that name in cfg.Variants, which a proc
+// worker receives in its session's wireFarm. Job errors are recorded,
+// not returned: one failed cell must not bring the farm down.
 func runJob(cfg Config, job Job) JobResult {
 	if cfg.Counters != nil {
 		// The job counts into a private Counters whose cache lines stay

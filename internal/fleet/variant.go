@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 
 	"l2fuzz/internal/core"
@@ -26,24 +25,22 @@ const (
 	VariantNoGarbage = "no-garbage"
 )
 
-// Variant is one point on the matrix's variant axis: a named override
-// of the L2Fuzz configuration. Its Core hook runs after the farm has
-// resolved a job's seed and packet budget, so it may adjust the budget
-// too. Only L2Fuzz and campaign jobs run the hook; every other kind
-// exposes no knobs, so a variant distinguishes their jobs through its
-// variant-salted seed alone.
-//
-// Proc workers resolve a variant by name (VariantByName), so a variant
-// named like a predefined one must change core.Config exactly as that
-// one does, and a hook-carrying variant must use a predefined name
-// under a ProcExecutor.
+// Variant is one point on the matrix's variant axis: a name plus the
+// design choices its L2Fuzz and campaign jobs switch off. Every other
+// kind has no design choice to ablate, so a variant distinguishes their
+// jobs through its variant-salted seed alone. A Variant is plain data:
+// proc workers receive the matrix's variants once per session and
+// resolve each job's variant from that list, exactly as the in-process
+// pool does, so any combination of ablations runs under either
+// executor.
 type Variant struct {
 	// Name identifies the variant in jobs, reports and seed derivation.
-	// It must be unique within a matrix and non-empty.
-	Name string
-	// Core, when set, mutates the resolved core.Config of KindL2Fuzz
-	// jobs and of every run inside KindCampaign jobs.
-	Core func(*core.Config)
+	// It must be unique within a matrix and non-empty, and a predefined
+	// name must carry its predefined Ablation.
+	Name string `json:"name"`
+	// Ablation is applied to the core.Config of KindL2Fuzz jobs and of
+	// every run inside KindCampaign jobs.
+	Ablation core.Ablation `json:"ablation"`
 }
 
 // BaselineVariant returns the un-ablated reference variant.
@@ -52,28 +49,19 @@ func BaselineVariant() Variant { return Variant{Name: VariantBaseline} }
 // NoStateGuidingVariant returns the state-guiding ablation: state
 // coverage collapses while mutation efficiency survives (§IV-D).
 func NoStateGuidingVariant() Variant {
-	return Variant{
-		Name: VariantNoStateGuiding,
-		Core: func(c *core.Config) { c.NoStateGuiding = true },
-	}
+	return Variant{Name: VariantNoStateGuiding, Ablation: core.Ablation{NoStateGuiding: true}}
 }
 
 // AllFieldsVariant returns the core-field-mutation ablation: packets
 // become invalid rather than valid-malformed and the MP ratio collapses.
 func AllFieldsVariant() Variant {
-	return Variant{
-		Name: VariantAllFields,
-		Core: func(c *core.Config) { c.MutateAllFields = true },
-	}
+	return Variant{Name: VariantAllFields, Ablation: core.Ablation{MutateAllFields: true}}
 }
 
 // NoGarbageVariant returns the garbage-tail ablation: the malformed
 // ratio drops and tail-triggered defects go undetected.
 func NoGarbageVariant() Variant {
-	return Variant{
-		Name: VariantNoGarbage,
-		Core: func(c *core.Config) { c.NoGarbage = true },
-	}
+	return Variant{Name: VariantNoGarbage, Ablation: core.Ablation{NoGarbage: true}}
 }
 
 // AblationVariants returns the §IV-D ablation grid in report order: the
@@ -89,24 +77,14 @@ func AblationVariants() []Variant {
 	}
 }
 
-// apply returns the core.DefaultConfig the variant's hook leaves.
-func (v Variant) apply() core.Config {
-	c := core.DefaultConfig(0)
-	if v.Core != nil {
-		v.Core(&c)
-	}
-	return c
-}
-
 // checkPredefined rejects a variant that reuses a predefined variant's
-// name but changes core.Config differently: workers resolve variants by
-// name, so the two executors would run different configurations.
+// name with another ablation: reports, journals and the CLI's
+// -ablations flag all take a predefined name to mean its ablation.
 func (v Variant) checkPredefined() error {
-	pv, err := VariantByName(v.Name)
-	if err != nil || reflect.DeepEqual(v.apply(), pv.apply()) {
-		return nil
+	if pv, err := VariantByName(v.Name); err == nil && v != pv {
+		return fmt.Errorf("fleet: variant %q ablates otherwise than the predefined variant of that name; rename it", v.Name)
 	}
-	return fmt.Errorf("fleet: variant %q changes core.Config unlike the predefined variant of that name; rename it", v.Name)
+	return nil
 }
 
 // VariantByName resolves one of the predefined ablation variants.

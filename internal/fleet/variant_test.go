@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"l2fuzz/internal/core"
+	"l2fuzz/internal/telemetry"
 )
 
 // legacySeed is the pre-variant seed derivation, reproduced here so the
@@ -202,39 +203,62 @@ func TestAblationFarmReproducesBenchOrdering(t *testing.T) {
 	}
 }
 
-// TestVariantOverridesApply checks the Core hook reaches both kinds
-// that run it: a packet-budget override must shrink an L2Fuzz job and,
-// chained through campaign.MutateFuzz, every run of a campaign job.
-func TestVariantOverridesApply(t *testing.T) {
-	tiny := Config{
-		Devices: []string{"D4"},
-		Kinds:   []Kind{KindL2Fuzz, KindCampaign},
-		Variants: []Variant{{
-			Name: "tiny",
-			Core: func(c *core.Config) { c.MaxPackets = 500 },
-		}},
-		BaseSeed:         7,
-		Workers:          2,
-		MaxPacketsPerJob: 20_000,
-		CampaignRuns:     1,
+// TestCustomVariantRunsTheSameOnWorkers pins that a variant outside
+// the predefined grid is data every executor runs alike: its ablation
+// reaches L2Fuzz jobs and every campaign run, as do the farm's
+// counters, and the farm renders the same report in process and on
+// worker subprocesses.
+func TestCustomVariantRunsTheSameOnWorkers(t *testing.T) {
+	farm := func() Config {
+		return Config{
+			Devices: []string{"D2"},
+			Kinds:   []Kind{KindL2Fuzz, KindCampaign},
+			Variants: []Variant{
+				BaselineVariant(),
+				{Name: "stateless", Ablation: core.Ablation{NoStateGuiding: true}},
+			},
+			BaseSeed:         7,
+			Workers:          2,
+			MaxPacketsPerJob: 20_000,
+			CampaignRuns:     1,
+			MeasurementGrade: true,
+			Counters:         &telemetry.Counters{},
+		}
 	}
-	rep, err := Run(tiny)
+	lcfg := farm()
+	local, err := Run(lcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Failed != 0 {
-		t.Fatalf("%d jobs failed: %+v", rep.Failed, rep.Jobs)
+	if local.Failed != 0 {
+		t.Fatalf("%d jobs failed: %+v", local.Failed, local.Jobs)
 	}
-	for _, res := range rep.Jobs {
-		// Every kind's budget was overridden to at most 500 packets per
-		// run, far below the 20k matrix default: the override provably
-		// reached each runner (campaign: 1 run × Core-capped budget).
-		if res.PacketsSent > 1_000 {
-			t.Errorf("%v sent %d packets; override did not apply", res.Job, res.PacketsSent)
+	if got := lcfg.Counters.Snapshot().Packets; got != int64(local.TotalPackets) {
+		t.Errorf("farm counters tallied %d packets, the report %d", got, local.TotalPackets)
+	}
+	states := make(map[string]int) // "kind/variant" → states covered
+	for _, res := range local.Jobs {
+		states[string(res.Job.Kind)+"/"+res.Job.Variant] = res.Summary.StatesCovered
+		if got := res.Job.String(); res.Job.Variant == "stateless" && !strings.Contains(got, "[stateless]") {
+			t.Errorf("job renders as %q, want the variant tag [stateless]", got)
 		}
-		if got, want := res.Job.String(), "[tiny]"; !strings.Contains(got, want) {
-			t.Errorf("job renders as %q, want the variant tag %q", got, want)
+	}
+	for _, k := range []Kind{KindL2Fuzz, KindCampaign} {
+		base, stateless := states[string(k)+"/"+VariantBaseline], states[string(k)+"/stateless"]
+		if stateless >= base {
+			t.Errorf("%s: stateless job covered %d states, baseline %d; the ablation did not reach it", k, stateless, base)
 		}
+	}
+	pcfg := farm()
+	pcfg.Executor = NewProcExecutor(procConfig(2))
+	proc, err := Run(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local.ScrubWall()
+	proc.ScrubWall()
+	if l, p := local.Render(), proc.Render(); l != p {
+		t.Errorf("custom variant renders differently:\nlocal:\n%s\nproc:\n%s", l, p)
 	}
 }
 
@@ -257,15 +281,15 @@ func TestVariantValidation(t *testing.T) {
 }
 
 // TestPredefinedVariantNamesKeepTheirBehaviour pins that a variant
-// named like a predefined one behaves like it under every executor:
-// proc workers resolve variants by name, so a config whose variant
-// changes core.Config otherwise than its namesake is refused, and the
-// predefined grid renders the same report in process and on workers.
+// named like a predefined one behaves like it under every executor: a
+// config whose variant ablates otherwise than its namesake is refused,
+// and the predefined grid renders the same report in process and on
+// workers.
 func TestPredefinedVariantNamesKeepTheirBehaviour(t *testing.T) {
 	for _, v := range []Variant{
 		{Name: VariantNoGarbage},
-		{Name: VariantAllFields, Core: func(c *core.Config) { c.NoGarbage = true }},
-		{Name: VariantBaseline, Core: func(c *core.Config) { c.MaxPackets = 500 }},
+		{Name: VariantAllFields, Ablation: core.Ablation{NoGarbage: true}},
+		{Name: VariantBaseline, Ablation: core.Ablation{MutateAllFields: true}},
 	} {
 		if _, err := (Config{Devices: []string{"D2"}, Variants: []Variant{v}}).withDefaults(); err == nil {
 			t.Errorf("variant %q with other behaviour than its predefined namesake accepted", v.Name)

@@ -32,7 +32,7 @@ func TestWireSchemaGolden(t *testing.T) {
 	}
 
 	flatten("hello", wireHello{Version: wireVersion, PID: 4242})
-	fc := wireFarm{Version: wireVersion, CampaignRuns: 2, Record: true, Counters: true}
+	fc := wireFarm{Version: wireVersion, CampaignRuns: 2, Variants: AblationVariants(), Record: true, Counters: true}
 	full := fc
 	full.MeasurementGrade = true
 	flatten("farm", full)

@@ -28,7 +28,9 @@ import (
 // clock (echoed back as a desync check alongside the index) and
 // results carry the worker-measured execution wall time, so the
 // coordinator can split a proc job's wall into transport vs execute.
-const wireVersion = 2
+// Version 3 sends the matrix's variants in wireFarm, once per session,
+// so a worker resolves a job's variant as the in-process pool does.
+const wireVersion = 3
 
 // wireHello is the worker's opening message.
 type wireHello struct {
@@ -43,6 +45,8 @@ type wireFarm struct {
 	Version          int  `json:"version"`
 	MeasurementGrade bool `json:"measurementGrade,omitempty"`
 	CampaignRuns     int  `json:"campaignRuns"`
+	// Variants is the matrix's variant axis; each job names its entry.
+	Variants []Variant `json:"variants"`
 	// Record makes the worker's rigs record repro traces (the
 	// coordinator holds a corpus store the worker cannot see).
 	Record bool `json:"record,omitempty"`
@@ -54,10 +58,8 @@ type wireFarm struct {
 // wireJob is one job assignment: the job in its record form. The
 // resolved target spec travels inline — specs are pure data since
 // defects became declarative — so a worker needs no target catalog of
-// its own and custom targets work unchanged. Variants cross by name
-// only: a Core hook cannot cross a process boundary, so the worker
-// resolves predefined names via VariantByName and treats unknown names
-// as hook-less.
+// its own and custom targets work unchanged. The job's variant travels
+// by name, resolved against the session's wireFarm.Variants.
 type wireJob struct {
 	record.Job
 	// StartedNs is the job's span context: the offset on the farm's
@@ -170,18 +172,10 @@ func workerRun(fc wireFarm, wj wireJob) wireResult {
 	cfg := Config{
 		MeasurementGrade: fc.MeasurementGrade,
 		CampaignRuns:     fc.CampaignRuns,
+		Variants:         fc.Variants,
 		Workers:          1,
 		forceRecord:      fc.Record,
 	}
-	if v, err := VariantByName(wj.Variant); err == nil {
-		cfg.Variants = []Variant{v}
-	}
-	// Unknown variant names resolve to the baseline — the exact
-	// behaviour of a hook-less custom variant, whose only job-visible
-	// effect is the seed salt already baked into wj.Seed. A custom
-	// variant with a Core hook never reaches a worker
-	// (ProcExecutor.Start rejects it), and neither does one that reuses
-	// a predefined name with other behaviour (Config validation does).
 	var local *telemetry.Counters
 	if fc.Counters {
 		local = &telemetry.Counters{}

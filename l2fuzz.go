@@ -138,6 +138,11 @@ type (
 	Finding = core.Finding
 	// ScanReport is the target-scanning phase outcome.
 	ScanReport = core.ScanReport
+	// Ablation names the design choices an L2Fuzz run switches off for
+	// the paper's §IV-D study: state guiding, core-field-only mutation
+	// and the garbage tail. The zero value runs L2Fuzz as published.
+	// FuzzConfig embeds it, and a FleetVariant carries one.
+	Ablation = core.Ablation
 	// ErrorClass is the paper's connection-error taxonomy.
 	ErrorClass = core.ErrorClass
 	// Metrics is a trace-derived measurement summary: MP ratio, PR
@@ -195,9 +200,10 @@ type (
 	FleetFinding = fleet.FindingRecord
 	// FleetKind selects the fuzzer a farm job runs.
 	FleetKind = fleet.Kind
-	// FleetVariant is one point on a farm matrix's variant axis: a named
-	// override of the L2Fuzz configuration that L2Fuzz and campaign jobs
-	// run under (the paper's §IV-D ablations, or a custom hook).
+	// FleetVariant is one point on a farm matrix's variant axis: a name
+	// plus the Ablation that L2Fuzz and campaign jobs run under (the
+	// paper's §IV-D ablations, or any custom combination). Variants are
+	// plain data, so every executor runs them alike.
 	FleetVariant = fleet.Variant
 	// FleetVariantStats is a per-variant report row: job counters plus
 	// the variant's own merged trace metrics.
@@ -578,10 +584,8 @@ type FuzzConfig struct {
 	MaxPackets int
 	// LogWriter receives the run log; nil discards it.
 	LogWriter io.Writer
-	// Ablations (paper §IV design-choice studies).
-	NoStateGuiding  bool
-	NoGarbage       bool
-	MutateAllFields bool
+	// Ablation switches off design choices (paper §IV-D studies).
+	Ablation
 }
 
 // Simulation is one self-contained virtual Bluetooth testbed.
@@ -714,9 +718,7 @@ func (s *Simulation) RunL2Fuzz(name string, cfg FuzzConfig) (*Report, error) {
 		ccfg.MaxPackets = cfg.MaxPackets
 	}
 	ccfg.LogWriter = cfg.LogWriter
-	ccfg.NoStateGuiding = cfg.NoStateGuiding
-	ccfg.NoGarbage = cfg.NoGarbage
-	ccfg.MutateAllFields = cfg.MutateAllFields
+	ccfg.Ablation = cfg.Ablation
 	return core.New(s.client, ccfg).Run(d.Address())
 }
 
@@ -868,13 +870,8 @@ func (s *Simulation) ResetDevice(name string) error {
 	if err != nil {
 		return err
 	}
-	wasGone := d.PoweredOff()
-	d.Reset()
-	if wasGone {
-		// The device vanished from the air entirely; put it back.
-		if err := s.medium.Register(d.Controller()); err != nil {
-			return fmt.Errorf("l2fuzz: re-register after reset: %w", err)
-		}
+	if err := d.Reset(); err != nil {
+		return fmt.Errorf("l2fuzz: %w", err)
 	}
 	s.client.Disconnect(d.Address())
 	return nil
