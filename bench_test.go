@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -360,10 +362,11 @@ func TestBenchSnapshot(t *testing.T) {
 	}
 }
 
-// allocBudget mirrors ALLOC_BUDGET.json: the committed ceiling on the
-// packet path's allocation cost, enforced by TestAllocBudget.
+// allocBudget is one entry of ALLOC_BUDGET.json: the committed ceiling
+// on one BenchmarkFleet row's allocation cost, enforced by
+// TestAllocBudget.
 type allocBudget struct {
-	// Bench names the guarded configuration, for the error message.
+	// Bench names the guarded row, "BenchmarkFleet/<case name>".
 	Bench string `json:"bench"`
 	// MaxAllocsPerOp and MaxMBPerOp are the ceilings one benchmark op
 	// (one full fleet run) must stay under.
@@ -371,15 +374,16 @@ type allocBudget struct {
 	MaxMBPerOp     float64 `json:"maxMBPerOp"`
 }
 
-// TestAllocBudget is the allocation-regression gate: it benchmarks the
-// workers=4 fleet configuration with allocation reporting and fails if
-// allocs/op or MB/op exceeds the committed ALLOC_BUDGET.json, so the
-// allocation tail PR 9 reclaimed cannot silently grow back.
+// TestAllocBudget is the allocation-regression gate: for every entry of
+// the committed ALLOC_BUDGET.json it benchmarks that fleet row with
+// allocation reporting and fails if allocs/op or MB/op exceeds the
+// entry, so allocations taken off the packet path cannot silently grow
+// back.
 //
 //	ALLOC_GATE=1 go test -run TestAllocBudget .
 //
-// Skipped without ALLOC_GATE=1 (the run costs a few fleet executions);
-// CI always sets it.
+// Skipped without ALLOC_GATE=1 (the run costs a few fleet executions per
+// entry); CI always sets it.
 func TestAllocBudget(t *testing.T) {
 	if os.Getenv("ALLOC_GATE") == "" {
 		t.Skip("set ALLOC_GATE=1 to run the allocation-regression gate")
@@ -388,31 +392,42 @@ func TestAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var budget allocBudget
-	if err := json.Unmarshal(data, &budget); err != nil {
+	var budgets []allocBudget
+	if err := json.Unmarshal(data, &budgets); err != nil {
 		t.Fatalf("ALLOC_BUDGET.json: %v", err)
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			report, err := fleetBenchRun(fleetBenchCase{workers: 4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if report.Failed > 0 {
-				b.Fatalf("%d jobs failed", report.Failed)
-			}
+	for _, budget := range budgets {
+		name, _ := strings.CutPrefix(budget.Bench, "BenchmarkFleet/")
+		i := slices.IndexFunc(fleetBenchCases, func(bc fleetBenchCase) bool { return bc.name == name })
+		if i < 0 {
+			t.Errorf("ALLOC_BUDGET.json: %q names no BenchmarkFleet row", budget.Bench)
+			continue
 		}
-	})
-	allocs := res.AllocsPerOp()
-	mb := float64(res.AllocedBytesPerOp()) / 1e6
-	t.Logf("%s: %d allocs/op (budget %d), %.1f MB/op (budget %.1f)",
-		budget.Bench, allocs, budget.MaxAllocsPerOp, mb, budget.MaxMBPerOp)
-	if allocs > budget.MaxAllocsPerOp {
-		t.Errorf("allocs/op regression: %d > budget %d", allocs, budget.MaxAllocsPerOp)
-	}
-	if mb > budget.MaxMBPerOp {
-		t.Errorf("MB/op regression: %.1f > budget %.1f", mb, budget.MaxMBPerOp)
+		bc := fleetBenchCases[i]
+		t.Run(name, func(t *testing.T) {
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					report, err := fleetBenchRun(bc)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if report.Failed > 0 {
+						b.Fatalf("%d jobs failed", report.Failed)
+					}
+				}
+			})
+			allocs := res.AllocsPerOp()
+			mb := float64(res.AllocedBytesPerOp()) / 1e6
+			t.Logf("%s: %d allocs/op (budget %d), %.1f MB/op (budget %.1f)",
+				budget.Bench, allocs, budget.MaxAllocsPerOp, mb, budget.MaxMBPerOp)
+			if allocs > budget.MaxAllocsPerOp {
+				t.Errorf("allocs/op regression: %d > budget %d", allocs, budget.MaxAllocsPerOp)
+			}
+			if mb > budget.MaxMBPerOp {
+				t.Errorf("MB/op regression: %.1f > budget %.1f", mb, budget.MaxMBPerOp)
+			}
+		})
 	}
 }
 

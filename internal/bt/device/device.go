@@ -48,10 +48,11 @@ type Device struct {
 	mux    *rfcomm.Mux
 	ports  []ServicePort
 
-	channels       map[l2cap.CID]*channel
-	closedMachines []*sm.Machine // archived machines of closed channels
-	nextCID        l2cap.CID
-	nextSigID      uint8
+	channels map[l2cap.CID]*channel
+	// closedVisited holds the states every closed channel occupied.
+	closedVisited sm.StateSet
+	nextCID       l2cap.CID
+	nextSigID     uint8
 
 	serviceDown bool
 	poweredOff  bool
@@ -108,7 +109,7 @@ type handlerHits struct {
 }
 
 type channel struct {
-	m         *sm.Machine
+	m         sm.Machine
 	localCID  l2cap.CID
 	remoteCID l2cap.CID
 	psm       l2cap.PSM
@@ -181,9 +182,8 @@ func New(m *radio.Medium, cfg Config) (*Device, error) {
 	ctrl.SetDisconnectHandler(func(hci.ConnHandle, radio.BDAddr) {
 		// Baseband link loss tears down every L2CAP channel riding it
 		// (single-peer simulation: all channels belong to the link).
-		for cid, ch := range d.channels {
-			d.closedMachines = append(d.closedMachines, ch.m)
-			delete(d.channels, cid)
+		for _, ch := range d.channels {
+			d.closeChannel(ch)
 		}
 	})
 	return d, nil
@@ -220,7 +220,7 @@ func (d *Device) Reset() error {
 	d.poweredOff = false
 	d.dump = nil
 	d.channels = make(map[l2cap.CID]*channel)
-	d.closedMachines = nil
+	d.closedVisited = 0
 	d.nextCID = l2cap.CIDDynamicFirst
 	d.cmdSeq = 0
 	d.sdpSrv = newSDPServer(d.ports, d.cfg)
@@ -245,29 +245,11 @@ func (d *Device) Reset() error {
 // has occupied since the last Reset: the ground truth against which the
 // trace-inferred state coverage (Figure 10) can be validated.
 func (d *Device) StatesVisited() []sm.State {
-	seen := make(map[sm.State]bool)
-	var out []sm.State
-	note := func(states []sm.State) {
-		for _, s := range states {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	for _, m := range d.closedMachines {
-		note(m.Visited())
-	}
+	visited := d.closedVisited
 	for _, ch := range d.channels {
-		note(ch.m.Visited())
+		visited.AddVisited(&ch.m)
 	}
-	// Sort for determinism: map iteration order above is random.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return visited.AppendStates(nil)
 }
 
 // onL2CAP is the host-stack entry point for complete L2CAP frames.
@@ -781,11 +763,11 @@ func (d *Device) newChannel(psm l2cap.PSM, remote l2cap.CID) *channel {
 		}
 	}
 	ch := &channel{
-		m:         sm.NewMachine(),
 		localCID:  d.nextCID,
 		remoteCID: remote,
 		psm:       psm,
 	}
+	ch.m.Reset()
 	d.channels[ch.localCID] = ch
 	d.nextCID++
 	if d.nextCID < l2cap.CIDDynamicFirst {
@@ -794,8 +776,10 @@ func (d *Device) newChannel(psm l2cap.PSM, remote l2cap.CID) *channel {
 	return ch
 }
 
+// closeChannel forgets ch, folding the states it occupied into
+// closedVisited.
 func (d *Device) closeChannel(ch *channel) {
-	d.closedMachines = append(d.closedMachines, ch.m)
+	d.closedVisited.AddVisited(&ch.m)
 	delete(d.channels, ch.localCID)
 }
 

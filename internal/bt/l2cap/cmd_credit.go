@@ -271,23 +271,23 @@ func marshalCIDs(dst []byte, cids []CID) []byte {
 	return dst
 }
 
-// unmarshalCIDs decodes the trailing CID list of an enhanced credit-based
-// command.
-func unmarshalCIDs(code CommandCode, data []byte) ([]CID, error) {
+// appendCIDs decodes the trailing CID list of an enhanced credit-based
+// command, appending to dst. The decoders pass their own list cut to
+// length 0, so a reused command decodes in place.
+func appendCIDs(dst []CID, code CommandCode, data []byte) ([]CID, error) {
 	if len(data)%2 != 0 {
-		return nil, fmt.Errorf("%w: %v CID list has odd length %d",
+		return dst, fmt.Errorf("%w: %v CID list has odd length %d",
 			ErrBadCommand, code, len(data))
 	}
 	n := len(data) / 2
 	if n > maxECREDChannels {
-		return nil, fmt.Errorf("%w: %v carries %d CIDs, max %d",
+		return dst, fmt.Errorf("%w: %v carries %d CIDs, max %d",
 			ErrBadCommand, code, n, maxECREDChannels)
 	}
-	cids := make([]CID, n)
 	for i := 0; i < n; i++ {
-		cids[i] = CID(getU16(data, 2*i))
+		dst = append(dst, CID(getU16(data, 2*i)))
 	}
-	return cids, nil
+	return dst, nil
 }
 
 // CreditBasedConnReq (code 0x17) opens up to five enhanced credit-based
@@ -326,7 +326,7 @@ func (c *CreditBasedConnReq) UnmarshalData(data []byte) error {
 	c.MTU = getU16(data, 2)
 	c.MPS = getU16(data, 4)
 	c.InitialCredits = getU16(data, 6)
-	cids, err := unmarshalCIDs(CodeCreditBasedConnReq, data[8:])
+	cids, err := appendCIDs(c.SCIDs[:0], CodeCreditBasedConnReq, data[8:])
 	if err != nil {
 		return err
 	}
@@ -381,7 +381,7 @@ func (c *CreditBasedConnRsp) UnmarshalData(data []byte) error {
 	c.MPS = getU16(data, 2)
 	c.InitialCredits = getU16(data, 4)
 	c.Result = getU16(data, 6)
-	cids, err := unmarshalCIDs(CodeCreditBasedConnRsp, data[8:])
+	cids, err := appendCIDs(c.DCIDs[:0], CodeCreditBasedConnRsp, data[8:])
 	if err != nil {
 		return err
 	}
@@ -429,7 +429,7 @@ func (c *CreditBasedReconfReq) UnmarshalData(data []byte) error {
 	}
 	c.MTU = getU16(data, 0)
 	c.MPS = getU16(data, 2)
-	cids, err := unmarshalCIDs(CodeCreditBasedReconfReq, data[4:])
+	cids, err := appendCIDs(c.DCIDs[:0], CodeCreditBasedReconfReq, data[4:])
 	if err != nil {
 		return err
 	}

@@ -191,15 +191,81 @@ func TestCommandRejectReasonDataValidation(t *testing.T) {
 }
 
 func TestECREDChannelListValidation(t *testing.T) {
-	var req CreditBasedConnReq
-	// 6 CIDs exceeds the 5-channel limit.
-	data := make([]byte, 8+12)
-	if err := req.UnmarshalData(data); !errors.Is(err, ErrBadCommand) {
-		t.Errorf("6-CID list: error = %v, want ErrBadCommand", err)
+	for _, tt := range []struct {
+		cmd   Command
+		fixed int // bytes before the CID list
+	}{
+		{&CreditBasedConnReq{}, 8},
+		{&CreditBasedConnRsp{}, 8},
+		{&CreditBasedReconfReq{}, 4},
+	} {
+		// 6 CIDs exceeds the 5-channel limit.
+		if err := tt.cmd.UnmarshalData(make([]byte, tt.fixed+12)); !errors.Is(err, ErrBadCommand) {
+			t.Errorf("%v, 6-CID list: error = %v, want ErrBadCommand", tt.cmd.Code(), err)
+		}
+		// Odd-length CID list.
+		if err := tt.cmd.UnmarshalData(make([]byte, tt.fixed+3)); !errors.Is(err, ErrBadCommand) {
+			t.Errorf("%v, odd CID list: error = %v, want ErrBadCommand", tt.cmd.Code(), err)
+		}
 	}
-	// Odd-length CID list.
-	data = make([]byte, 8+3)
-	if err := req.UnmarshalData(data); !errors.Is(err, ErrBadCommand) {
-		t.Errorf("odd CID list: error = %v, want ErrBadCommand", err)
+}
+
+// TestECREDDecodesInPlace pins the enhanced credit-based decoders' CID
+// lists to the command's own slice: a reused Decoder that decodes a
+// five-CID command and then a two-CID one returns exactly the two, in
+// the first list's backing array, and a warm decode allocates nothing.
+func TestECREDDecodesInPlace(t *testing.T) {
+	five := []CID{0x0040, 0x0041, 0x0042, 0x0043, 0x0044}
+	two := []CID{0x0050, 0x0051}
+	for _, tt := range []struct {
+		long, short Command
+		cids        func(Command) []CID
+	}{
+		{
+			&CreditBasedConnReq{SPSM: 0x0080, MTU: 64, MPS: 64, InitialCredits: 1, SCIDs: five},
+			&CreditBasedConnReq{SPSM: 0x0080, MTU: 64, MPS: 64, InitialCredits: 1, SCIDs: two},
+			func(c Command) []CID { return c.(*CreditBasedConnReq).SCIDs },
+		},
+		{
+			&CreditBasedConnRsp{MTU: 64, MPS: 64, InitialCredits: 1, DCIDs: five},
+			&CreditBasedConnRsp{MTU: 64, MPS: 64, InitialCredits: 1, DCIDs: two},
+			func(c Command) []CID { return c.(*CreditBasedConnRsp).DCIDs },
+		},
+		{
+			&CreditBasedReconfReq{MTU: 64, MPS: 64, DCIDs: five},
+			&CreditBasedReconfReq{MTU: 64, MPS: 64, DCIDs: two},
+			func(c Command) []CID { return c.(*CreditBasedReconfReq).DCIDs },
+		},
+	} {
+		t.Run(tt.long.Code().String(), func(t *testing.T) {
+			long := Frame{Code: tt.long.Code(), Identifier: 1, Data: tt.long.AppendData(nil)}
+			short := Frame{Code: tt.short.Code(), Identifier: 2, Data: tt.short.AppendData(nil)}
+			var dec Decoder
+			cmd, err := dec.Decode(long)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := tt.cids(cmd)
+			if !reflect.DeepEqual(first, five) {
+				t.Fatalf("five-CID decode = %v, want %v", first, five)
+			}
+			if cmd, err = dec.Decode(short); err != nil {
+				t.Fatal(err)
+			}
+			second := tt.cids(cmd)
+			if !reflect.DeepEqual(second, two) {
+				t.Fatalf("two-CID decode after a five-CID one = %v, want exactly %v", second, two)
+			}
+			if &second[0] != &first[0] {
+				t.Fatal("the two-CID list was not decoded into the command's own slice")
+			}
+			warm := func() {
+				_, _ = dec.Decode(long)
+				_, _ = dec.Decode(short)
+			}
+			if n := testing.AllocsPerRun(100, warm); n != 0 {
+				t.Fatalf("warm decode allocates %.1f times", n)
+			}
+		})
 	}
 }

@@ -326,21 +326,31 @@ func ValidEvents(state State) []Event {
 	return out
 }
 
-// Machine is one channel's state machine instance. The zero value is not
-// usable; construct with NewMachine. Machine is not safe for concurrent
-// use; the device stack serialises access per channel.
+// Machine is one channel's state machine instance: a plain value, so a
+// channel can embed one and reset it without allocating. The zero value
+// is not usable; Reset it first, or construct one with NewMachine.
+// Machine is not safe for concurrent use; the device stack serialises
+// access per channel.
 type Machine struct {
 	state State
-	// visited accumulates every state the machine has occupied, in first-
-	// visit order, for trace-based coverage measurement.
-	visited []State
+	// visited[:n] holds every state the machine has occupied, in first-
+	// visit order, for trace-based coverage measurement. The states are
+	// distinct, so NumStates entries always suffice.
+	visited [NumStates]State
+	n       uint8
 }
 
 // NewMachine returns a machine resting in CLOSED.
 func NewMachine() *Machine {
-	m := &Machine{state: StateClosed}
-	m.visited = append(m.visited, StateClosed)
+	m := new(Machine)
+	m.Reset()
 	return m
+}
+
+// Reset puts the machine in CLOSED, with CLOSED its only visited state.
+func (m *Machine) Reset() {
+	*m = Machine{state: StateClosed, n: 1}
+	m.visited[0] = StateClosed
 }
 
 // State returns the current state.
@@ -357,7 +367,7 @@ func (m *Machine) Visited() []State { return m.AppendVisited(nil) }
 // first-visit order, to dst and returns the extended slice: the
 // allocation-free form of Visited for callers with a reused buffer.
 func (m *Machine) AppendVisited(dst []State) []State {
-	return append(dst, m.visited...)
+	return append(dst, m.visited[:m.n]...)
 }
 
 // Apply drives the machine with event. When the event is valid it returns
@@ -374,10 +384,11 @@ func (m *Machine) Apply(event Event) (Transition, bool) {
 }
 
 func (m *Machine) noteVisit(s State) {
-	for _, v := range m.visited {
+	for _, v := range m.visited[:m.n] {
 		if v == s {
 			return
 		}
 	}
-	m.visited = append(m.visited, s)
+	m.visited[m.n] = s
+	m.n++
 }

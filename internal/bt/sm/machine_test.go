@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -215,11 +216,13 @@ func TestVisitedDeduplicates(t *testing.T) {
 	}
 }
 
-// Property: Apply never moves to an invalid state and rejected events
-// never change state.
+// Property: Apply never moves to an invalid state, rejected events
+// never change state, and Visited lists the distinct states occupied,
+// CLOSED first, in the order they were first entered.
 func TestQuickApplyInvariants(t *testing.T) {
 	f := func(events []uint8) bool {
 		m := NewMachine()
+		firstVisits := []State{StateClosed}
 		for _, raw := range events {
 			before := m.State()
 			e := Event(raw%uint8(EvLocalOpenReq) + 1)
@@ -230,8 +233,11 @@ func TestQuickApplyInvariants(t *testing.T) {
 			if ok && (m.State() != tr.Next || !m.State().Valid()) {
 				return false
 			}
+			if ok && !slices.Contains(firstVisits, m.State()) {
+				firstVisits = append(firstVisits, m.State())
+			}
 		}
-		return true
+		return slices.Equal(m.Visited(), firstVisits)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -349,5 +355,36 @@ func TestEventAndActionNames(t *testing.T) {
 		if got := a.String(); got != want {
 			t.Errorf("Action(%d).String() = %q, want %q", uint8(a), got, want)
 		}
+	}
+}
+
+// TestStateSetFoldsMachines pins the value machine's allocation-free
+// reuse: a machine reset and driven again, its visits folded into a
+// StateSet, allocates nothing, and the set lists the union of the
+// visits in declaration order.
+func TestStateSetFoldsMachines(t *testing.T) {
+	var (
+		m   Machine
+		set StateSet
+	)
+	m.Reset()
+	mustApply(t, &m, EvRecvCreateReq)
+	set.AddVisited(&m)
+	m.Reset()
+	driveToOpen(t, &m)
+	set.AddVisited(&m)
+	want := []State{StateClosed, StateWaitConnect, StateWaitCreate, StateWaitConfig,
+		StateWaitConfigReqRsp, StateWaitConfigReq, StateOpen}
+	if got := set.AppendStates(nil); !slices.Equal(got, want) {
+		t.Fatalf("AppendStates = %v, want %v", got, want)
+	}
+	reuse := func() {
+		m.Reset()
+		m.Apply(EvRecvConnectReq)
+		m.Apply(EvLocalAccept)
+		set.AddVisited(&m)
+	}
+	if n := testing.AllocsPerRun(100, reuse); n != 0 {
+		t.Fatalf("reset, drive and fold allocate %.1f times", n)
 	}
 }

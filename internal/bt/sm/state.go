@@ -124,3 +124,28 @@ func (s State) String() string {
 		return fmt.Sprintf("State(%d)", uint8(s))
 	}
 }
+
+// StateSet is a set of states, one bit per state: it folds the visits of
+// any number of machines into coverage without allocating.
+type StateSet uint32
+
+// Add puts s in the set.
+func (set *StateSet) Add(s State) { *set |= 1 << s }
+
+// AddVisited puts every state m has occupied in the set.
+func (set *StateSet) AddVisited(m *Machine) {
+	for _, s := range m.visited[:m.n] {
+		set.Add(s)
+	}
+}
+
+// AppendStates appends the set's states to dst in declaration order and
+// returns the extended slice.
+func (set StateSet) AppendStates(dst []State) []State {
+	for s := StateClosed; s <= StateWaitConfirmRsp; s++ {
+		if set&(1<<s) != 0 {
+			dst = append(dst, s)
+		}
+	}
+	return dst
+}

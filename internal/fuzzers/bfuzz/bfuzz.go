@@ -80,9 +80,11 @@ func (f *Fuzzer) Run(target radio.BDAddr, maxPackets int) (res fuzzers.Result, e
 		sent += 4 // conversation cost: connect plus configuration round-trips
 		f.cl.Clock().Advance(4 * ThinkTime)
 
-		// Mutation burst over the seed corpus.
+		// Mutation burst over the seed corpus. scramble mutates a copy
+		// of the encoded packet, so the seed commands serve the whole
+		// burst.
+		seedSet := seeds(local, remote)
 		for burst := 0; burst < 2048 && sent < maxPackets; burst++ {
-			seedSet := seeds(local, remote)
 			cmd := seedSet[f.rng.Intn(len(seedSet))]
 			pkt := f.scramble(l2cap.SignalPacket(f.cl.NextID(), cmd, nil), sent)
 			if err := f.cl.Send(target, pkt); err != nil {

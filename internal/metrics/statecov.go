@@ -8,11 +8,11 @@ import (
 // VisitedState is one state the target was inferred to have visited.
 type VisitedState = sm.State
 
-// shadowChan is one tracked channel: the shadow machine plus both
-// endpoint names (the device-side CID from the response, the tester-side
-// CID from the request).
+// shadowChan is one open channel: the shadow machine plus both endpoint
+// names (the device-side CID from the response, the tester-side CID from
+// the request).
 type shadowChan struct {
-	m         *sm.Machine
+	m         sm.Machine
 	deviceCID l2cap.CID
 	testerCID l2cap.CID
 }
@@ -32,13 +32,13 @@ type StateInferencer struct {
 	byDevice map[l2cap.CID]*shadowChan
 	// byTester indexes shadows by the tester-side CID.
 	byTester map[l2cap.CID]*shadowChan
-	// pendingConn maps tester SCID → shadow awaiting a connect response.
-	pendingConn map[l2cap.CID]*shadowChan
+	// pendingConn maps a tester SCID awaiting a connect or create
+	// response to the request's event. Most requests are refused, so a
+	// shadow is built only when the response opens the channel.
+	pendingConn map[l2cap.CID]sm.Event
 	// visited accumulates states across all shadows, including closed
-	// channels, indexed by state.
-	visited [256]bool
-	// scratch is absorb's reused buffer for a machine's visit list.
-	scratch []sm.State
+	// channels and refused requests.
+	visited sm.StateSet
 }
 
 // NewStateInferencer returns an empty inferencer.
@@ -46,13 +46,13 @@ func NewStateInferencer() *StateInferencer {
 	return &StateInferencer{
 		byDevice:    make(map[l2cap.CID]*shadowChan),
 		byTester:    make(map[l2cap.CID]*shadowChan),
-		pendingConn: make(map[l2cap.CID]*shadowChan),
+		pendingConn: make(map[l2cap.CID]sm.Event),
 	}
 }
 
 // drop removes a shadow from the indexes, absorbing its visit history.
 func (si *StateInferencer) drop(sc *shadowChan) {
-	si.absorb(sc.m)
+	si.visited.AddVisited(&sc.m)
 	delete(si.byDevice, sc.deviceCID)
 	delete(si.byTester, sc.testerCID)
 }
@@ -62,15 +62,9 @@ func (si *StateInferencer) ObserveTx(cmd l2cap.Command) {
 	switch c := cmd.(type) {
 	case *l2cap.ConnectionReq:
 		// The target enters WAIT_CONNECT while deciding.
-		sc := &shadowChan{m: sm.NewMachine(), testerCID: c.SCID}
-		sc.m.Apply(sm.EvRecvConnectReq)
-		si.pendingConn[c.SCID] = sc
-		si.absorb(sc.m)
+		si.request(c.SCID, sm.EvRecvConnectReq)
 	case *l2cap.CreateChannelReq:
-		sc := &shadowChan{m: sm.NewMachine(), testerCID: c.SCID}
-		sc.m.Apply(sm.EvRecvCreateReq)
-		si.pendingConn[c.SCID] = sc
-		si.absorb(sc.m)
+		si.request(c.SCID, sm.EvRecvCreateReq)
 	case *l2cap.ConfigurationReq:
 		if sc := si.byDevice[c.DCID]; sc != nil {
 			ev := sm.EvRecvConfigReq
@@ -78,14 +72,14 @@ func (si *StateInferencer) ObserveTx(cmd l2cap.Command) {
 				ev = sm.EvRecvConfigReqEFS
 			}
 			sc.m.Apply(ev)
-			si.absorb(sc.m)
+			si.visited.AddVisited(&sc.m)
 		}
 	case *l2cap.ConfigurationRsp:
 		// In a tester-sent response the SCID names the device-side
 		// endpoint.
 		if sc := si.byDevice[c.SCID]; sc != nil {
 			sc.m.Apply(sm.EvRecvConfigRsp)
-			si.absorb(sc.m)
+			si.visited.AddVisited(&sc.m)
 		}
 	case *l2cap.DisconnectionReq:
 		if sc := si.byDevice[c.DCID]; sc != nil {
@@ -98,12 +92,12 @@ func (si *StateInferencer) ObserveTx(cmd l2cap.Command) {
 	case *l2cap.MoveChannelReq:
 		if sc := si.byDevice[c.ICID]; sc != nil {
 			sc.m.Apply(sm.EvRecvMoveReq)
-			si.absorb(sc.m)
+			si.visited.AddVisited(&sc.m)
 		}
 	case *l2cap.MoveChannelConfirmReq:
 		if sc := si.byDevice[c.ICID]; sc != nil {
 			sc.m.Apply(sm.EvRecvMoveConfirmReq)
-			si.absorb(sc.m)
+			si.visited.AddVisited(&sc.m)
 		}
 	default:
 	}
@@ -121,7 +115,7 @@ func (si *StateInferencer) ObserveRx(cmd l2cap.Command) {
 		// names the tester-side endpoint.
 		if sc := si.byTester[c.DCID]; sc != nil {
 			sc.m.Apply(sm.EvLocalSendConfigReq)
-			si.absorb(sc.m)
+			si.visited.AddVisited(&sc.m)
 		}
 	case *l2cap.ConfigurationRsp:
 		// The SCID in a device-sent response names the tester-side
@@ -131,36 +125,45 @@ func (si *StateInferencer) ObserveRx(cmd l2cap.Command) {
 			if c.Result != l2cap.ConfigPending && sc.m.State() == sm.StateWaitIndFinalRsp {
 				sc.m.Apply(sm.EvLocalFinalRsp)
 			}
-			si.absorb(sc.m)
+			si.visited.AddVisited(&sc.m)
 		}
 	case *l2cap.MoveChannelRsp:
 		if c.Result == l2cap.MoveResultSuccess {
 			if sc := si.byDevice[c.ICID]; sc != nil && sc.m.State() == sm.StateWaitMove {
 				sc.m.Apply(sm.EvLocalAccept)
-				si.absorb(sc.m)
+				si.visited.AddVisited(&sc.m)
 			}
 		}
 	default:
 	}
 }
 
+// request records a connect or create request from the tester: the
+// target occupies CLOSED and then the request's wait state to decide,
+// whatever it answers.
+func (si *StateInferencer) request(scid l2cap.CID, ev sm.Event) {
+	t, _ := sm.Lookup(sm.StateClosed, ev)
+	si.visited.Add(sm.StateClosed)
+	si.visited.Add(t.Next)
+	si.pendingConn[scid] = ev
+}
+
 // completeConnect resolves a pending connect/create against its response.
 func (si *StateInferencer) completeConnect(scid, dcid l2cap.CID, result l2cap.ConnResult) {
-	sc := si.pendingConn[scid]
-	if sc == nil {
+	ev, ok := si.pendingConn[scid]
+	if !ok {
 		return
 	}
 	if result == l2cap.ConnResultPending {
 		// The target is still deciding (authorization pending): the
 		// channel stays in WAIT_CONNECT/WAIT_CREATE and the final
-		// response is yet to come. Keep the shadow pending so that final
+		// response is yet to come. Keep the request pending so that final
 		// response still matches — dropping it here would orphan every
 		// post-connect state on the channel.
 		return
 	}
 	delete(si.pendingConn, scid)
 	if result != l2cap.ConnResultSuccess {
-		si.absorb(sc.m)
 		return
 	}
 	// A reused device CID means the old channel is gone (link loss the
@@ -171,30 +174,17 @@ func (si *StateInferencer) completeConnect(scid, dcid l2cap.CID, result l2cap.Co
 	if old := si.byTester[scid]; old != nil {
 		si.drop(old)
 	}
+	sc := &shadowChan{deviceCID: dcid, testerCID: scid}
+	sc.m.Reset()
+	sc.m.Apply(ev)               // → WAIT_CONNECT / WAIT_CREATE
 	sc.m.Apply(sm.EvLocalAccept) // → WAIT_CONFIG
-	sc.deviceCID = dcid
 	si.byDevice[dcid] = sc
 	si.byTester[scid] = sc
-	si.absorb(sc.m)
-}
-
-func (si *StateInferencer) absorb(m *sm.Machine) {
-	si.scratch = m.AppendVisited(si.scratch[:0])
-	for _, s := range si.scratch {
-		si.visited[s] = true
-	}
+	si.visited.AddVisited(&sc.m)
 }
 
 // Visited returns the inferred visited states in declaration order.
-func (si *StateInferencer) Visited() []VisitedState {
-	var out []VisitedState
-	for _, s := range sm.AllStates() {
-		if si.visited[s] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+func (si *StateInferencer) Visited() []VisitedState { return si.visited.AppendStates(nil) }
 
 func hasEFS(opts []l2cap.ConfigOption) bool {
 	for _, o := range opts {

@@ -92,10 +92,10 @@ func TestInferencerDropsShadowOnFinalRefusal(t *testing.T) {
 	}
 }
 
-// TestInferencerConfigExchangeDoesNotAllocate pins absorb's reused
-// scratch: once a channel is tracked, observing its configuration
-// exchange — every command of which folds the shadow's visit list into
-// the coverage set — allocates nothing.
+// TestInferencerConfigExchangeDoesNotAllocate pins the coverage fold:
+// once a channel is tracked, observing its configuration exchange —
+// every command of which folds the shadow's visit list into the
+// coverage set — allocates nothing.
 func TestInferencerConfigExchangeDoesNotAllocate(t *testing.T) {
 	si := NewStateInferencer()
 	const (
