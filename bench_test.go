@@ -87,7 +87,7 @@ func BenchmarkTableVII_MutationEfficiency(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Fuzzer == harness.NameL2Fuzz {
+			if r.Fuzzer == l2fuzz.FleetL2Fuzz {
 				b.ReportMetric(100*r.Summary.MPRatio, "MP%")
 				b.ReportMetric(100*r.Summary.PRRatio, "PR%")
 				b.ReportMetric(100*r.Summary.MutationEfficiency, "eff%")
@@ -108,7 +108,7 @@ func BenchmarkFig8_MPSeries(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, s := range series {
-			if s.Fuzzer == harness.NameL2Fuzz && len(s.Points) > 0 {
+			if s.Fuzzer == l2fuzz.FleetL2Fuzz && len(s.Points) > 0 {
 				b.ReportMetric(float64(s.Points[len(s.Points)-1].Y), "malformed")
 			}
 		}
@@ -126,7 +126,7 @@ func BenchmarkFig9_PRSeries(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, s := range series {
-			if s.Fuzzer == harness.NameBFuzz && len(s.Points) > 0 {
+			if s.Fuzzer == l2fuzz.FleetBFuzz && len(s.Points) > 0 {
 				b.ReportMetric(float64(s.Points[len(s.Points)-1].Y), "rejections")
 			}
 		}
@@ -144,16 +144,7 @@ func BenchmarkFig10_StateCoverage(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			switch r.Fuzzer {
-			case harness.NameL2Fuzz:
-				b.ReportMetric(float64(r.States), "L2Fuzz-states")
-			case harness.NameDefensics:
-				b.ReportMetric(float64(r.States), "Defensics-states")
-			case harness.NameBFuzz:
-				b.ReportMetric(float64(r.States), "BFuzz-states")
-			case harness.NameBSS:
-				b.ReportMetric(float64(r.States), "BSS-states")
-			}
+			b.ReportMetric(float64(r.States), string(r.Fuzzer)+"-states")
 		}
 		if harness.RenderFigure11(rows) == "" {
 			b.Fatal("empty Figure 11")

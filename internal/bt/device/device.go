@@ -198,9 +198,6 @@ func (d *Device) Name() string { return d.cfg.Name }
 // Ports returns a copy of the exposed service ports (SDP included).
 func (d *Device) Ports() []ServicePort { return append([]ServicePort(nil), d.ports...) }
 
-// Profile returns the stack profile.
-func (d *Device) Profile() Profile { return d.cfg.Profile }
-
 // Controller exposes the underlying virtual controller (tests only).
 func (d *Device) Controller() *hci.Controller { return d.ctrl }
 

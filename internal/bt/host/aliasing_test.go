@@ -22,7 +22,7 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 	if err := cl.Connect(target); err != nil {
 		t.Fatal(err)
 	}
-	first := l2cap.SignalPacket(1, &l2cap.EchoReq{Data: []byte("first-packet")}, []byte{0xAA, 0xBB})
+	first := l2cap.SignalPacket(nil, 1, &l2cap.EchoReq{Data: []byte("first-packet")}, []byte{0xAA, 0xBB})
 	if err := cl.Send(target, first); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 
 	// Hammer the scratch-reusing send path with different contents.
 	for i := 0; i < 64; i++ {
-		pkt := l2cap.SignalPacket(uint8(i%250+2), &l2cap.EchoReq{Data: bytes.Repeat([]byte{byte(i)}, 32)}, nil)
+		pkt := l2cap.SignalPacket(nil, uint8(i%250+2), &l2cap.EchoReq{Data: bytes.Repeat([]byte{byte(i)}, 32)}, nil)
 		if err := cl.Send(target, pkt); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestRecordedWireSurvivesScratchReuse(t *testing.T) {
 	}
 	rec.Reset()
 	for i := 0; i < 64; i++ {
-		pkt := l2cap.SignalPacket(uint8(i%250+2), &l2cap.EchoReq{Data: bytes.Repeat([]byte{^byte(i)}, 32)}, nil)
+		pkt := l2cap.SignalPacket(nil, uint8(i%250+2), &l2cap.EchoReq{Data: bytes.Repeat([]byte{^byte(i)}, 32)}, nil)
 		if err := cl.Send(target, pkt); err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestDrainBatchStableUntilNextDrain(t *testing.T) {
 	if bytes.Equal(held, snap) {
 		t.Fatal("the batch before last still holds its old bytes after its slab was refilled")
 	}
-	if !bytes.Equal(snap, l2cap.SignalPacket(id, &l2cap.EchoRsp{Data: []byte("round-one")}, nil).Payload) {
+	if !bytes.Equal(snap, l2cap.SignalPacket(nil, id, &l2cap.EchoRsp{Data: []byte("round-one")}, nil).Payload) {
 		t.Fatalf("explicit copy changed: %x", snap)
 	}
 }

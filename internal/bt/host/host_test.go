@@ -48,7 +48,7 @@ func TestClientConnectIdempotent(t *testing.T) {
 
 func TestSendWithoutConnect(t *testing.T) {
 	_, d, cl := newRig(t, device.BlueDroidProfile("5.0", "fp"))
-	err := cl.Send(d.Address(), l2cap.SignalPacket(1, &l2cap.EchoReq{}, nil))
+	err := cl.Send(d.Address(), l2cap.SignalPacket(nil, 1, &l2cap.EchoReq{}, nil))
 	if !errors.Is(err, host.ErrNotConnected) {
 		t.Fatalf("Send() error = %v, want ErrNotConnected", err)
 	}

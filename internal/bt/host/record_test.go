@@ -41,7 +41,7 @@ func TestRecorderCapturesClientOps(t *testing.T) {
 	if err := cl.Connect(target); err != nil {
 		t.Fatal(err)
 	}
-	pkt := l2cap.SignalPacket(1, &l2cap.EchoReq{Data: []byte("hi")}, []byte{0xAA})
+	pkt := l2cap.SignalPacket(nil, 1, &l2cap.EchoReq{Data: []byte("hi")}, []byte{0xAA})
 	if err := cl.Send(target, pkt); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRecorderTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		_ = cl.Send(target, l2cap.SignalPacket(uint8(i+1), &l2cap.EchoReq{}, nil))
+		_ = cl.Send(target, l2cap.SignalPacket(nil, uint8(i+1), &l2cap.EchoReq{}, nil))
 	}
 	ops, truncated := rec.Snapshot()
 	if !truncated || len(ops) != 2 {
@@ -117,7 +117,7 @@ func TestSendRawBytesUntouched(t *testing.T) {
 	if err := cl.Connect(target); err != nil {
 		t.Fatal(err)
 	}
-	wire := l2cap.SignalPacket(7, &l2cap.EchoReq{Data: []byte("raw")}, nil).AppendTo(nil)
+	wire := l2cap.SignalPacket(nil, 7, &l2cap.EchoReq{Data: []byte("raw")}, nil).AppendTo(nil)
 	if err := cl.SendRaw(target, wire); err != nil {
 		t.Fatal(err)
 	}

@@ -12,18 +12,18 @@ import (
 // the borrowed input buffer must not change the re-encoded bytes, and a
 // fresh decode of a pristine copy must agree with them.
 func FuzzDecodeBorrowDiscipline(f *testing.F) {
-	f.Add(SignalPacket(1, &EchoReq{Data: []byte("seed")}, nil).Payload)
-	f.Add(SignalPacket(2, &ConnectionReq{PSM: 0x0001, SCID: 0x0040}, []byte{0xDE, 0xAD}).Payload)
-	f.Add(SignalPacket(3, &CommandReject{Reason: 2, ReasonData: []byte{1, 2, 3, 4}}, nil).Payload)
+	f.Add(SignalPacket(nil, 1, &EchoReq{Data: []byte("seed")}, nil).Payload)
+	f.Add(SignalPacket(nil, 2, &ConnectionReq{PSM: 0x0001, SCID: 0x0040}, []byte{0xDE, 0xAD}).Payload)
+	f.Add(SignalPacket(nil, 3, &CommandReject{Reason: 2, ReasonData: []byte{1, 2, 3, 4}}, nil).Payload)
 	f.Add([]byte{0x04, 0x09, 0x08, 0x00, 0x40, 0x00, 0x00, 0x00, 0x01, 0x02, 0x02, 0x00})
 	f.Add([]byte{})
 	// A five-CID enhanced credit-based request, then a two-CID one: the
 	// decoder's cached command decodes the second list over the first.
-	f.Add(append(SignalPacket(4, &CreditBasedConnReq{SPSM: 0x0080, MTU: 64, MPS: 64, InitialCredits: 1,
+	f.Add(append(SignalPacket(nil, 4, &CreditBasedConnReq{SPSM: 0x0080, MTU: 64, MPS: 64, InitialCredits: 1,
 		SCIDs: []CID{0x0040, 0x0041, 0x0042, 0x0043, 0x0044}}, nil).Payload,
-		SignalPacket(5, &CreditBasedConnReq{SPSM: 0x0080, MTU: 64, MPS: 64, InitialCredits: 1,
+		SignalPacket(nil, 5, &CreditBasedConnReq{SPSM: 0x0080, MTU: 64, MPS: 64, InitialCredits: 1,
 			SCIDs: []CID{0x0050, 0x0051}}, nil).Payload...))
-	f.Add(SignalPacket(6, &CreditBasedReconfReq{MTU: 64, MPS: 64, DCIDs: []CID{0x0040, 0x0041}}, []byte{0xAA}).Payload)
+	f.Add(SignalPacket(nil, 6, &CreditBasedReconfReq{MTU: 64, MPS: 64, DCIDs: []CID{0x0040, 0x0041}}, []byte{0xAA}).Payload)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		borrowed := append([]byte(nil), payload...)

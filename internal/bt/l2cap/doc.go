@@ -18,12 +18,13 @@
 // All multi-byte values are little-endian, as mandated by the Bluetooth
 // Core Specification.
 //
-// Each direction has one codec form. Encoders append to a caller's buffer
-// (Packet.AppendTo, Frame.AppendTo, Command.AppendData, AppendSignalFrame;
-// pass nil for a fresh one). Decoders borrow: ParsePacket, AppendSignals,
-// UnmarshalData and AppendParsedOptions return values whose byte fields
-// alias the input, so a caller that keeps them past the input's lifetime
-// copies them with append([]byte(nil), b...).
+// Each direction has one codec form. Encoders write into a caller's
+// buffer (Packet.AppendTo, Frame.AppendTo, Command.AppendData,
+// AppendSignalFrame and SignalPacket; pass nil for a fresh one).
+// Decoders borrow: ParsePacket, AppendSignals, UnmarshalData and
+// AppendParsedOptions return values whose byte fields alias the input,
+// so a caller that keeps them past the input's lifetime copies them
+// with append([]byte(nil), b...).
 //
 // Encoding is strict: AppendData never produces command data that a
 // conformant stack would reject as syntactically invalid. Decoding is

@@ -43,8 +43,8 @@ func fieldOffsets(code CommandCode, data []byte) (names []string, offsets []int)
 // pointer must come back out of AppendData at that field's wire offset,
 // with every other byte unchanged.
 func FuzzAppendCoreFields(f *testing.F) {
-	f.Add(SignalPacket(1, &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}, nil).Payload)
-	f.Add(SignalPacket(2, &CreditBasedConnReq{SPSM: 0x0080, MTU: 64, MPS: 64, InitialCredits: 1,
+	f.Add(SignalPacket(nil, 1, &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}, nil).Payload)
+	f.Add(SignalPacket(nil, 2, &CreditBasedConnReq{SPSM: 0x0080, MTU: 64, MPS: 64, InitialCredits: 1,
 		SCIDs: []CID{0x0040, 0x0041}}, []byte{0xEE}).Payload)
 
 	// The stale scratch holds a five-CID CreditBasedReconfReq's fields

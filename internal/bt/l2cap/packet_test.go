@@ -70,7 +70,7 @@ func TestUnmarshalPacketErrors(t *testing.T) {
 }
 
 func TestGarbagePacketRoundTripsThroughWire(t *testing.T) {
-	base := SignalPacket(1, &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}, []byte{0xDE, 0xAD})
+	base := SignalPacket(nil, 1, &ConnectionReq{PSM: PSMSDP, SCID: 0x0040}, []byte{0xDE, 0xAD})
 	out, err := ParsePacket(base.AppendTo(nil))
 	if err != nil {
 		t.Fatalf("ParsePacket() error = %v", err)
@@ -97,13 +97,13 @@ func TestFigure7MutationExample(t *testing.T) {
 		DCID:    0x0040,
 		Options: []ConfigOption{MTUOption(0x2000)},
 	}
-	normal := SignalPacket(0x06, req, nil)
+	normal := SignalPacket(nil, 0x06, req, nil)
 	if normal.Length != 0x0C {
 		t.Fatalf("normal declared payload length = %#x, want 0x0C as in Figure 7", normal.Length)
 	}
 
 	req.DCID = 0x7B8F
-	mutated := SignalPacket(0x06, req, []byte{0xD2, 0x3A, 0x91, 0x0E})
+	mutated := SignalPacket(nil, 0x06, req, []byte{0xD2, 0x3A, 0x91, 0x0E})
 	if mutated.Length != 0x0C {
 		t.Fatalf("mutated declared length = %#x, want unchanged 0x0C", mutated.Length)
 	}

@@ -88,7 +88,7 @@ func normalize(cmd Command) Command {
 func TestEveryCommandRoundTripsThroughSignalPacket(t *testing.T) {
 	for i, cmd := range sampleCommands() {
 		id := uint8(i + 1)
-		pkt := SignalPacket(id, cmd, nil)
+		pkt := SignalPacket(nil, id, cmd, nil)
 		raw := pkt.AppendTo(nil)
 
 		decoded, err := ParsePacket(raw)

@@ -253,9 +253,8 @@ func (d *Decoder) Decode(f Frame) (Command, error) {
 // AppendSignalFrame appends the wire form of one signaling frame — the
 // 4-byte command header, the command data, then the garbage tail beyond
 // the declared length — to dst, returning the extended slice and the
-// declared frame size (header + data, tail excluded). It is the
-// allocation-free core of SignalPacket: hot paths hand it a reused
-// scratch buffer.
+// declared frame size (header + data, tail excluded). It is the core of
+// SignalPacket.
 func AppendSignalFrame(dst []byte, id uint8, cmd Command, tail []byte) (out []byte, declared int) {
 	start := len(dst)
 	dst = append(dst, uint8(cmd.Code()), id, 0, 0)
@@ -267,11 +266,13 @@ func AppendSignalFrame(dst []byte, id uint8, cmd Command, tail []byte) (out []by
 }
 
 // SignalPacket builds a complete basic frame carrying a single signaling
-// command on the signaling channel. The declared lengths describe the
-// command without the tail, reproducing the paper's Figure 7 layout where
-// garbage lives beyond every declared length.
-func SignalPacket(id uint8, cmd Command, tail []byte) Packet {
-	payload, declared := AppendSignalFrame(nil, id, cmd, tail)
+// command on the signaling channel. The payload is encoded into dst's
+// storage from its start (pass nil for a fresh buffer, or a scratch to
+// reuse; the packet's payload aliases it). The declared lengths describe
+// the command without the tail, reproducing the paper's Figure 7 layout
+// where garbage lives beyond every declared length.
+func SignalPacket(dst []byte, id uint8, cmd Command, tail []byte) Packet {
+	payload, declared := AppendSignalFrame(dst[:0], id, cmd, tail)
 	return Packet{
 		Length:    uint16(min(declared, MaxPayload)),
 		ChannelID: CIDSignaling,

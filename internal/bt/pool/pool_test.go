@@ -95,7 +95,7 @@ func TestGetDoesNotAllocateSteadyState(t *testing.T) {
 // the next borrower scribble it, and assert a frame retained (copied)
 // before the release is untouched.
 func TestReleasedBufferMutationDoesNotReachRetainedFrames(t *testing.T) {
-	wire := l2cap.SignalPacket(7, &l2cap.EchoReq{Data: []byte("retained")}, nil).AppendTo(nil)
+	wire := l2cap.SignalPacket(nil, 7, &l2cap.EchoReq{Data: []byte("retained")}, nil).AppendTo(nil)
 
 	borrowed := Copy(wire)
 	retained := append([]byte(nil), borrowed...) // the "must copy" rule

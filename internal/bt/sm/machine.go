@@ -356,9 +356,6 @@ func (m *Machine) Reset() {
 // State returns the current state.
 func (m *Machine) State() State { return m.state }
 
-// Job returns the job of the current state.
-func (m *Machine) Job() Job { return JobOf(m.state) }
-
 // Visited returns the distinct states the machine has occupied in
 // first-visit order. The returned slice is a copy.
 func (m *Machine) Visited() []State { return m.AppendVisited(nil) }

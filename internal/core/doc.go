@@ -19,6 +19,9 @@
 //     L2CAP echo ping test, and logging.
 //
 // The fuzzer is strictly black-box: it sees only what comes back over
-// the air. Ground-truth crash dumps live in the device simulation and are
-// only consulted by the experiment harness.
+// the air. Ground-truth crash dumps live in the device simulation; the
+// fuzzer never reads them. The layers above it do: the fleet and the
+// campaign runner attach them to findings, corpus replay and triage
+// classify root causes from them, and the harness reports their kind in
+// Table VI.
 package core

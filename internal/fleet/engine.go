@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-
 	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/bt/l2cap"
 	"l2fuzz/internal/bt/sm"
@@ -20,7 +18,8 @@ import (
 // value. The farm itself is engine-agnostic — rig construction, variant
 // resolution, seed derivation, corpus recording, telemetry, journaling
 // and reporting all go through this interface, so a new engine slots
-// into every farm surface by registering itself and nothing else.
+// into every farm surface by joining the engines table and nothing
+// else.
 type Engine interface {
 	// Kind is the engine's matrix identity: the value jobs, reports,
 	// journals and corpus entries carry.
@@ -46,56 +45,44 @@ type Engine interface {
 	Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult)
 }
 
-// The engine registry. engineOrder fixes report order (the order
-// engines registered in); engineIndex resolves kinds at dispatch time.
-var (
-	engineOrder []Engine
-	engineIndex = make(map[Kind]Engine)
-)
-
-// RegisterEngine adds an engine to the registry. Registration order is
-// report order: AllKinds, the per-fuzzer report table and
-// FindingRecord.Kinds all list kinds as registered. Registering two
-// engines under one kind is a programming error and panics.
-func RegisterEngine(e Engine) {
-	k := e.Kind()
-	if _, dup := engineIndex[k]; dup {
-		panic(fmt.Sprintf("fleet: engine kind %q registered twice", k))
-	}
-	engineIndex[k] = e
-	engineOrder = append(engineOrder, e)
+// engines is the engine registry, in report order: AllKinds, the
+// per-fuzzer report table and FindingRecord.Kinds all list kinds in
+// this order. The paper's four compared fuzzers come first, then the
+// two §V extensions, then the scenario-diversity engines of
+// engine_scenario.go: the same methodology pointed at the SDP and
+// state-machine surfaces. New kinds append, so historical reports
+// (which iterate AllKinds) render byte-identically.
+var engines = []Engine{
+	l2fuzzEngine{},
+	baselineEngine{kind: KindDefensics,
+		build: func(cl *host.Client, seed int64) fuzzers.Fuzzer { return defensics.New(cl, seed) }},
+	baselineEngine{kind: KindBFuzz,
+		build: func(cl *host.Client, seed int64) fuzzers.Fuzzer { return bfuzz.New(cl, seed) }},
+	baselineEngine{kind: KindBSS,
+		build: func(cl *host.Client, seed int64) fuzzers.Fuzzer { return bss.New(cl, seed) }},
+	rfcommEngine{},
+	campaignEngine{},
+	sdpEngine{},
+	smEngine{},
 }
 
-// EngineFor resolves a kind to its registered engine.
+// EngineFor resolves a kind to its engine.
 func EngineFor(k Kind) (Engine, bool) {
-	e, ok := engineIndex[k]
-	return e, ok
+	for _, e := range engines {
+		if e.Kind() == k {
+			return e, true
+		}
+	}
+	return nil, false
 }
 
-// AllKinds returns every registered kind in report order.
+// AllKinds returns every kind in report order.
 func AllKinds() []Kind {
-	kinds := make([]Kind, len(engineOrder))
-	for i, e := range engineOrder {
+	kinds := make([]Kind, len(engines))
+	for i, e := range engines {
 		kinds[i] = e.Kind()
 	}
 	return kinds
-}
-
-// The built-in engines, in report order: the paper's four compared
-// fuzzers, the two §V extensions, and the scenario-diversity engines
-// over the SDP and state-machine surfaces. New kinds append after the
-// existing six so historical reports (which iterate AllKinds) render
-// byte-identically.
-func init() {
-	RegisterEngine(l2fuzzEngine{})
-	RegisterEngine(baselineEngine{kind: KindDefensics,
-		build: func(cl *host.Client, seed int64) fuzzers.Fuzzer { return defensics.New(cl, seed) }})
-	RegisterEngine(baselineEngine{kind: KindBFuzz,
-		build: func(cl *host.Client, seed int64) fuzzers.Fuzzer { return bfuzz.New(cl, seed) }})
-	RegisterEngine(baselineEngine{kind: KindBSS,
-		build: func(cl *host.Client, seed int64) fuzzers.Fuzzer { return bss.New(cl, seed) }})
-	RegisterEngine(rfcommEngine{})
-	RegisterEngine(campaignEngine{})
 }
 
 // l2fuzzEngine runs the paper's fuzzer: state-guided, core-field-aware

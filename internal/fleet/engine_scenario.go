@@ -9,15 +9,6 @@ import (
 	"l2fuzz/internal/testbed"
 )
 
-// The scenario-diversity engines: the same methodology pointed at
-// surfaces the six original kinds never touched. Both register after
-// the original six (see engine.go's init), so reports over the
-// historical kind set render unchanged.
-func init() {
-	RegisterEngine(sdpEngine{})
-	RegisterEngine(smEngine{})
-}
-
 // sdpEngine runs DataElement/PDU malformation against the target's SDP
 // server. An SDP death maps into the shared signature space as an
 // Open-state finding on the SDP port, classified by the same liveness

@@ -8,7 +8,7 @@ import (
 
 // TestEngineRegistryResolvesEveryKind pins the registry contract: every
 // kind the matrix can schedule resolves to exactly one engine, and the
-// registered order — which fixes report order — opens with the six
+// table order — which fixes report order — opens with the six
 // historical kinds so reports over the original kind set render as they
 // always did.
 func TestEngineRegistryResolvesEveryKind(t *testing.T) {
@@ -25,7 +25,7 @@ func TestEngineRegistryResolvesEveryKind(t *testing.T) {
 	seen := make(map[Kind]bool)
 	for _, k := range kinds {
 		if seen[k] {
-			t.Fatalf("kind %v registered twice", k)
+			t.Fatalf("kind %v listed twice", k)
 		}
 		seen[k] = true
 		eng, ok := EngineFor(k)

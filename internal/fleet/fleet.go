@@ -13,9 +13,9 @@ import (
 	"l2fuzz/internal/telemetry"
 )
 
-// Kind selects the fuzzer a job runs. Each kind names a registered
-// Engine; the registry in engine.go is the single source of truth for
-// which kinds exist and how they execute.
+// Kind selects the fuzzer a job runs. Each kind names an Engine; the
+// engines table in engine.go is the single source of truth for which
+// kinds exist and how they execute.
 type Kind = record.Kind
 
 // The job kinds a farm can schedule: the paper's four compared fuzzers,

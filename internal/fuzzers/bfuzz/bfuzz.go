@@ -29,8 +29,9 @@ const dataOnlyEvery = 50
 
 // Fuzzer is a BFuzz-like everything-mutator.
 type Fuzzer struct {
-	cl  *host.Client
-	rng *rand.Rand
+	cl      *host.Client
+	rng     *rand.Rand
+	scratch []byte // burst packets are encoded and scrambled here
 }
 
 var _ fuzzers.Fuzzer = (*Fuzzer)(nil)
@@ -39,9 +40,6 @@ var _ fuzzers.Fuzzer = (*Fuzzer)(nil)
 func New(cl *host.Client, seed int64) *Fuzzer {
 	return &Fuzzer{cl: cl, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Name implements fuzzers.Fuzzer.
-func (f *Fuzzer) Name() string { return "BFuzz" }
 
 // seeds are the previously-vulnerable packet shapes BFuzz replays: the
 // BlueBorne-style connect/configure conversation.
@@ -80,13 +78,15 @@ func (f *Fuzzer) Run(target radio.BDAddr, maxPackets int) (res fuzzers.Result, e
 		sent += 4 // conversation cost: connect plus configuration round-trips
 		f.cl.Clock().Advance(4 * ThinkTime)
 
-		// Mutation burst over the seed corpus. scramble mutates a copy
-		// of the encoded packet, so the seed commands serve the whole
-		// burst.
+		// Mutation burst over the seed corpus. scramble mutates the
+		// encoded packet, not the command, so the seed commands serve
+		// the whole burst.
 		seedSet := seeds(local, remote)
 		for burst := 0; burst < 2048 && sent < maxPackets; burst++ {
 			cmd := seedSet[f.rng.Intn(len(seedSet))]
-			pkt := f.scramble(l2cap.SignalPacket(f.cl.NextID(), cmd, nil), sent)
+			pkt := l2cap.SignalPacket(f.scratch, f.cl.NextID(), cmd, nil)
+			f.scratch = pkt.Payload
+			f.scramble(pkt.Payload, sent)
 			if err := f.cl.Send(target, pkt); err != nil {
 				res.PacketsSent = sent
 				return res, nil
@@ -107,15 +107,14 @@ func (f *Fuzzer) Run(target radio.BDAddr, maxPackets int) (res fuzzers.Result, e
 	return res, nil
 }
 
-// scramble mutates almost every field of the packet. Usually the
-// dependent length fields are corrupted too — producing an *invalid*
-// packet the target rejects with "command not understood" — and
-// occasionally only the data bytes, producing a decodable malformed
+// scramble mutates almost every field of a signaling payload in place.
+// Usually the dependent length fields are corrupted too — producing an
+// *invalid* packet the target rejects with "command not understood" —
+// and occasionally only the data bytes, producing a decodable malformed
 // packet.
-func (f *Fuzzer) scramble(pkt l2cap.Packet, ordinal int) l2cap.Packet {
-	payload := append([]byte(nil), pkt.Payload...)
+func (f *Fuzzer) scramble(payload []byte, ordinal int) {
 	if len(payload) < l2cap.SignalHeaderSize {
-		return pkt
+		return
 	}
 	if ordinal%dataOnlyEvery == 0 {
 		// Data-only mutation: lengths stay coherent.
@@ -138,6 +137,4 @@ func (f *Fuzzer) scramble(pkt l2cap.Packet, ordinal int) l2cap.Packet {
 			payload[0] = byte(f.rng.Intn(256)) // command code
 		}
 	}
-	pkt.Payload = payload
-	return pkt
 }

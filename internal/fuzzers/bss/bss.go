@@ -35,9 +35,6 @@ func New(cl *host.Client, seed int64) *Fuzzer {
 	return &Fuzzer{cl: cl, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements fuzzers.Fuzzer.
-func (f *Fuzzer) Name() string { return "BSS" }
-
 // Run floods the target with one-field-varied normal packets: echo
 // requests of varying payload, information requests of varying type, and
 // an occasional plain connection request (the BT 2.1 command set).

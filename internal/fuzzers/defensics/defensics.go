@@ -37,9 +37,6 @@ func New(cl *host.Client, seed int64) *Fuzzer {
 	return &Fuzzer{cl: cl, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Name implements fuzzers.Fuzzer.
-func (f *Fuzzer) Name() string { return "Defensics" }
-
 // Run executes valid test-case templates against the target. Each case
 // performs a full connect-configure-open-disconnect conversation with at
 // most one anomalized packet inside, exactly one test packet per state.

@@ -1,7 +1,8 @@
 // Package fuzzers defines the common contract of the baseline Bluetooth
 // fuzzers the paper compares against (§IV, §VI): Defensics, BFuzz and
-// BSS. The L2Fuzz core lives in internal/core; an adapter in the harness
-// gives it the same interface.
+// BSS. The L2Fuzz core lives in internal/core. The fleet's engine table
+// runs all four (and the harness runs its cells through those engines),
+// naming each by its fleet.Kind.
 //
 // Baselines are modelled from the paper's published behavioural
 // descriptions, not from their source code:
@@ -35,8 +36,6 @@ type Result struct {
 
 // Fuzzer is a runnable black-box Bluetooth fuzzer.
 type Fuzzer interface {
-	// Name identifies the fuzzer in reports.
-	Name() string
 	// Run fuzzes the target until roughly maxPackets packets have been
 	// sent (a cycle may finish past the budget) or the target stops
 	// answering.

@@ -44,9 +44,6 @@ func TestBaselinesRespectBudget(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cl, target := newRig(t)
 			fz := build(cl, 1)
-			if fz.Name() != name {
-				t.Errorf("Name() = %q, want %q", fz.Name(), name)
-			}
 			res, err := fz.Run(target, 2_000)
 			if err != nil {
 				t.Fatalf("Run() error = %v", err)

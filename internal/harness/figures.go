@@ -5,13 +5,14 @@ import (
 	"strings"
 
 	"l2fuzz/internal/bt/sm"
+	"l2fuzz/internal/fleet"
 	"l2fuzz/internal/metrics"
 )
 
 // FigureSeries is one fuzzer's cumulative series for Figures 8/9.
 type FigureSeries struct {
-	// Fuzzer is the fuzzer name.
-	Fuzzer FuzzerName
+	// Fuzzer is the fuzzer kind.
+	Fuzzer fleet.Kind
 	// Points is the sampled cumulative series.
 	Points []metrics.SamplePoint
 }
@@ -56,21 +57,10 @@ func Figure9(cfg FigureConfig) ([]FigureSeries, error) {
 
 func seriesExperiment(cfg FigureConfig, extract func(*metrics.Sniffer) []metrics.SamplePoint) ([]FigureSeries, error) {
 	var out []FigureSeries
-	for _, name := range AllFuzzerNames() {
-		rig, err := NewRig("D2", true)
-		if err != nil {
-			return nil, err
-		}
-		fz, err := buildFuzzer(name, rig, cfg.Seed, cfg.Packets)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fz.Run(rig.Device.Address(), cfg.Packets); err != nil {
-			return nil, fmt.Errorf("harness: %s run: %w", name, err)
-		}
-		out = append(out, FigureSeries{Fuzzer: name, Points: extract(rig.Sniffer)})
-	}
-	return out, nil
+	err := eachFuzzer(cfg.Seed, cfg.Packets, func(kind fleet.Kind, s *metrics.Sniffer) {
+		out = append(out, FigureSeries{Fuzzer: kind, Points: extract(s)})
+	})
+	return out, err
 }
 
 // RenderSeries prints a figure's series as aligned columns.
@@ -92,8 +82,8 @@ func RenderSeries(title, xLabel, yLabel string, series []FigureSeries) string {
 
 // Figure10Row is one bar of the state-coverage comparison.
 type Figure10Row struct {
-	// Fuzzer is the fuzzer name.
-	Fuzzer FuzzerName
+	// Fuzzer is the fuzzer kind.
+	Fuzzer fleet.Kind
 	// States is the trace-inferred number of covered L2CAP states.
 	States int
 	// Visited lists the covered states (Figure 11's highlight set).
@@ -109,26 +99,11 @@ func Figure10(cfg FigureConfig) ([]Figure10Row, error) {
 		budget = 30_000
 	}
 	var rows []Figure10Row
-	for _, name := range AllFuzzerNames() {
-		rig, err := NewRig("D2", true)
-		if err != nil {
-			return nil, err
-		}
-		fz, err := buildFuzzer(name, rig, cfg.Seed, budget)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fz.Run(rig.Device.Address(), budget); err != nil {
-			return nil, fmt.Errorf("harness: %s run: %w", name, err)
-		}
-		visited := rig.Sniffer.StatesVisited()
-		rows = append(rows, Figure10Row{
-			Fuzzer:  name,
-			States:  len(visited),
-			Visited: visited,
-		})
-	}
-	return rows, nil
+	err := eachFuzzer(cfg.Seed, budget, func(kind fleet.Kind, s *metrics.Sniffer) {
+		visited := s.StatesVisited()
+		rows = append(rows, Figure10Row{Fuzzer: kind, States: len(visited), Visited: visited})
+	})
+	return rows, err
 }
 
 // RenderFigure10 prints the bar chart as text.
@@ -151,7 +126,7 @@ func RenderFigure11(rows []Figure10Row) string {
 		fmt.Fprintf(&b, " %-10s", r.Fuzzer)
 	}
 	b.WriteString("\n")
-	covered := make(map[FuzzerName]map[sm.State]bool)
+	covered := make(map[fleet.Kind]map[sm.State]bool)
 	for _, r := range rows {
 		set := make(map[sm.State]bool)
 		for _, s := range r.Visited {

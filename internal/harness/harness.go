@@ -9,111 +9,69 @@
 //	Figure 10  — L2CAP state coverage per fuzzer
 //	Figure 11  — which states each fuzzer covers on the state machine
 //
-// Every experiment is deterministic for a given seed. The comparison
-// experiments (Table VII, Figures 8-11) run each fuzzer against a fresh
-// measurement-grade Pixel 3 (device D2 with defects disabled, as the
-// paper's 100,000-packet measurement requires the target to survive),
-// with a trace sniffer standing in for Wireshark.
+// Every experiment is deterministic for a given seed. Each cell runs
+// the farm's own engine for its fuzzer kind (fleet.EngineFor) on a
+// fresh testbed rig, with the harness's seed and budget rather than a
+// farm-derived seed. The comparison experiments (Table VII, Figures
+// 8-11) run each fuzzer against a fresh measurement-grade Pixel 3
+// (device D2 with defects disabled, as the paper's 100,000-packet
+// measurement requires the target to survive), with a trace sniffer
+// standing in for Wireshark.
 package harness
 
 import (
 	"fmt"
 
 	"l2fuzz/internal/bt/device"
-	"l2fuzz/internal/bt/radio"
-	"l2fuzz/internal/core"
-	"l2fuzz/internal/fuzzers"
-	"l2fuzz/internal/fuzzers/bfuzz"
-	"l2fuzz/internal/fuzzers/bss"
-	"l2fuzz/internal/fuzzers/defensics"
+	"l2fuzz/internal/fleet"
 	"l2fuzz/internal/metrics"
 	"l2fuzz/internal/testbed"
 )
 
-// FuzzerName enumerates the compared fuzzers.
-type FuzzerName string
+// compared lists the paper's four compared fuzzers in the order its
+// tables and figures report them.
+var compared = []fleet.Kind{fleet.KindL2Fuzz, fleet.KindDefensics, fleet.KindBFuzz, fleet.KindBSS}
 
-// The four compared fuzzers.
-const (
-	NameL2Fuzz    FuzzerName = "L2Fuzz"
-	NameDefensics FuzzerName = "Defensics"
-	NameBFuzz     FuzzerName = "BFuzz"
-	NameBSS       FuzzerName = "BSS"
-)
-
-// AllFuzzerNames returns the comparison order used in the paper's tables.
-func AllFuzzerNames() []FuzzerName {
-	return []FuzzerName{NameL2Fuzz, NameDefensics, NameBFuzz, NameBSS}
-}
-
-// Rig is one measurement setup: a fresh medium, a target device, a tester
-// client and a sniffer. It is the shared testbed rig; the harness and
-// the fleet both build theirs through internal/testbed.
-type Rig = testbed.Rig
-
-// NewRig builds a rig for the given catalog device. The harness always
-// fuzzes the paper's Table V testbed, so it resolves the catalog ID to
-// a target spec itself; arbitrary specs go straight to testbed.New.
-// The rig options own the vuln-disable flag, so the spec is resolved
-// armed.
-func NewRig(deviceID string, disableVulns bool) (*Rig, error) {
+// runCell runs one experiment cell: the farm engine of one of the
+// compared kinds for budget packets against a fresh rig for a catalog
+// device, defects disabled when measure is set. It returns the job's
+// result and the rig, whose sniffer and device the experiments read.
+func runCell(kind fleet.Kind, deviceID string, measure bool, seed int64, budget int) (fleet.JobResult, *testbed.Rig, error) {
+	if budget < 1 {
+		return fleet.JobResult{}, nil, fmt.Errorf("harness: %s budget of %d packets, want at least 1", kind, budget)
+	}
+	eng, ok := fleet.EngineFor(kind)
+	if !ok {
+		return fleet.JobResult{}, nil, fmt.Errorf("harness: unknown fuzzer %q", kind)
+	}
+	// The rig options own the vuln-disable flag, so the spec is
+	// resolved armed.
 	spec, err := device.CatalogSpec(deviceID, false)
 	if err != nil {
-		return nil, err
+		return fleet.JobResult{}, nil, err
 	}
-	return testbed.New(spec, testbed.Options{DisableVulns: disableVulns})
-}
-
-// l2fuzzAdapter gives the core fuzzer the baseline interface.
-type l2fuzzAdapter struct {
-	f *core.Fuzzer
-}
-
-func (a l2fuzzAdapter) Name() string { return string(NameL2Fuzz) }
-
-func (a l2fuzzAdapter) Run(target radio.BDAddr, maxPackets int) (fuzzers.Result, error) {
-	report, err := a.f.Run(target)
+	rig, err := testbed.New(spec, testbed.Options{DisableVulns: measure})
 	if err != nil {
-		return fuzzers.Result{}, err
+		return fleet.JobResult{}, nil, err
 	}
-	return fuzzers.Result{
-		PacketsSent: report.PacketsSent,
-		Elapsed:     report.Elapsed,
-		Cycles:      report.Cycles,
-	}, nil
+	job := fleet.Job{Device: deviceID, Spec: &spec, Kind: kind, Variant: fleet.VariantBaseline, Seed: seed, MaxPackets: budget}
+	var res fleet.JobResult
+	eng.Run(fleet.Config{}, rig, job, fleet.BaselineVariant(), &res)
+	if res.Err != nil {
+		return fleet.JobResult{}, nil, fmt.Errorf("harness: %v: %w", job, res.Err)
+	}
+	return res, rig, nil
 }
 
-// buildFuzzer constructs the named fuzzer over a rig's client.
-func buildFuzzer(name FuzzerName, rig *Rig, seed int64, maxPackets int) (fuzzers.Fuzzer, error) {
-	switch name {
-	case NameL2Fuzz:
-		cfg := core.DefaultConfig(seed)
-		cfg.MaxPackets = maxPackets
-		return l2fuzzAdapter{f: core.New(rig.Client, cfg)}, nil
-	case NameDefensics:
-		return defensics.New(rig.Client, seed), nil
-	case NameBFuzz:
-		return bfuzz.New(rig.Client, seed), nil
-	case NameBSS:
-		return bss.New(rig.Client, seed), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown fuzzer %q", name)
+// eachFuzzer runs every compared fuzzer for budget packets against a
+// fresh measurement-grade D2 and hands visit each one's sniffer.
+func eachFuzzer(seed int64, budget int, visit func(fleet.Kind, *metrics.Sniffer)) error {
+	for _, kind := range compared {
+		_, rig, err := runCell(kind, "D2", true, seed, budget)
+		if err != nil {
+			return err
+		}
+		visit(kind, rig.Sniffer)
 	}
-}
-
-// MeasureFuzzer runs one fuzzer for maxPackets against a measurement-
-// grade D2 and returns the sniffer's summary: one Table VII row.
-func MeasureFuzzer(name FuzzerName, seed int64, maxPackets int) (metrics.Summary, *Rig, error) {
-	rig, err := NewRig("D2", true)
-	if err != nil {
-		return metrics.Summary{}, nil, err
-	}
-	fz, err := buildFuzzer(name, rig, seed, maxPackets)
-	if err != nil {
-		return metrics.Summary{}, nil, err
-	}
-	if _, err := fz.Run(rig.Device.Address(), maxPackets); err != nil {
-		return metrics.Summary{}, nil, fmt.Errorf("harness: %s run: %w", name, err)
-	}
-	return rig.Sniffer.Summary(), rig, nil
+	return nil
 }

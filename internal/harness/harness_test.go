@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"l2fuzz/internal/bt/sm"
+	"l2fuzz/internal/fleet"
 )
 
 func TestTableVShape(t *testing.T) {
@@ -93,10 +96,7 @@ func TestTableVIMatchesPaperFindings(t *testing.T) {
 		t.Errorf("D8 (%v) should dominate D3 (%v)", byID["D8"].Elapsed, byID["D3"].Elapsed)
 	}
 
-	text := RenderTableVI(rows)
-	if !strings.Contains(text, "tombstone") || !strings.Contains(text, "N/A") {
-		t.Error("rendered Table VI missing expected cells")
-	}
+	checkGolden(t, "table_vi.golden", RenderTableVI(rows))
 }
 
 func TestTableVIIMatchesPaperShape(t *testing.T) {
@@ -109,14 +109,14 @@ func TestTableVIIMatchesPaperShape(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("%d rows, want 4", len(rows))
 	}
-	byName := make(map[FuzzerName]TableVIIRow)
+	byName := make(map[fleet.Kind]TableVIIRow)
 	for _, r := range rows {
 		byName[r.Fuzzer] = r
 	}
-	l2 := byName[NameL2Fuzz].Summary
-	df := byName[NameDefensics].Summary
-	bf := byName[NameBFuzz].Summary
-	bs := byName[NameBSS].Summary
+	l2 := byName[fleet.KindL2Fuzz].Summary
+	df := byName[fleet.KindDefensics].Summary
+	bf := byName[fleet.KindBFuzz].Summary
+	bs := byName[fleet.KindBSS].Summary
 
 	// MP Ratio ordering (paper: 69.96 ≫ 2.38 > 1.50 > 0).
 	if !(l2.MPRatio > 10*df.MPRatio && df.MPRatio > bf.MPRatio && bf.MPRatio > bs.MPRatio) {
@@ -165,10 +165,7 @@ func TestTableVIIMatchesPaperShape(t *testing.T) {
 		t.Errorf("BSS pps = %.2f, want ~1.95", bs.PacketsPerSecond)
 	}
 
-	text := RenderTableVII(rows)
-	if !strings.Contains(text, "Mutation efficiency") {
-		t.Error("rendered Table VII missing header")
-	}
+	checkGolden(t, "table_vii.golden", RenderTableVII(rows))
 }
 
 func TestFigure8And9Series(t *testing.T) {
@@ -198,24 +195,23 @@ func TestFigure8And9Series(t *testing.T) {
 		}
 	}
 	// Figure 8 end-points: L2Fuzz accumulates far more malformed packets.
-	ends := make(map[FuzzerName]int)
+	ends := make(map[fleet.Kind]int)
 	for _, s := range fig8 {
 		if len(s.Points) > 0 {
 			ends[s.Fuzzer] = s.Points[len(s.Points)-1].Y
 		}
 	}
-	if !(ends[NameL2Fuzz] > 10*ends[NameDefensics] && ends[NameDefensics] > ends[NameBFuzz] &&
-		ends[NameBFuzz] > ends[NameBSS]) {
+	if !(ends[fleet.KindL2Fuzz] > 10*ends[fleet.KindDefensics] && ends[fleet.KindDefensics] > ends[fleet.KindBFuzz] &&
+		ends[fleet.KindBFuzz] > ends[fleet.KindBSS]) {
 		t.Errorf("Figure 8 end-point ordering broken: %v", ends)
 	}
-	if ends[NameBSS] != 0 {
-		t.Errorf("BSS accumulated %d malformed packets, want 0", ends[NameBSS])
+	if ends[fleet.KindBSS] != 0 {
+		t.Errorf("BSS accumulated %d malformed packets, want 0", ends[fleet.KindBSS])
 	}
 
-	text := RenderSeries("Figure 8", "#Transmitted Packets", "#Transmitted Malformed Packets", fig8)
-	if !strings.Contains(text, "L2Fuzz") {
-		t.Error("rendered series missing fuzzer names")
-	}
+	checkGolden(t, "figure_8_9.golden",
+		RenderSeries("Figure 8", "#Transmitted Packets", "#Transmitted Malformed Packets", fig8)+
+			RenderSeries("Figure 9", "#Received Packets", "#Received Rejection Packets", fig9))
 }
 
 func TestFigure10And11Coverage(t *testing.T) {
@@ -224,11 +220,11 @@ func TestFigure10And11Coverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[FuzzerName]int{
-		NameL2Fuzz:    13,
-		NameDefensics: 7,
-		NameBFuzz:     6,
-		NameBSS:       3,
+	want := map[fleet.Kind]int{
+		fleet.KindL2Fuzz:    13,
+		fleet.KindDefensics: 7,
+		fleet.KindBFuzz:     6,
+		fleet.KindBSS:       3,
 	}
 	for _, r := range rows {
 		if r.States != want[r.Fuzzer] {
@@ -241,7 +237,7 @@ func TestFigure10And11Coverage(t *testing.T) {
 	// L2Fuzz covers move and creation jobs no baseline reaches.
 	var l2 Figure10Row
 	for _, r := range rows {
-		if r.Fuzzer == NameL2Fuzz {
+		if r.Fuzzer == fleet.KindL2Fuzz {
 			l2 = r
 		}
 	}
@@ -255,31 +251,36 @@ func TestFigure10And11Coverage(t *testing.T) {
 		}
 	}
 
-	fig11 := RenderFigure11(rows)
-	if !strings.Contains(fig11, "WAIT_CREATE") || !strings.Contains(fig11, "X") {
-		t.Error("rendered Figure 11 missing state rows or coverage marks")
-	}
-	fig10 := RenderFigure10(rows)
-	if !strings.Contains(fig10, "#############") {
-		t.Error("rendered Figure 10 missing the 13-state bar")
-	}
+	checkGolden(t, "figure_10_11.golden", RenderFigure10(rows)+RenderFigure11(rows))
 }
 
-func TestMeasureFuzzerUnknownName(t *testing.T) {
-	if _, _, err := MeasureFuzzer("NotAFuzzer", 1, 10); err == nil {
-		t.Fatal("unknown fuzzer accepted")
-	}
-}
-
-func TestRigConstruction(t *testing.T) {
-	rig, err := NewRig("D2", true)
+// checkGolden compares an experiment's rendered text with its golden
+// under testdata/: the paper-shape checks above hold the orderings, the
+// goldens hold every cell.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rig.Device.Name() != "Pixel 3" {
-		t.Errorf("device = %q", rig.Device.Name())
+	if got != string(want) {
+		t.Errorf("rendered %s drifted:\ngot:\n%s\nwant:\n%s", name, got, want)
 	}
-	if _, err := NewRig("D99", true); err == nil {
-		t.Error("NewRig(D99) succeeded")
+}
+
+func TestRunCellRefusesBadCells(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		kind   fleet.Kind
+		device string
+		budget int
+	}{
+		{"unknown kind", "NotAFuzzer", "D2", 10},
+		{"unknown device", fleet.KindL2Fuzz, "D99", 10},
+		{"zero budget", fleet.KindL2Fuzz, "D2", 0},
+	} {
+		if _, _, err := runCell(c.kind, c.device, true, 1, c.budget); err == nil {
+			t.Errorf("%s: cell accepted", c.name)
+		}
 	}
 }

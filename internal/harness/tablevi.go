@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"l2fuzz/internal/bt/device"
-	"l2fuzz/internal/core"
+	"l2fuzz/internal/fleet"
 )
 
 // TableVIRow is one row of the vulnerability-detection results
@@ -73,41 +73,35 @@ func TableVIRun(deviceID string, cfg TableVIConfig) (TableVIRow, error) {
 	if err != nil {
 		return TableVIRow{}, err
 	}
-	rig, err := NewRig(deviceID, false)
-	if err != nil {
-		return TableVIRow{}, err
-	}
 	// Mix the device ID into the seed so every device sees a distinct
 	// mutation stream, as distinct physical runs would.
 	seed := cfg.Seed
 	for _, c := range deviceID {
 		seed = seed*131 + int64(c)
 	}
-	fcfg := core.DefaultConfig(seed)
+	budget := cfg.RobustBudget
 	if entry.ExpectVuln {
-		fcfg.MaxPackets = cfg.VulnerableBudget
-	} else {
-		fcfg.MaxPackets = cfg.RobustBudget
+		budget = cfg.VulnerableBudget
 	}
-	fz := core.New(rig.Client, fcfg)
-	report, err := fz.Run(rig.Device.Address())
+	res, rig, err := runCell(fleet.KindL2Fuzz, deviceID, false, seed, budget)
 	if err != nil {
-		return TableVIRow{}, fmt.Errorf("harness: %s: %w", deviceID, err)
+		return TableVIRow{}, err
 	}
 
 	row := TableVIRow{
 		Device:       deviceID,
-		Vuln:         report.Found,
 		Description:  "N/A",
-		PacketsSent:  report.PacketsSent,
+		PacketsSent:  res.PacketsSent,
 		ErrorClass:   "-",
 		DumpKind:     "-",
 		ExpectedVuln: entry.ExpectVuln,
 	}
-	if report.Found {
-		row.Description = report.Finding.Severity()
-		row.Elapsed = report.Elapsed
-		row.ErrorClass = report.Finding.Error.String()
+	if len(res.Findings) > 0 {
+		f := res.Findings[0].Finding
+		row.Vuln = true
+		row.Description = f.Severity()
+		row.Elapsed = res.Elapsed
+		row.ErrorClass = f.Error.String()
 	}
 	if dump := rig.Device.CrashDump(); dump != nil {
 		switch dump.Kind {

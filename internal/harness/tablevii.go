@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"strings"
 
+	"l2fuzz/internal/fleet"
 	"l2fuzz/internal/metrics"
 )
 
 // TableVIIRow is one row of the mutation-efficiency comparison
 // (paper Table VII).
 type TableVIIRow struct {
-	// Fuzzer is the fuzzer name.
-	Fuzzer FuzzerName
+	// Fuzzer is the fuzzer kind.
+	Fuzzer fleet.Kind
 	// Summary holds the measured counters and ratios.
 	Summary metrics.Summary
 }
@@ -34,14 +35,10 @@ func DefaultTableVIIConfig() TableVIIConfig {
 // four fuzzers against the measurement-grade Pixel 3.
 func TableVII(cfg TableVIIConfig) ([]TableVIIRow, error) {
 	var rows []TableVIIRow
-	for _, name := range AllFuzzerNames() {
-		sum, _, err := MeasureFuzzer(name, cfg.Seed, cfg.Packets)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, TableVIIRow{Fuzzer: name, Summary: sum})
-	}
-	return rows, nil
+	err := eachFuzzer(cfg.Seed, cfg.Packets, func(kind fleet.Kind, s *metrics.Sniffer) {
+		rows = append(rows, TableVIIRow{Fuzzer: kind, Summary: s.Summary()})
+	})
+	return rows, err
 }
 
 // RenderTableVII prints the rows the way the paper's Table VII reads,

@@ -111,6 +111,23 @@ func buildRecvCommand() map[sm.Event]l2cap.CommandCode {
 	return out
 }
 
+// candidates lists, per state, the events the state accepts that an
+// incoming command can raise: the model-following half of step's draw.
+// States start at StateClosed = 1, so the table has NumStates+1
+// entries, like sm's own transition table.
+var candidates = buildCandidates()
+
+func buildCandidates() (t [sm.NumStates + 1][]sm.Event) {
+	for _, s := range sm.AllStates() {
+		for _, ev := range sm.ValidEvents(s) {
+			if _, ok := recvCommand[ev]; ok {
+				t[s] = append(t[s], ev)
+			}
+		}
+	}
+	return t
+}
+
 // Fuzzer drives a model-guided state-machine walk against one target.
 type Fuzzer struct {
 	cl  *host.Client
@@ -235,14 +252,8 @@ func (d stepDesc) String() string {
 // invalid-transition handling. The returned event is zero when the
 // command raises none (or an invalid one): the shadow must not move.
 func (f *Fuzzer) step() (l2cap.Command, []byte, sm.Event, stepDesc) {
-	var candidates []sm.Event
-	for _, ev := range sm.ValidEvents(f.model.State()) {
-		if _, ok := recvCommand[ev]; ok {
-			candidates = append(candidates, ev)
-		}
-	}
-	if len(candidates) > 0 && f.rng.Intn(4) != 0 {
-		ev := candidates[f.rng.Intn(len(candidates))]
+	if cands := candidates[f.model.State()]; len(cands) > 0 && f.rng.Intn(4) != 0 {
+		ev := cands[f.rng.Intn(len(cands))]
 		cmd, tail := f.build(recvCommand[ev])
 		return cmd, tail, ev, stepDesc{event: ev, state: f.model.State()}
 	}

@@ -1,6 +1,7 @@
 package smfuzz
 
 import (
+	"slices"
 	"testing"
 
 	"l2fuzz/internal/bt/device"
@@ -152,6 +153,22 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 	} {
 		if tt.got != tt.want {
 			t.Errorf("seed %d: LastCommand = %q, want %q", tt.seed, tt.got, tt.want)
+		}
+	}
+}
+
+// TestCandidateTable pins step's per-state draw table at both ends:
+// CLOSED (state 1) and WAIT_CONFIRM_RSP (state NumStates, the entry a
+// table of only NumStates rows would lose), plus WAIT_MOVE, which no
+// incoming command moves.
+func TestCandidateTable(t *testing.T) {
+	for s, want := range map[sm.State][]sm.Event{
+		sm.StateClosed:         {sm.EvRecvConnectReq, sm.EvRecvCreateReq},
+		sm.StateWaitMove:       nil,
+		sm.StateWaitConfirmRsp: {sm.EvRecvMoveConfirmRsp},
+	} {
+		if got := candidates[s]; !slices.Equal(got, want) {
+			t.Errorf("%v: candidates %v, want %v", s, got, want)
 		}
 	}
 }

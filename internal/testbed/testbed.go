@@ -1,8 +1,9 @@
 // Package testbed builds the standard single-target measurement rig —
 // a fresh radio medium, one target device, a tester client and a
-// Wireshark-style trace sniffer — shared by the evaluation harness and
-// the fleet orchestrator so the two layers cannot drift apart in how
-// they wire a testbed.
+// Wireshark-style trace sniffer. Farm jobs, the evaluation harness's
+// cells (which run the same fleet engines) and corpus replays all build
+// their rigs here, so they cannot drift apart in how they wire a
+// testbed.
 //
 // The target is a first-class device.Spec, not a catalog ID: the
 // catalog's eight Table V devices come from device.CatalogSpec, and any
