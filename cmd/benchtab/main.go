@@ -7,7 +7,8 @@
 //	benchtab -exp tableV
 //	benchtab -exp tableVI [-seed 11]
 //	benchtab -exp tableVII [-packets 100000]
-//	benchtab -exp fig8 | fig9 | fig10 | fig11
+//	benchtab -exp fig8 | fig9 [-packets 100000]
+//	benchtab -exp fig10 | fig11   (one 30,000-packet test cycle)
 //	benchtab -exp trajectory [-benchdir .] [-csv]
 //	benchtab -exp all
 //
@@ -45,7 +46,7 @@ func run() error {
 	var (
 		exp      = flag.String("exp", "all", "experiment: tableV, tableVI, tableVII, fig8, fig9, fig10, fig11, trajectory, all")
 		seed     = flag.Int64("seed", 11, "random seed")
-		packets  = flag.Int("packets", 100_000, "per-fuzzer packet budget for the comparison experiments")
+		packets  = flag.Int("packets", 100_000, "per-fuzzer packet budget for Table VII and Figures 8/9")
 		benchdir = flag.String("benchdir", ".", "directory holding BENCH_<pr>.json snapshots for -exp trajectory")
 		csvOut   = flag.Bool("csv", false, "emit -exp trajectory as CSV instead of the text table")
 	)
@@ -92,7 +93,8 @@ func run() error {
 		ran = true
 	}
 	if run["tableVII"] {
-		cfg := harness.TableVIIConfig{Seed: *seed, Packets: *packets}
+		cfg := harness.DefaultTableVIIConfig()
+		cfg.Seed, cfg.Packets = *seed, *packets
 		rows, err := harness.TableVII(cfg)
 		if err != nil {
 			return err
@@ -100,7 +102,8 @@ func run() error {
 		fmt.Println(harness.RenderTableVII(rows))
 		ran = true
 	}
-	fcfg := harness.FigureConfig{Seed: *seed, Packets: *packets, SampleEvery: *packets / 10}
+	fcfg := harness.DefaultFigureConfig()
+	fcfg.Seed, fcfg.Packets, fcfg.SampleEvery = *seed, *packets, *packets/10
 	if run["fig8"] {
 		series, err := harness.Figure8(fcfg)
 		if err != nil {

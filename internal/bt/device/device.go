@@ -192,9 +192,6 @@ func New(m *radio.Medium, cfg Config) (*Device, error) {
 // Address returns the device's BD_ADDR.
 func (d *Device) Address() radio.BDAddr { return d.cfg.Addr }
 
-// Name returns the friendly name.
-func (d *Device) Name() string { return d.cfg.Name }
-
 // Ports returns a copy of the exposed service ports (SDP included).
 func (d *Device) Ports() []ServicePort { return append([]ServicePort(nil), d.ports...) }
 

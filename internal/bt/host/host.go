@@ -109,9 +109,6 @@ func NewClient(m *radio.Medium, addr radio.BDAddr, name string) (*Client, error)
 	return c, nil
 }
 
-// Address returns the client's BD_ADDR.
-func (c *Client) Address() radio.BDAddr { return c.ctrl.Address() }
-
 // Clock exposes the simulated clock (for pacing and timestamps).
 func (c *Client) Clock() *radio.Clock { return c.medium.Clock() }
 

@@ -71,10 +71,6 @@ const (
 	PSMDynamicFirst PSM = 0x1001
 )
 
-// IsDynamic reports whether p lies in the dynamically assigned PSM space
-// (≥ 0x1001).
-func (p PSM) IsDynamic() bool { return p >= PSMDynamicFirst }
-
 // String renders the PSM in specification notation.
 func (p PSM) String() string { return fmt.Sprintf("PSM(0x%04X)", uint16(p)) }
 

@@ -50,11 +50,6 @@ func AllCommandCodes() []CommandCode {
 	return codes
 }
 
-// Valid reports whether c is one of the 26 defined command codes.
-func (c CommandCode) Valid() bool {
-	return c >= CodeCommandReject && c <= CodeCreditBasedReconfRsp
-}
-
 // commandCodeNames is built once and indexed by code, so naming a code
 // neither allocates nor hashes.
 var commandCodeNames = [...]string{

@@ -19,8 +19,8 @@
 // Core Specification.
 //
 // Each direction has one codec form. Encoders write into a caller's
-// buffer (Packet.AppendTo, Frame.AppendTo, Command.AppendData,
-// AppendSignalFrame and SignalPacket; pass nil for a fresh one).
+// buffer (Packet.AppendTo, Command.AppendData, AppendSignalFrame and
+// SignalPacket; pass nil for a fresh one).
 // Decoders borrow: ParsePacket, AppendSignals, UnmarshalData and
 // AppendParsedOptions return values whose byte fields alias the input,
 // so a caller that keeps them past the input's lifetime copies them

@@ -29,42 +29,12 @@ const (
 	optionHintBit = 0x80
 )
 
-// expected payload sizes for known option types; -1 means variable.
-func optionPayloadSize(t OptionType) int {
-	switch t &^ optionHintBit {
-	case OptionMTU:
-		return 2
-	case OptionFlushTimeout:
-		return 2
-	case OptionQoS:
-		return 22
-	case OptionRetransmissionAndFlowControl:
-		return 9
-	case OptionFCS:
-		return 1
-	case OptionExtendedFlowSpec:
-		return 16
-	case OptionExtendedWindowSize:
-		return 2
-	default:
-		return -1
-	}
-}
-
 // ConfigOption is one type-length-value configuration option.
 type ConfigOption struct {
 	// Type identifies the option; bit 7 marks it as a hint.
 	Type OptionType
 	// Value is the option payload.
 	Value []byte
-}
-
-// Known reports whether the option type (ignoring the hint bit) is one of
-// the seven defined by Bluetooth 5.2 and whether its payload length
-// matches the defined size.
-func (o ConfigOption) Known() bool {
-	want := optionPayloadSize(o.Type)
-	return want >= 0 && want == len(o.Value)
 }
 
 // MTUOption builds the MTU configuration option.

@@ -54,25 +54,3 @@ func TestParseOptionsEmpty(t *testing.T) {
 		t.Fatalf("len(opts) = %d, want 0", len(opts))
 	}
 }
-
-func TestOptionPredicates(t *testing.T) {
-	mtu := MTUOption(672)
-	if !mtu.Known() {
-		t.Error("MTU option with 2-byte value must be Known")
-	}
-
-	bad := ConfigOption{Type: OptionMTU, Value: []byte{1}}
-	if bad.Known() {
-		t.Error("MTU option with 1-byte value must not be Known")
-	}
-
-	hint := ConfigOption{Type: OptionMTU | 0x80, Value: []byte{0, 0}}
-	if !hint.Known() {
-		t.Error("hinted MTU with right size must still be Known")
-	}
-
-	unknown := ConfigOption{Type: 0x55, Value: nil}
-	if unknown.Known() {
-		t.Error("unknown type must not be Known")
-	}
-}

@@ -100,7 +100,8 @@ func TestQuickParseSignalsReassembly(t *testing.T) {
 		}
 		var rebuilt []byte
 		for _, fr := range frames {
-			rebuilt = fr.AppendTo(rebuilt)
+			rebuilt = append(rebuilt, uint8(fr.Code), fr.Identifier, byte(len(fr.Data)), byte(len(fr.Data)>>8))
+			rebuilt = append(append(rebuilt, fr.Data...), fr.Tail...)
 		}
 		return bytes.Equal(rebuilt, raw)
 	}

@@ -21,19 +21,6 @@ type Frame struct {
 	Tail []byte
 }
 
-// AppendTo appends the wire form of the frame (including the tail) to dst
-// and returns the extended slice; pass nil for a fresh buffer.
-func (f Frame) AppendTo(dst []byte) []byte {
-	var hdr [SignalHeaderSize]byte
-	hdr[0] = uint8(f.Code)
-	hdr[1] = f.Identifier
-	binary.LittleEndian.PutUint16(hdr[2:4], uint16(len(f.Data)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, f.Data...)
-	dst = append(dst, f.Tail...)
-	return dst
-}
-
 // ParseSignals decodes the sequence of signaling frames packed into one
 // signaling-channel payload. BR/EDR permits multiple commands per C-frame;
 // parsing stops at the first frame that cannot be decoded, returning the

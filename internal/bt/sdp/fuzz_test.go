@@ -3,6 +3,8 @@ package sdp
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -97,4 +99,55 @@ func FuzzServerHandle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzParseAttributeResponse feeds the tester's side of service
+// discovery arbitrary bytes, as host.QuerySDP feeds it a target's
+// answer: UnmarshalPDU, then ParseAttributeResponse. Neither may panic,
+// every error wraps one of the package's five errors, and the attribute
+// list's root element decodes, re-encodes and decodes to itself
+// wherever Marshal can encode it.
+func FuzzParseAttributeResponse(f *testing.F) {
+	rsp := BuildAttributeResponse(1, []ServiceInfo{{Handle: 0x00010000, Name: "Service Discovery", PSM: l2cap.PSMSDP}}).Marshal()
+	f.Add(rsp)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		pdu, err := UnmarshalPDU(raw)
+		if err == nil {
+			_, err = ParseAttributeResponse(pdu)
+		}
+		if err != nil && !slices.ContainsFunc([]error{ErrTruncated, ErrBadDescriptor, ErrShortPDU, ErrPDULength, ErrWrongPDU},
+			func(e error) bool { return errors.Is(err, e) }) {
+			t.Fatalf("error %q wraps none of the package's errors", err)
+		}
+		if len(pdu.Params) < 2 {
+			return
+		}
+		list := pdu.Params[2:]
+		list = list[:min(len(list), int(binary.BigEndian.Uint16(pdu.Params[0:2])))]
+		root, _, err := UnmarshalElement(list)
+		if err != nil || !encodable(root) {
+			return
+		}
+		wire := root.Marshal(nil)
+		if root.Type == TypeSequence && len(wire)-3 > 0xFFFF {
+			return // the 16-bit sequence length cannot hold it
+		}
+		again, n, err := UnmarshalElement(wire)
+		if err != nil || n != len(wire) || !reflect.DeepEqual(again, root) {
+			t.Fatalf("the root element re-encodes to % x, which decodes to another element (%d of %d bytes, %v)", wire, n, len(wire), err)
+		}
+	})
+}
+
+// encodable reports whether Marshal can write e and every element in it
+// so that they decode back unchanged: Marshal declares integers only as
+// 1, 2, 4 or 8 bytes. (Sequence lengths are the caller's check.)
+func encodable(e DataElement) bool {
+	switch e.Type {
+	case TypeUint, TypeUUID:
+		return len(e.Bytes) == 1 && slices.Contains([]byte{1, 2, 4, 8}, e.Bytes[0])
+	case TypeSequence:
+		return !slices.ContainsFunc(e.Seq, func(c DataElement) bool { return !encodable(c) })
+	}
+	return true
 }

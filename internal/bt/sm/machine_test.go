@@ -230,7 +230,7 @@ func TestQuickApplyInvariants(t *testing.T) {
 			if !ok && m.State() != before {
 				return false
 			}
-			if ok && (m.State() != tr.Next || !m.State().Valid()) {
+			if ok && (m.State() != tr.Next || !validState(m.State())) {
 				return false
 			}
 			if ok && !slices.Contains(firstVisits, m.State()) {
@@ -256,7 +256,7 @@ func TestTransitionTableClosure(t *testing.T) {
 			if !ok {
 				t.Fatalf("ValidEvents listed (%v, %v) but Lookup fails", s, e)
 			}
-			if !tr.Next.Valid() {
+			if !validState(tr.Next) {
 				t.Errorf("(%v, %v) targets invalid state %v", s, e, tr.Next)
 			}
 			if tr.Action == 0 {

@@ -77,9 +77,6 @@ func AllStates() []State {
 	return states
 }
 
-// Valid reports whether s is one of the 19 defined states.
-func (s State) Valid() bool { return s >= StateClosed && s <= StateWaitConfirmRsp }
-
 func (s State) String() string {
 	switch s {
 	case StateClosed:

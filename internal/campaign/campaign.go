@@ -22,13 +22,13 @@ import (
 	"l2fuzz/internal/telemetry"
 )
 
-// Config parameterises a campaign.
+// Config parameterises a campaign. A zero bound means its default.
 type Config struct {
 	// Seed drives the first run; later runs derive fresh seeds from it.
 	Seed int64
-	// MaxRuns bounds the number of fuzzing runs.
+	// MaxRuns bounds the number of fuzzing runs; zero means 8.
 	MaxRuns int
-	// MaxPacketsPerRun bounds each run.
+	// MaxPacketsPerRun bounds each run; zero means 250,000.
 	MaxPacketsPerRun int
 	// Ablation switches off design choices in every run, as a fleet
 	// ablation variant does for its campaign jobs.
@@ -37,19 +37,15 @@ type Config struct {
 	Counters *telemetry.Counters
 }
 
-// stopAfterDryRuns ends the campaign after this many consecutive runs
-// without a finding (the target has probably been exhausted).
-const stopAfterDryRuns = 2
-
-// DefaultConfig returns campaign defaults: up to eight runs, stopping
+// The campaign defaults: up to eight runs of 250,000 packets, stopping
 // after two consecutive dry ones.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:             seed,
-		MaxRuns:          8,
-		MaxPacketsPerRun: 250_000,
-	}
-}
+const (
+	defaultMaxRuns          = 8
+	defaultMaxPacketsPerRun = 250_000
+	// stopAfterDryRuns ends the campaign after this many consecutive
+	// runs without a finding (the target has probably been exhausted).
+	stopAfterDryRuns = 2
+)
 
 // FindingRecord is one de-duplicated finding with its occurrence count.
 // The first occurrence's recorded repro trace, when the campaign client
@@ -84,16 +80,14 @@ type Runner struct {
 	cfg Config
 }
 
-// New builds a runner, filling zero-valued config fields from
-// DefaultConfig so the defaults live in one place. The device must live
-// on the same medium as the client.
+// New builds a runner, filling zero-valued config fields with their
+// defaults. The device must live on the same medium as the client.
 func New(cl *host.Client, dev *device.Device, cfg Config) *Runner {
-	def := DefaultConfig(cfg.Seed)
 	if cfg.MaxRuns <= 0 {
-		cfg.MaxRuns = def.MaxRuns
+		cfg.MaxRuns = defaultMaxRuns
 	}
 	if cfg.MaxPacketsPerRun <= 0 {
-		cfg.MaxPacketsPerRun = def.MaxPacketsPerRun
+		cfg.MaxPacketsPerRun = defaultMaxPacketsPerRun
 	}
 	return &Runner{cl: cl, dev: dev, cfg: cfg}
 }
@@ -117,11 +111,12 @@ func (r *Runner) Run() (*Report, error) {
 		if rec := r.cl.Recorder(); rec != nil {
 			rec.Reset()
 		}
-		fcfg := core.DefaultConfig(r.cfg.Seed + int64(run)*7919)
-		fcfg.MaxPackets = r.cfg.MaxPacketsPerRun
-		fcfg.Ablation = r.cfg.Ablation
-		fcfg.Counters = r.cfg.Counters
-		fz := core.New(r.cl, fcfg)
+		fz := core.New(r.cl, core.Config{
+			Seed:       r.cfg.Seed + int64(run)*7919,
+			MaxPackets: r.cfg.MaxPacketsPerRun,
+			Counters:   r.cfg.Counters,
+			Ablation:   r.cfg.Ablation,
+		})
 		res, err := fz.Run(r.dev.Address())
 		if err != nil {
 			return nil, fmt.Errorf("campaign run %d: %w", run+1, err)

@@ -29,8 +29,7 @@ func campaignRig(t *testing.T, deviceID string) (*device.Device, *host.Client) {
 
 func TestCampaignFindsAndReproducesD2(t *testing.T) {
 	d, cl := campaignRig(t, "D2")
-	cfg := DefaultConfig(1)
-	cfg.MaxRuns = 4
+	cfg := Config{Seed: 1, MaxRuns: 4}
 	report, err := New(cl, d, cfg).Run()
 	if err != nil {
 		t.Fatalf("Run() error = %v", err)
@@ -74,8 +73,7 @@ func TestCampaignSurvivesFirmwareCrashingDevice(t *testing.T) {
 	// D5 vanishes from the air on each finding; the campaign must
 	// re-register it and keep going.
 	d, cl := campaignRig(t, "D5")
-	cfg := DefaultConfig(2)
-	cfg.MaxRuns = 3
+	cfg := Config{Seed: 2, MaxRuns: 3}
 	report, err := New(cl, d, cfg).Run()
 	if err != nil {
 		t.Fatalf("Run() error = %v", err)
@@ -100,9 +98,7 @@ func TestCampaignCutsTraceEpochAtEveryRunBoundary(t *testing.T) {
 	d, cl := campaignRig(t, "D4")
 	rec := host.NewTraceRecorder(1 << 20)
 	cl.SetRecorder(rec)
-	cfg := DefaultConfig(3)
-	cfg.MaxRuns = 8
-	cfg.MaxPacketsPerRun = 5_000
+	cfg := Config{Seed: 3, MaxRuns: 8, MaxPacketsPerRun: 5_000}
 	report, err := New(cl, d, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +123,7 @@ func TestCampaignCutsTraceEpochAtEveryRunBoundary(t *testing.T) {
 
 func TestCampaignStopsOnDryStreak(t *testing.T) {
 	d, cl := campaignRig(t, "D4") // robust iPhone
-	cfg := DefaultConfig(3)
-	cfg.MaxRuns = 8
-	cfg.MaxPacketsPerRun = 10_000
+	cfg := Config{Seed: 3, MaxRuns: 8, MaxPacketsPerRun: 10_000}
 	report, err := New(cl, d, cfg).Run()
 	if err != nil {
 		t.Fatal(err)

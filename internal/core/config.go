@@ -7,8 +7,8 @@ import (
 	"l2fuzz/internal/telemetry"
 )
 
-// Config parameterises an L2Fuzz run. The zero value is not usable;
-// call DefaultConfig and adjust.
+// Config parameterises an L2Fuzz run. A zero field means its default,
+// so the zero value runs L2Fuzz as published at seed 0.
 type Config struct {
 	// Seed drives every random choice; equal seeds give equal runs.
 	Seed int64
@@ -62,11 +62,6 @@ const (
 	// DefaultMaxPackets bounds a run that finds nothing.
 	DefaultMaxPackets = 6_000_000
 )
-
-// DefaultConfig returns the paper-shaped configuration for a seed.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, MaxPackets: DefaultMaxPackets}
-}
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {

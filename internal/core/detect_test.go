@@ -33,6 +33,9 @@ func TestErrorClassStringsAndSeverity(t *testing.T) {
 }
 
 // classificationRig builds one device the test can kill in various ways.
+// testerAddr is the classification rig's tester address.
+var testerAddr = radio.MustBDAddr("00:1B:DC:00:00:04")
+
 func classificationRig(t *testing.T) (*radio.Medium, *device.Device, *host.Client) {
 	t.Helper()
 	m := radio.NewMedium(nil, radio.DefaultTiming())
@@ -45,7 +48,7 @@ func classificationRig(t *testing.T) (*radio.Medium, *device.Device, *host.Clien
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := host.NewClient(m, radio.MustBDAddr("00:1B:DC:00:00:04"), "tester")
+	cl, err := host.NewClient(m, testerAddr, "tester")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestProbeLivenessServiceDown(t *testing.T) {
 	// been shut down").
 	m, d, cl := classificationRig(t)
 	d.Controller().SetConnectable(false)
-	m.Drop(cl.Address(), d.Address())
+	m.Drop(testerAddr, d.Address())
 	if got := ProbeLiveness(cl, d.Address()); got != ErrConnectionFailed {
 		t.Fatalf("ProbeLiveness(service down) = %v, want Connection Failed", got)
 	}
@@ -86,7 +89,7 @@ func TestProbeLivenessDeviceVanished(t *testing.T) {
 func TestProbeLivenessTransientLinkLoss(t *testing.T) {
 	// A dropped link that re-pages fine is not a finding.
 	m, d, cl := classificationRig(t)
-	m.Drop(cl.Address(), d.Address())
+	m.Drop(testerAddr, d.Address())
 	if got := ProbeLiveness(cl, d.Address()); got != ErrNone {
 		t.Fatalf("ProbeLiveness(transient drop) = %v, want None", got)
 	}
@@ -110,8 +113,7 @@ func TestFuzzerSurvivesRadioLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(13)
-	cfg.MaxPackets = 20_000
+	cfg := Config{Seed: 13, MaxPackets: 20_000}
 	report, err := New(cl, cfg).Run(d.Address())
 	if err != nil {
 		t.Fatalf("Run() under loss error = %v", err)

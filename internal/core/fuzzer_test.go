@@ -106,7 +106,7 @@ func TestScanFallsBackToSDPWhenAllPortsPaired(t *testing.T) {
 
 func TestFuzzerDetectsPixel3DoS(t *testing.T) {
 	d, cl := rig(t, "D2", false)
-	cfg := DefaultConfig(1)
+	cfg := Config{Seed: 1}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {
@@ -142,7 +142,7 @@ func TestFuzzerDetectsPixel3DoS(t *testing.T) {
 
 func TestFuzzerDetectsAirPodsCrash(t *testing.T) {
 	d, cl := rig(t, "D5", false)
-	f := New(cl, DefaultConfig(2))
+	f := New(cl, Config{Seed: 2})
 	report, err := f.Run(d.Address())
 	if err != nil {
 		t.Fatalf("Run() error = %v", err)
@@ -165,8 +165,8 @@ func TestFuzzerDetectsAirPodsCrash(t *testing.T) {
 
 func TestFuzzerFindsNothingOnRobustDevice(t *testing.T) {
 	d, cl := rig(t, "D4", false) // iPhone: no injected defects
-	cfg := DefaultConfig(3)
-	cfg.MaxPackets = 30_000 // keep the test quick
+	// A short budget keeps the test quick.
+	cfg := Config{Seed: 3, MaxPackets: 30_000}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {
@@ -188,8 +188,7 @@ func TestFuzzerStateCoverageIsThirteen(t *testing.T) {
 	// tested-state set must be exactly the 13 master-reachable states
 	// (paper Figure 10).
 	d, cl := rig(t, "D2", true)
-	cfg := DefaultConfig(4)
-	cfg.MaxPackets = 120_000
+	cfg := Config{Seed: 4, MaxPackets: 120_000}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {
@@ -216,7 +215,7 @@ func TestFuzzerStateCoverageIsThirteen(t *testing.T) {
 func TestFuzzerDeterministicForSeed(t *testing.T) {
 	run := func() *Report {
 		d, cl := rig(t, "D2", false)
-		f := New(cl, DefaultConfig(99))
+		f := New(cl, Config{Seed: 99})
 		r, err := f.Run(d.Address())
 		if err != nil {
 			t.Fatal(err)
@@ -234,8 +233,7 @@ func TestFuzzerMalformedShareIsHigh(t *testing.T) {
 	// Core field mutating should make the malformed share of traffic
 	// high — the paper reports ~70% on the full run.
 	d, cl := rig(t, "D2", true)
-	cfg := DefaultConfig(5)
-	cfg.MaxPackets = 50_000
+	cfg := Config{Seed: 5, MaxPackets: 50_000}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {
@@ -252,9 +250,7 @@ func TestNoGarbageAblationPreventsD2Crash(t *testing.T) {
 	// The BlueDroid defect needs the garbage tail: without it the fuzzer
 	// must not find anything.
 	d, cl := rig(t, "D2", false)
-	cfg := DefaultConfig(6)
-	cfg.NoGarbage = true
-	cfg.MaxPackets = 60_000
+	cfg := Config{Seed: 6, MaxPackets: 60_000, Ablation: Ablation{NoGarbage: true}}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {

@@ -18,13 +18,6 @@ type MinimizeConfig struct {
 	// MaxReplays caps the number of verification replays; zero means
 	// DefaultMaxReplays.
 	MaxReplays int
-	// Workers bounds the number of concurrent verification replays; zero
-	// means GOMAXPROCS. Each probe replays on its own rig, so probes
-	// within one ddmin granularity round are independent; the witness
-	// selection is by candidate order regardless of completion order, so
-	// the reduction path — and therefore the minimized trace — is
-	// identical at every worker count.
-	Workers int
 }
 
 // MinimizeResult is the outcome of delta-debugging a trace.
@@ -51,18 +44,14 @@ type probeOutcome struct {
 // input entry must itself reproduce — a trace that does not reproduce
 // has nothing to minimize and is reported as an error.
 //
-// The complement probes of each granularity round run concurrently over
-// a bounded worker pool (MinimizeConfig.Workers); results are judged in
-// candidate order, so the chosen witness — and the final trace — match
-// the sequential algorithm's exactly.
+// The complement probes of each granularity round run concurrently,
+// GOMAXPROCS at a time. Each probe replays on its own rig, and results
+// are judged in candidate order, so the chosen witness — and the final
+// trace — match the sequential algorithm's at every worker count.
 func Minimize(e Entry, cfg MinimizeConfig) (*MinimizeResult, error) {
 	maxReplays := cfg.MaxReplays
 	if maxReplays <= 0 {
 		maxReplays = DefaultMaxReplays
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	res := &MinimizeResult{Entry: e, Before: len(e.Trace.Ops)}
 
@@ -109,7 +98,7 @@ func Minimize(e Entry, cfg MinimizeConfig) (*MinimizeResult, error) {
 		}
 
 		outcomes := make([]probeOutcome, len(candidates))
-		sem := make(chan struct{}, workers)
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 		var wg sync.WaitGroup
 		for i := range candidates {
 			wg.Add(1)

@@ -6,6 +6,7 @@ package corpus_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"l2fuzz/internal/corpus"
@@ -24,14 +25,17 @@ func TestMinimizeDeterministicAcrossWorkerCounts(t *testing.T) {
 	if len(rep.Findings) != 1 {
 		t.Fatalf("farm findings = %+v, want exactly one", rep.Findings)
 	}
-	entry, err := store.Get(rep.Findings[0].Signature)
+	entry, err := store.GetKey(corpus.KeyOf(rep.Findings[0].Signature))
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// Minimize runs GOMAXPROCS probes at a time.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var results []*corpus.MinimizeResult
 	for _, workers := range []int{1, 4} {
-		res, err := corpus.Minimize(entry, corpus.MinimizeConfig{Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		res, err := corpus.Minimize(entry, corpus.MinimizeConfig{})
 		if err != nil {
 			t.Fatalf("Minimize(workers=%d) error = %v", workers, err)
 		}

@@ -57,7 +57,7 @@ func TestFarmRoundTripReplayMinimizeKnown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := reopened.Get(sig)
+	entry, err := reopened.GetKey(corpus.KeyOf(sig))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestL2FuzzAndCampaignEntriesReplay(t *testing.T) {
 				t.Fatalf("widened target produced no stored finding: findings=%d corpus=%+v",
 					len(rep.Findings), rep.Corpus)
 			}
-			entry, err := store.Get(rep.Findings[0].Signature)
+			entry, err := store.GetKey(corpus.KeyOf(rep.Findings[0].Signature))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestReplayRefusesUnreplayableTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := store.Get(rep.Findings[0].Signature)
+	entry, err := store.GetKey(corpus.KeyOf(rep.Findings[0].Signature))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // KeyOf derives the stable store key of a signature: the error class
 // and state slugs plus the hex port, e.g.
 // "connection-failed--wait-config--0x0001". The derivation is pinned by
@@ -183,11 +180,6 @@ func writeOps(w *bufio.Writer, ops []Op) {
 		w.Write(buf)
 	}
 	w.WriteString("\n    ]")
-}
-
-// Get loads the entry stored under sig.
-func (s *Store) Get(sig core.Signature) (Entry, error) {
-	return s.GetKey(KeyOf(sig))
 }
 
 // GetKey loads the entry stored under an explicit key (as listed by

@@ -26,7 +26,7 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(in.Dir(), "input.json"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(in.dir, "input.json"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		e, err := in.GetKey("input")
@@ -61,7 +61,7 @@ func FuzzStoreRoundTrip(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("Put wrote:\n%s\nMarshalIndent writes:\n%s", got, want)
 		}
-		again, err := out.Get(e.Signature)
+		again, err := out.GetKey(KeyOf(e.Signature))
 		if err != nil {
 			t.Fatal(err)
 		}

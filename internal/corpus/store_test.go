@@ -75,7 +75,7 @@ func TestStoreGoldenRoundTrip(t *testing.T) {
 	}
 
 	key := KeyOf(e.Signature)
-	got, err := os.ReadFile(filepath.Join(s.Dir(), key+".json"))
+	got, err := os.ReadFile(filepath.Join(s.dir, key+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStoreGoldenRoundTrip(t *testing.T) {
 		t.Errorf("persisted entry drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
-	loaded, err := s.Get(e.Signature)
+	loaded, err := s.GetKey(key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestDeepFindingRecordsCompleteTrace(t *testing.T) {
 	if rep.Corpus.Saved != 1 || len(rep.Corpus.Errors) != 0 {
 		t.Fatalf("corpus stats = %+v, want the deep finding's trace saved", rep.Corpus)
 	}
-	entry, err := store.Get(rep.Findings[0].Signature)
+	entry, err := store.GetKey(corpus.KeyOf(rep.Findings[0].Signature))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,8 @@ func runCrashFarm(t *testing.T, dir string, kill *time.Duration) (time.Duration,
 // left behind.
 func checkKilledFarm(t *testing.T, dir string, replayed map[string]bool) (entries, temps int) {
 	t.Helper()
-	store, err := corpus.Open(filepath.Join(dir, "corpus"))
+	corpusDir := filepath.Join(dir, "corpus")
+	store, err := corpus.Open(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func checkKilledFarm(t *testing.T, dir string, replayed map[string]bool) (entrie
 			t.Errorf("entry %s: %v", key, err)
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(store.Dir(), key+".json"))
+		data, err := os.ReadFile(filepath.Join(corpusDir, key+".json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func checkKilledFarm(t *testing.T, dir string, replayed map[string]bool) (entrie
 			t.Errorf("entry %s replays to %v (reproduced %v), want %v", key, res.Signature, res.Reproduced, e.Signature)
 		}
 	}
-	names, err := os.ReadDir(store.Dir())
+	names, err := os.ReadDir(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,11 +95,12 @@ func (l2fuzzEngine) NeedsRFCOMM() bool                   { return false }
 func (l2fuzzEngine) TraceBudget(cfg Config, job Job) int { return job.MaxPackets }
 
 func (l2fuzzEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
-	fcfg := core.DefaultConfig(job.Seed)
-	fcfg.MaxPackets = job.MaxPackets
-	fcfg.Counters = cfg.Counters
-	fcfg.Ablation = v.Ablation
-	report, err := core.New(r.Client, fcfg).Run(r.Device.Address())
+	report, err := core.New(r.Client, core.Config{
+		Seed:       job.Seed,
+		MaxPackets: job.MaxPackets,
+		Counters:   cfg.Counters,
+		Ablation:   v.Ablation,
+	}).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err
 		return
@@ -150,8 +151,7 @@ func (rfcommEngine) NeedsRFCOMM() bool                   { return true }
 func (rfcommEngine) TraceBudget(cfg Config, job Job) int { return job.MaxPackets }
 
 func (rfcommEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
-	fcfg := rfcommfuzz.DefaultConfig(job.Seed)
-	fcfg.MaxFrames = job.MaxPackets
+	fcfg := rfcommfuzz.Config{Seed: job.Seed, MaxFrames: job.MaxPackets}
 	report, err := rfcommfuzz.New(r.Client, fcfg).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err

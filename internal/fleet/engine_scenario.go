@@ -22,8 +22,7 @@ func (sdpEngine) NeedsRFCOMM() bool                   { return false }
 func (sdpEngine) TraceBudget(cfg Config, job Job) int { return job.MaxPackets }
 
 func (sdpEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
-	fcfg := sdpfuzz.DefaultConfig(job.Seed)
-	fcfg.MaxPDUs = job.MaxPackets
+	fcfg := sdpfuzz.Config{Seed: job.Seed, MaxPDUs: job.MaxPackets}
 	report, err := sdpfuzz.New(r.Client, fcfg).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err
@@ -66,8 +65,7 @@ func (smEngine) NeedsRFCOMM() bool                   { return false }
 func (smEngine) TraceBudget(cfg Config, job Job) int { return job.MaxPackets }
 
 func (smEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult) {
-	fcfg := smfuzz.DefaultConfig(job.Seed)
-	fcfg.MaxPackets = job.MaxPackets
+	fcfg := smfuzz.Config{Seed: job.Seed, MaxPackets: job.MaxPackets}
 	report, err := smfuzz.New(r.Client, fcfg).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err

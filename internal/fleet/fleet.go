@@ -59,7 +59,8 @@ var catalogTargets = func() (m map[string]*device.Spec) {
 	return m
 }()
 
-// Config describes a farm job matrix and how to execute it.
+// Config describes a farm job matrix and how to execute it. A zero
+// count means its documented default; a negative one is an error.
 type Config struct {
 	// Devices are catalog device IDs (D1..D8). Empty means the whole
 	// eight-device Table V testbed — unless CustomDevices supplies the
@@ -234,17 +235,22 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("fleet: non-positive budget %d for %q", b, id)
 		}
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxPacketsPerJob <= 0 {
-		c.MaxPacketsPerJob = DefaultMaxPacketsPerJob
-	}
-	if c.CampaignRuns <= 0 {
-		c.CampaignRuns = DefaultCampaignRuns
+	for _, n := range []struct {
+		field string
+		v     *int
+		def   int
+	}{
+		{"Shards", &c.Shards, 1},
+		{"Workers", &c.Workers, runtime.GOMAXPROCS(0)},
+		{"MaxPacketsPerJob", &c.MaxPacketsPerJob, DefaultMaxPacketsPerJob},
+		{"CampaignRuns", &c.CampaignRuns, DefaultCampaignRuns},
+	} {
+		switch {
+		case *n.v < 0:
+			return c, fmt.Errorf("fleet: negative %s %d", n.field, *n.v)
+		case *n.v == 0:
+			*n.v = n.def
+		}
 	}
 	return c, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"l2fuzz/internal/bt/device"
@@ -188,6 +190,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Devices: []string{"D1"}, Budgets: map[string]int{"D1": 0}}); err == nil {
 		t.Error("non-positive budget accepted")
+	}
+}
+
+// TestConfigCounts pins the rule for the farm's counts: zero means the
+// documented default, and a negative value is an error naming the field.
+// Only zero and negative values are tried; a large one would start that
+// many workers.
+func TestConfigCounts(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		at    func(*Config) *int
+		def   int
+	}{
+		{"Shards", func(c *Config) *int { return &c.Shards }, 1},
+		{"Workers", func(c *Config) *int { return &c.Workers }, runtime.GOMAXPROCS(0)},
+		{"MaxPacketsPerJob", func(c *Config) *int { return &c.MaxPacketsPerJob }, DefaultMaxPacketsPerJob},
+		{"CampaignRuns", func(c *Config) *int { return &c.CampaignRuns }, DefaultCampaignRuns},
+	} {
+		cfg := Config{Devices: []string{"D2"}}
+		if got, err := cfg.withDefaults(); err != nil || *tc.at(&got) != tc.def {
+			t.Errorf("%s 0: got %d, %v; want the default %d", tc.field, *tc.at(&got), err, tc.def)
+		}
+		*tc.at(&cfg) = -3
+		if _, err := cfg.withDefaults(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s -3: error %v, want one naming the field", tc.field, err)
+		}
 	}
 }
 

@@ -25,17 +25,18 @@ type FigureConfig struct {
 	Packets int
 	// SampleEvery thins the series to one point per this many packets.
 	SampleEvery int
-	// CoveragePackets bounds the state-coverage runs (Figures 10/11):
-	// the paper analyses traces "at the end of a single test cycle",
-	// not over the full 100,000-packet measurement. 30,000 packets
-	// covers at least one full cycle for every fuzzer.
-	CoveragePackets int
 }
+
+// coveragePackets bounds the state-coverage runs (Figures 10/11): the
+// paper analyses traces "at the end of a single test cycle", not over
+// the full 100,000-packet measurement. 30,000 packets covers at least
+// one full cycle for every fuzzer.
+const coveragePackets = 30_000
 
 // DefaultFigureConfig mirrors the paper's axes (samples every 10,000
 // packets up to 100,000).
 func DefaultFigureConfig() FigureConfig {
-	return FigureConfig{Seed: 11, Packets: 100_000, SampleEvery: 10_000, CoveragePackets: 30_000}
+	return FigureConfig{Seed: 11, Packets: 100_000, SampleEvery: 10_000}
 }
 
 // Figure8 regenerates the cumulative transmitted-malformed-packet series
@@ -92,14 +93,11 @@ type Figure10Row struct {
 
 // Figure10 regenerates the per-fuzzer state-coverage measurement
 // (paper Figure 10: 13 / 7 / 6 / 3) and, with the visited sets, the
-// per-state map of Figure 11.
+// per-state map of Figure 11. Only the seed applies: every fuzzer runs
+// one test cycle of coveragePackets packets.
 func Figure10(cfg FigureConfig) ([]Figure10Row, error) {
-	budget := cfg.CoveragePackets
-	if budget <= 0 {
-		budget = 30_000
-	}
 	var rows []Figure10Row
-	err := eachFuzzer(cfg.Seed, budget, func(kind fleet.Kind, s *metrics.Sniffer) {
+	err := eachFuzzer(cfg.Seed, coveragePackets, func(kind fleet.Kind, s *metrics.Sniffer) {
 		visited := s.StatesVisited()
 		rows = append(rows, Figure10Row{Fuzzer: kind, States: len(visited), Visited: visited})
 	})

@@ -35,22 +35,19 @@ type TableVIRow struct {
 type TableVIConfig struct {
 	// Seed drives all randomness.
 	Seed int64
-	// VulnerableBudget caps packets on devices expected to crash.
-	VulnerableBudget int
 	// RobustBudget caps packets on devices expected to survive: the
 	// paper never reports how long it fuzzed D4/D6/D7, so a smaller
 	// budget keeps regeneration tractable.
 	RobustBudget int
 }
 
+// vulnerableBudget caps packets on devices expected to crash.
+const vulnerableBudget = 6_000_000
+
 // DefaultTableVIConfig returns the budgets used for the recorded
 // experiment.
 func DefaultTableVIConfig() TableVIConfig {
-	return TableVIConfig{
-		Seed:             11,
-		VulnerableBudget: 6_000_000,
-		RobustBudget:     400_000,
-	}
+	return TableVIConfig{Seed: 11, RobustBudget: 400_000}
 }
 
 // TableVI runs L2Fuzz against all eight catalog devices (defects armed)
@@ -81,7 +78,7 @@ func TableVIRun(deviceID string, cfg TableVIConfig) (TableVIRow, error) {
 	}
 	budget := cfg.RobustBudget
 	if entry.ExpectVuln {
-		budget = cfg.VulnerableBudget
+		budget = vulnerableBudget
 	}
 	res, rig, err := runCell(fleet.KindL2Fuzz, deviceID, false, seed, budget)
 	if err != nil {

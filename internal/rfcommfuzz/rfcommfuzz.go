@@ -35,16 +35,18 @@ import (
 	"l2fuzz/internal/bt/rfcomm"
 )
 
-// Config parameterises a run.
+// Config parameterises a run. A zero budget means its default.
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
-	// MaxFrames caps the whole run; zero means DefaultConfig's.
+	// MaxFrames caps the whole run; zero means 50,000.
 	MaxFrames int
 }
 
 // The run's L2Fuzz-flavoured constants.
 const (
+	// defaultMaxFrames is the budget of a run whose Config.MaxFrames is zero.
+	defaultMaxFrames = 50_000
 	// framesPerState is the fuzz depth per DLC state.
 	framesPerState = 64
 	// maxGarbage bounds the tail appended beyond the FCS.
@@ -52,11 +54,6 @@ const (
 	// thinkTime is charged to the simulated clock per frame.
 	thinkTime = 450 * time.Microsecond
 )
-
-// DefaultConfig returns L2Fuzz-flavoured defaults.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, MaxFrames: 50_000}
-}
 
 // Report is the outcome of one run.
 type Report struct {
@@ -98,7 +95,7 @@ type Fuzzer struct {
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
 	if cfg.MaxFrames <= 0 {
-		cfg.MaxFrames = DefaultConfig(cfg.Seed).MaxFrames
+		cfg.MaxFrames = defaultMaxFrames
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }

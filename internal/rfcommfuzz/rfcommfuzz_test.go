@@ -45,7 +45,7 @@ func rig(t *testing.T, cfg device.Config) (*device.Device, *host.Client) {
 
 func TestFindsReservedDLCIDefect(t *testing.T) {
 	d, cl := rig(t, headsetConfig(rfcomm.ReservedDLCIDefect()))
-	f := New(cl, DefaultConfig(1))
+	f := New(cl, Config{Seed: 1})
 	report, err := f.Run(d.Address())
 	if err != nil {
 		t.Fatalf("Run() error = %v", err)
@@ -71,8 +71,7 @@ func TestFindsReservedDLCIDefect(t *testing.T) {
 
 func TestRobustMuxSurvives(t *testing.T) {
 	d, cl := rig(t, headsetConfig(nil))
-	cfg := DefaultConfig(2)
-	cfg.MaxFrames = 3_000
+	cfg := Config{Seed: 2, MaxFrames: 3_000}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {
@@ -93,8 +92,7 @@ func TestDisabledVulnsSuppressDefect(t *testing.T) {
 	cfg := headsetConfig(rfcomm.ReservedDLCIDefect())
 	cfg.DisableVulns = true
 	d, cl := rig(t, cfg)
-	fcfg := DefaultConfig(3)
-	fcfg.MaxFrames = 2_000
+	fcfg := Config{Seed: 3, MaxFrames: 2_000}
 	report, err := New(cl, fcfg).Run(d.Address())
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +110,7 @@ func TestRequiresReachableRFCOMM(t *testing.T) {
 		{PSM: l2cap.PSMRFCOMM, Name: "RFCOMM", RequiresPairing: true},
 	}
 	d, cl := rig(t, cfg)
-	_, err := New(cl, DefaultConfig(4)).Run(d.Address())
+	_, err := New(cl, Config{Seed: 4}).Run(d.Address())
 	if !errors.Is(err, ErrNoRFCOMM) {
 		t.Fatalf("error = %v, want ErrNoRFCOMM", err)
 	}
@@ -122,7 +120,7 @@ func TestRequiresReachableRFCOMM(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	run := func() *Report {
 		d, cl := rig(t, headsetConfig(rfcomm.ReservedDLCIDefect()))
-		r, err := New(cl, DefaultConfig(7)).Run(d.Address())
+		r, err := New(cl, Config{Seed: 7}).Run(d.Address())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +139,7 @@ func TestMuxCrashKillsWholeBluetoothService(t *testing.T) {
 	// The injected effect mirrors the Android finding: the RFCOMM death
 	// takes com.android.bluetooth with it, so even L2CAP stops answering.
 	d, cl := rig(t, headsetConfig(rfcomm.ReservedDLCIDefect()))
-	report, err := New(cl, DefaultConfig(1)).Run(d.Address())
+	report, err := New(cl, Config{Seed: 1}).Run(d.Address())
 	if err != nil {
 		t.Fatal(err)
 	}

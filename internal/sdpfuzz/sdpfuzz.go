@@ -40,16 +40,18 @@ import (
 	"l2fuzz/internal/bt/sdp"
 )
 
-// Config parameterises a run.
+// Config parameterises a run. A zero budget means its default.
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
-	// MaxPDUs caps the whole run; zero means DefaultConfig's.
+	// MaxPDUs caps the whole run; zero means 50,000.
 	MaxPDUs int
 }
 
 // The run's L2Fuzz-flavoured constants.
 const (
+	// defaultMaxPDUs is the budget of a run whose Config.MaxPDUs is zero.
+	defaultMaxPDUs = 50_000
 	// maxGarbage bounds generated garbage parameter payloads.
 	maxGarbage = 16
 	// probeEvery runs the valid-request liveness probe after every
@@ -58,11 +60,6 @@ const (
 	// thinkTime is charged to the simulated clock per request.
 	thinkTime = 450 * time.Microsecond
 )
-
-// DefaultConfig returns L2Fuzz-flavoured defaults.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, MaxPDUs: 50_000}
-}
 
 // Report is the outcome of one run.
 type Report struct {
@@ -102,7 +99,7 @@ type Fuzzer struct {
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
 	if cfg.MaxPDUs <= 0 {
-		cfg.MaxPDUs = DefaultConfig(cfg.Seed).MaxPDUs
+		cfg.MaxPDUs = defaultMaxPDUs
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }

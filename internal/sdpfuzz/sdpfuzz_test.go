@@ -39,7 +39,7 @@ func rig(t *testing.T, cfg device.Config) (*device.Device, *host.Client) {
 
 func TestFindsOverreadDefect(t *testing.T) {
 	d, cl := rig(t, targetConfig(sdp.OverreadDefect()))
-	f := New(cl, DefaultConfig(1))
+	f := New(cl, Config{Seed: 1})
 	report, err := f.Run(d.Address())
 	if err != nil {
 		t.Fatalf("Run() error = %v", err)
@@ -71,7 +71,7 @@ func TestMutationsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := New(nil, DefaultConfig(1))
+	f := New(nil, Config{Seed: 1})
 	var b strings.Builder
 	for range strings.Count(string(want), "\n") {
 		raw, m := f.mutate()
@@ -84,8 +84,7 @@ func TestMutationsPinned(t *testing.T) {
 
 func TestRobustServerSurvives(t *testing.T) {
 	d, cl := rig(t, targetConfig(nil))
-	cfg := DefaultConfig(2)
-	cfg.MaxPDUs = 3_000
+	cfg := Config{Seed: 2, MaxPDUs: 3_000}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {
@@ -107,7 +106,7 @@ func TestRobustServerSurvives(t *testing.T) {
 func TestSeedDeterminism(t *testing.T) {
 	run := func() *Report {
 		d, cl := rig(t, targetConfig(sdp.OverreadDefect()))
-		f := New(cl, DefaultConfig(7))
+		f := New(cl, Config{Seed: 7})
 		report, err := f.Run(d.Address())
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +127,7 @@ func TestSeedDeterminism(t *testing.T) {
 func TestDifferentSeedsDiverge(t *testing.T) {
 	run := func(seed int64) *Report {
 		d, cl := rig(t, targetConfig(sdp.OverreadDefect()))
-		f := New(cl, DefaultConfig(seed))
+		f := New(cl, Config{Seed: seed})
 		report, err := f.Run(d.Address())
 		if err != nil {
 			t.Fatal(err)

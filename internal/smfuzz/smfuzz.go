@@ -37,16 +37,18 @@ import (
 	"l2fuzz/internal/bt/sm"
 )
 
-// Config parameterises a run.
+// Config parameterises a run. A zero budget means its default.
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
-	// MaxPackets caps the whole run; zero means DefaultConfig's.
+	// MaxPackets caps the whole run; zero means 50,000.
 	MaxPackets int
 }
 
 // The walk's L2Fuzz-flavoured constants.
 const (
+	// defaultMaxPackets is the budget of a run whose Config.MaxPackets is zero.
+	defaultMaxPackets = 50_000
 	// maxGarbage bounds appended garbage tails.
 	maxGarbage = 16
 	// pingEvery probes liveness after every pingEvery commands.
@@ -54,11 +56,6 @@ const (
 	// thinkTime is charged to the simulated clock per command.
 	thinkTime = 450 * time.Microsecond
 )
-
-// DefaultConfig returns L2Fuzz-flavoured defaults.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, MaxPackets: 50_000}
-}
 
 // Report is the outcome of one run.
 type Report struct {
@@ -155,7 +152,7 @@ type Fuzzer struct {
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
 	if cfg.MaxPackets <= 0 {
-		cfg.MaxPackets = DefaultConfig(cfg.Seed).MaxPackets
+		cfg.MaxPackets = defaultMaxPackets
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }

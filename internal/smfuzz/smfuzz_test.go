@@ -39,7 +39,7 @@ func rig(t *testing.T, cfg device.Config) (*device.Device, *host.Client) {
 
 func TestFindsCCBNullDeref(t *testing.T) {
 	d, cl := rig(t, targetConfig(device.BlueDroidCCBNullDeref(0x40, 1, true)))
-	f := New(cl, DefaultConfig(1))
+	f := New(cl, Config{Seed: 1})
 	report, err := f.Run(d.Address())
 	if err != nil {
 		t.Fatalf("Run() error = %v", err)
@@ -65,8 +65,7 @@ func TestFindsCCBNullDeref(t *testing.T) {
 
 func TestRobustStackSurvives(t *testing.T) {
 	d, cl := rig(t, targetConfig())
-	cfg := DefaultConfig(2)
-	cfg.MaxPackets = 3_000
+	cfg := Config{Seed: 2, MaxPackets: 3_000}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {
@@ -85,8 +84,7 @@ func TestRobustStackSurvives(t *testing.T) {
 // reaching the configuration-job states where the stateful defects live.
 func TestWalkCoversConfigurationJob(t *testing.T) {
 	d, cl := rig(t, targetConfig())
-	cfg := DefaultConfig(3)
-	cfg.MaxPackets = 3_000
+	cfg := Config{Seed: 3, MaxPackets: 3_000}
 	f := New(cl, cfg)
 	report, err := f.Run(d.Address())
 	if err != nil {
@@ -109,7 +107,7 @@ func TestWalkCoversConfigurationJob(t *testing.T) {
 func TestSeedDeterminism(t *testing.T) {
 	run := func() *Report {
 		d, cl := rig(t, targetConfig(device.BlueDroidCCBNullDeref(0x40, 1, true)))
-		f := New(cl, DefaultConfig(7))
+		f := New(cl, Config{Seed: 7})
 		report, err := f.Run(d.Address())
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +129,7 @@ func TestSeedDeterminism(t *testing.T) {
 func TestDifferentSeedsDiverge(t *testing.T) {
 	run := func(seed int64) *Report {
 		d, cl := rig(t, targetConfig(device.BlueDroidCCBNullDeref(0x40, 1, true)))
-		f := New(cl, DefaultConfig(seed))
+		f := New(cl, Config{Seed: seed})
 		report, err := f.Run(d.Address())
 		if err != nil {
 			t.Fatal(err)

@@ -31,8 +31,7 @@ func TestStatesVisitedGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := core.DefaultConfig(seed)
-			cfg.MaxPackets = 30_000
+			cfg := core.Config{Seed: seed, MaxPackets: 30_000}
 			if _, err := core.New(rig.Client, cfg).Run(rig.Device.Address()); err != nil {
 				t.Fatalf("%s seed %d: %v", id, seed, err)
 			}

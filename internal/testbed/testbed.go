@@ -92,31 +92,6 @@ func New(spec device.Spec, opts Options) (*Rig, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	dcfg := spec.Config
-	if opts.DisableVulns {
-		dcfg.DisableVulns = true
-	}
-	if opts.RFCOMM {
-		dcfg.Ports = rfcommPorts(dcfg.Ports)
-		if len(dcfg.RFCOMMServices) == 0 {
-			dcfg.RFCOMMServices = []rfcomm.Service{
-				{Channel: 1, Name: "Serial Port Profile"},
-				{Channel: 2, Name: "Hands-Free"},
-			}
-		}
-		if spec.ExpectVuln && !dcfg.DisableVulns && dcfg.RFCOMMDefect == nil {
-			dcfg.RFCOMMDefect = rfcomm.ReservedDLCIDefect()
-		}
-	}
-	// Specs expected to be vulnerable also carry an SDP parser defect.
-	// Unlike the RFCOMM defect there is no opt-in rig variant: the
-	// defect only fires on PDUs whose declared parameter length overruns
-	// the payload, which valid service discovery (every fuzzer's scan
-	// phase) never produces — and corpus replays of SDP findings need
-	// the same arming without engine-specific options.
-	if spec.ExpectVuln && !dcfg.DisableVulns && dcfg.SDPDefect == nil {
-		dcfg.SDPDefect = sdp.OverreadDefect()
-	}
 	name := opts.TesterName
 	if name == "" {
 		name = "test-machine"
@@ -143,7 +118,7 @@ func New(spec device.Spec, opts Options) (*Rig, error) {
 			frames, bytes = 0, 0
 		}
 	}
-	dev, err := device.New(m, dcfg)
+	dev, err := device.New(m, DeviceConfig(spec, opts))
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -163,6 +138,39 @@ func New(spec device.Spec, opts Options) (*Rig, error) {
 		cl.SetRecorder(rig.Recorder)
 	}
 	return rig, nil
+}
+
+// DeviceConfig is the device configuration a rig builds for spec under
+// opts: the vuln switch and RFCOMM preparation applied, and the defects
+// an ExpectVuln spec carries armed. Anything that instantiates a target
+// outside a rig goes through it too, so it meets the same device.
+func DeviceConfig(spec device.Spec, opts Options) device.Config {
+	dcfg := spec.Config
+	if opts.DisableVulns {
+		dcfg.DisableVulns = true
+	}
+	if opts.RFCOMM {
+		dcfg.Ports = rfcommPorts(dcfg.Ports)
+		if len(dcfg.RFCOMMServices) == 0 {
+			dcfg.RFCOMMServices = []rfcomm.Service{
+				{Channel: 1, Name: "Serial Port Profile"},
+				{Channel: 2, Name: "Hands-Free"},
+			}
+		}
+		if spec.ExpectVuln && !dcfg.DisableVulns && dcfg.RFCOMMDefect == nil {
+			dcfg.RFCOMMDefect = rfcomm.ReservedDLCIDefect()
+		}
+	}
+	// Specs expected to be vulnerable also carry an SDP parser defect.
+	// Unlike the RFCOMM defect there is no opt-in rig variant: the
+	// defect only fires on PDUs whose declared parameter length overruns
+	// the payload, which valid service discovery (every fuzzer's scan
+	// phase) never produces — and corpus replays of SDP findings need
+	// the same arming without engine-specific options.
+	if spec.ExpectVuln && !dcfg.DisableVulns && dcfg.SDPDefect == nil {
+		dcfg.SDPDefect = sdp.OverreadDefect()
+	}
+	return dcfg
 }
 
 // rfcommPorts rewrites a port list so the RFCOMM port exists and is

@@ -59,7 +59,7 @@ func replayedRootCause(t *testing.T, spec device.Spec) triage.Report {
 	if len(rep.Findings) == 0 || rep.Corpus.Saved == 0 {
 		t.Fatalf("farm stored no finding: findings=%d corpus=%+v", len(rep.Findings), rep.Corpus)
 	}
-	entry, err := store.Get(rep.Findings[0].Signature)
+	entry, err := store.GetKey(corpus.KeyOf(rep.Findings[0].Signature))
 	if err != nil {
 		t.Fatal(err)
 	}

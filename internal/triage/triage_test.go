@@ -29,7 +29,7 @@ func findingFor(t *testing.T, deviceID string, seed int64) (core.Finding, *devic
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := core.New(cl, core.DefaultConfig(seed)).Run(d.Address())
+	report, err := core.New(cl, core.Config{Seed: seed}).Run(d.Address())
 	if err != nil {
 		t.Fatal(err)
 	}

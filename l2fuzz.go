@@ -70,7 +70,7 @@
 //	...
 //	report, err := l2fuzz.RunFleet(l2fuzz.FleetConfig{Corpus: store})
 //	...
-//	entry, err := store.Get(report.Findings[0].Signature)
+//	entry, err := store.GetKey(l2fuzz.CorpusKey(report.Findings[0].Signature))
 //	...
 //	res, err := l2fuzz.ReplayCorpusEntry(entry, l2fuzz.CorpusReplayConfig{})
 //	fmt.Println(res.Reproduced, res.RootCause.Render())
@@ -630,16 +630,12 @@ func (s *Simulation) AddMeasurementDevice(id string) (string, error) {
 }
 
 func (s *Simulation) addCatalog(id string, disableVulns bool) (string, error) {
-	entry, err := device.CatalogEntryByID(id, disableVulns)
+	// The options own the vuln switch, so the spec is resolved armed.
+	spec, err := device.CatalogSpec(id, false)
 	if err != nil {
 		return "", fmt.Errorf("l2fuzz: %w", err)
 	}
-	d, err := device.New(s.medium, entry.Config)
-	if err != nil {
-		return "", fmt.Errorf("l2fuzz: %w", err)
-	}
-	s.devices[id] = d
-	return id, nil
+	return s.add(spec, testbed.Options{DisableVulns: disableVulns})
 }
 
 // AddDeviceSpec instantiates a first-class target spec in the
@@ -647,10 +643,17 @@ func (s *Simulation) addCatalog(id string, disableVulns bool) (string, error) {
 // (CatalogDeviceSpec), decoded specs (ParseDeviceSpec) and hand-built
 // ones all go through the same path.
 func (s *Simulation) AddDeviceSpec(spec DeviceSpec) (string, error) {
+	return s.add(spec, testbed.Options{})
+}
+
+// add instantiates spec the way a farm rig does under opts, so a
+// simulation device carries the same armed defects as the farm's, and
+// tracks it under the spec's name.
+func (s *Simulation) add(spec DeviceSpec, opts testbed.Options) (string, error) {
 	if err := spec.Validate(); err != nil {
 		return "", fmt.Errorf("l2fuzz: %w", err)
 	}
-	d, err := device.New(s.medium, spec.Config)
+	d, err := device.New(s.medium, testbed.DeviceConfig(spec, opts))
 	if err != nil {
 		return "", fmt.Errorf("l2fuzz: %w", err)
 	}
@@ -661,21 +664,11 @@ func (s *Simulation) AddDeviceSpec(spec DeviceSpec) (string, error) {
 // AddCustomDevice instantiates a device from a profile and port list. The
 // SDP port is added automatically when absent.
 func (s *Simulation) AddCustomDevice(name, mac string, profile DeviceProfile, ports []ServicePort) (string, error) {
-	addr, err := radio.ParseBDAddr(mac)
+	spec, err := FleetDeviceSpec(name, mac, profile, ports)
 	if err != nil {
-		return "", fmt.Errorf("l2fuzz: %w", err)
+		return "", err
 	}
-	d, err := device.New(s.medium, device.Config{
-		Addr:    addr,
-		Name:    name,
-		Profile: profile,
-		Ports:   ports,
-	})
-	if err != nil {
-		return "", fmt.Errorf("l2fuzz: %w", err)
-	}
-	s.devices[name] = d
-	return name, nil
+	return s.add(spec, testbed.Options{})
 }
 
 // Devices lists the simulation's device names in insertion-independent
@@ -713,13 +706,12 @@ func (s *Simulation) RunL2Fuzz(name string, cfg FuzzConfig) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ccfg := core.DefaultConfig(cfg.Seed)
-	if cfg.MaxPackets > 0 {
-		ccfg.MaxPackets = cfg.MaxPackets
-	}
-	ccfg.LogWriter = cfg.LogWriter
-	ccfg.Ablation = cfg.Ablation
-	return core.New(s.client, ccfg).Run(d.Address())
+	return core.New(s.client, core.Config{
+		Seed:       cfg.Seed,
+		MaxPackets: cfg.MaxPackets,
+		LogWriter:  cfg.LogWriter,
+		Ablation:   cfg.Ablation,
+	}).Run(d.Address())
 }
 
 // RunBaseline runs one of the comparison fuzzers for maxPackets packets.
@@ -747,26 +739,15 @@ func (s *Simulation) RunBaseline(name string, which BaselineName, seed int64, ma
 // paper's §V extension. When vulnerable, the multiplexer ships the
 // reserved-DLCI defect the extension fuzzer can find.
 func (s *Simulation) AddRFCOMMDevice(name, mac string, profile DeviceProfile, ports []ServicePort, services []RFCOMMService, vulnerable bool) (string, error) {
-	addr, err := radio.ParseBDAddr(mac)
+	spec, err := FleetDeviceSpec(name, mac, profile, ports)
 	if err != nil {
-		return "", fmt.Errorf("l2fuzz: %w", err)
+		return "", err
 	}
-	cfg := device.Config{
-		Addr:           addr,
-		Name:           name,
-		Profile:        profile,
-		Ports:          ports,
-		RFCOMMServices: services,
-	}
+	spec.Config.RFCOMMServices = services
 	if vulnerable {
-		cfg.RFCOMMDefect = rfcomm.ReservedDLCIDefect()
+		spec.Config.RFCOMMDefect = rfcomm.ReservedDLCIDefect()
 	}
-	d, err := device.New(s.medium, cfg)
-	if err != nil {
-		return "", fmt.Errorf("l2fuzz: %w", err)
-	}
-	s.devices[name] = d
-	return name, nil
+	return s.add(spec, testbed.Options{})
 }
 
 // RunRFCOMMFuzz runs the §V extension fuzzer — L2Fuzz's state guiding and
@@ -777,11 +758,7 @@ func (s *Simulation) RunRFCOMMFuzz(name string, seed int64, maxFrames int) (*RFC
 	if err != nil {
 		return nil, err
 	}
-	cfg := rfcommfuzz.DefaultConfig(seed)
-	if maxFrames > 0 {
-		cfg.MaxFrames = maxFrames
-	}
-	return rfcommfuzz.New(s.client, cfg).Run(d.Address())
+	return rfcommfuzz.New(s.client, rfcommfuzz.Config{Seed: seed, MaxFrames: maxFrames}).Run(d.Address())
 }
 
 // RunSDPFuzz runs the SDP scenario-diversity engine — DataElement/PDU
@@ -792,11 +769,7 @@ func (s *Simulation) RunSDPFuzz(name string, seed int64, maxPDUs int) (*SDPFuzzR
 	if err != nil {
 		return nil, err
 	}
-	cfg := sdpfuzz.DefaultConfig(seed)
-	if maxPDUs > 0 {
-		cfg.MaxPDUs = maxPDUs
-	}
-	return sdpfuzz.New(s.client, cfg).Run(d.Address())
+	return sdpfuzz.New(s.client, sdpfuzz.Config{Seed: seed, MaxPDUs: maxPDUs}).Run(d.Address())
 }
 
 // RunSMFuzz runs the state-machine scenario-diversity engine — a
@@ -807,11 +780,7 @@ func (s *Simulation) RunSMFuzz(name string, seed int64, maxPackets int) (*SMFuzz
 	if err != nil {
 		return nil, err
 	}
-	cfg := smfuzz.DefaultConfig(seed)
-	if maxPackets > 0 {
-		cfg.MaxPackets = maxPackets
-	}
-	return smfuzz.New(s.client, cfg).Run(d.Address())
+	return smfuzz.New(s.client, smfuzz.Config{Seed: seed, MaxPackets: maxPackets}).Run(d.Address())
 }
 
 // RunCampaign performs long-term fuzzing against the named device: the

@@ -204,6 +204,33 @@ func TestRFCOMMExtensionThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// A simulation device is armed the way a farm rig is: catalog D2 carries
+// the SDP parser defect a farm SDP job finds, its measurement-grade twin
+// does not.
+func TestSimulationArmsTheFarmsSDPDefect(t *testing.T) {
+	for _, armed := range []bool{true, false} {
+		sim, err := l2fuzz.NewSimulation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		add := sim.AddMeasurementDevice
+		if armed {
+			add = sim.AddCatalogDevice
+		}
+		target, err := add("D2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := sim.RunSDPFuzz(target, 1, 5_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Found != armed {
+			t.Errorf("armed %v: found %v after %d PDUs", armed, report.Found, report.PDUsSent)
+		}
+	}
+}
+
 func TestResetAfterFirmwareCrashRestoresAir(t *testing.T) {
 	sim, err := l2fuzz.NewSimulation()
 	if err != nil {
