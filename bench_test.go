@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ import (
 
 	"l2fuzz"
 	"l2fuzz/internal/harness"
+	"l2fuzz/internal/telemetry"
 )
 
 // TestMain re-execs this test binary as a farm worker subprocess when
@@ -327,9 +329,9 @@ func TestBenchSnapshot(t *testing.T) {
 	if path == "" {
 		t.Skip("set BENCH_SNAPSHOT=<path> to record the fleet bench trajectory")
 	}
-	rows := make([]l2fuzz.BenchRow, 0, len(fleetBenchCases))
+	rows := make([]telemetry.BenchRow, 0, len(fleetBenchCases))
 	for _, bc := range fleetBenchCases {
-		row := l2fuzz.MeasureBenchRow(func() (int64, int) {
+		row := measureBenchRow(func() (int64, int) {
 			report, err := fleetBenchRun(bc)
 			if err != nil {
 				t.Fatal(err)
@@ -348,8 +350,61 @@ func TestBenchSnapshot(t *testing.T) {
 		row.ParentOnly = bc.proc
 		rows = append(rows, row)
 	}
-	if err := l2fuzz.WriteBenchSnapshot(path, l2fuzz.NewBenchSnapshot("BenchmarkFleet", rows)); err != nil {
+	snap := telemetry.BenchSnapshot{
+		Bench:    "BenchmarkFleet",
+		Go:       runtime.Version(),
+		GOOS:     runtime.GOOS,
+		GOARCH:   runtime.GOARCH,
+		CPUs:     runtime.NumCPU(),
+		MaxProcs: runtime.GOMAXPROCS(0),
+		Rows:     rows,
+	}
+	data, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// measureBenchRow runs one workload and fills a row's measured fields:
+// wall time, packets/s and the run's allocation cost from
+// runtime.MemStats deltas. The caller sets Name, Workers and Telemetry.
+func measureBenchRow(fn func() (packets int64, findings int)) telemetry.BenchRow {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	packets, findings := fn()
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	row := telemetry.BenchRow{
+		Packets:     packets,
+		Findings:    findings,
+		WallSeconds: wall.Seconds(),
+		MBPerOp:     float64(after.TotalAlloc-before.TotalAlloc) / 1e6,
+		AllocsPerOp: int64(after.Mallocs - before.Mallocs),
+	}
+	if row.WallSeconds > 0 {
+		row.PktsPerSec = float64(packets) / row.WallSeconds
+	}
+	return row
+}
+
+func TestMeasureFillsRow(t *testing.T) {
+	row := measureBenchRow(func() (int64, int) {
+		_ = make([]byte, 1<<20)
+		return 5000, 2
+	})
+	if row.Packets != 5000 || row.Findings != 2 {
+		t.Fatalf("row = %+v", row)
+	}
+	if row.WallSeconds <= 0 || row.PktsPerSec <= 0 {
+		t.Fatalf("timing not measured: %+v", row)
+	}
+	if row.MBPerOp <= 0 || row.AllocsPerOp <= 0 {
+		t.Fatalf("allocation cost not measured: %+v", row)
 	}
 }
 

@@ -21,10 +21,11 @@
 // every reproducing witness must also still delta-debug to a minimal
 // trace, so a minimizer/replayer divergence fails the build as well.
 //
-// Entries recorded against catalog devices ("D1".."D8") rebuild their
-// target automatically; entries recorded against custom targets need
-// the spec passed back in with -device-file (the same JSON format
-// l2farm accepts).
+// Every entry rebuilds its own target: a catalog device ("D1".."D8") by
+// its ID, a custom target from the spec the entry embeds. -device-file
+// (the JSON format l2farm accepts) rebuilds the entries recorded
+// against its spec's name from that spec instead, and leaves entries of
+// other targets as they are.
 //
 // Usage:
 //
@@ -64,7 +65,7 @@ func main() {
 func run() error {
 	var (
 		corpusDir  = flag.String("corpus", "", "corpus directory (required; the directory l2farm -corpus wrote)")
-		deviceFile = flag.String("device-file", "", "JSON target spec for entries recorded against a custom (non-catalog) target")
+		deviceFile = flag.String("device-file", "", "JSON target spec that rebuilds the entries recorded against its name")
 		dump       = flag.Bool("dump", false, "replay: print the reproduced crash artefact")
 		write      = flag.Bool("write", false, "minimize: store the minimized trace back into the corpus")
 		maxReplays = flag.Int("max-replays", 0, "minimize/regress -minimize: cap verification replays (0 = library default)")

@@ -8,39 +8,6 @@ import (
 	"l2fuzz/internal/bt/sm"
 )
 
-// CatalogEntry describes one of the paper's eight test devices (Table V)
-// plus everything the simulation needs to instantiate it. It is the
-// inventory view of the catalog: layers that only need a fuzzing target
-// take its Spec instead (the paper ID is the target name), and the two
-// stay byte-compatible by construction.
-type CatalogEntry struct {
-	// ID is the paper's device number, "D1" through "D8".
-	ID string
-	// Type is the device category (Tablet PC, Smartphone, ...).
-	Type string
-	// Vendor and Model identify the product.
-	Vendor, Model string
-	// Year is the release year.
-	Year int
-	// OS is the operating system or firmware version.
-	OS string
-	// Stack is the Bluetooth host stack name.
-	Stack string
-	// BTVersion is the advertised Bluetooth version.
-	BTVersion string
-	// Addr is the simulated BD_ADDR (real vendor OUI prefixes).
-	Addr radio.BDAddr
-	// ClassOfDevice is the 24-bit CoD.
-	ClassOfDevice uint32
-	// Config is the full device configuration.
-	Config Config
-	// ExpectVuln reports whether the paper found a zero-day on this
-	// device (Table VI).
-	ExpectVuln bool
-	// ExpectClass is the paper's finding class when ExpectVuln.
-	ExpectClass CrashClass
-}
-
 // Class-of-device codes for the catalog.
 const (
 	codSmartphone uint32 = 0x5A020C
@@ -76,18 +43,18 @@ func standardPhonePorts() []ServicePort {
 	}
 }
 
-// Catalog returns the eight Table V devices. disableVulns builds
+// CatalogSpecs returns the eight Table V devices as target specs, in
+// catalog order. The paper ID is the target name, and ExpectVuln and
+// ExpectClass are the paper's Table VI findings. disableVulns builds
 // measurement-grade devices that never crash (Table VII, Figures 8-10).
-func Catalog(disableVulns bool) []CatalogEntry {
-	entries := []CatalogEntry{
+func CatalogSpecs(disableVulns bool) []Spec {
+	specs := []Spec{
 		{
-			ID: "D1", Type: "Tablet PC", Vendor: "Google", Model: "Nexus 7 (ASUS-1A005A)",
-			Year: 2013, OS: "Android 6.0.1", Stack: "BlueDroid", BTVersion: "4.0 + LE",
-			Addr:          radio.MustBDAddr("F8:8F:CA:11:22:33"), // Google OUI
-			ClassOfDevice: codTablet,
-			ExpectVuln:    true, ExpectClass: ClassDoS,
+			Name: "D1", ExpectVuln: true, ExpectClass: ClassDoS,
 			Config: Config{
-				Name: "Nexus 7",
+				Name:          "Nexus 7",
+				Addr:          radio.MustBDAddr("F8:8F:CA:11:22:33"), // Google OUI
+				ClassOfDevice: codTablet,
 				Profile: BlueDroidProfile("4.0 + LE",
 					"google/razor/flo:6.0.1/MOB30X/3036618:user/release-keys",
 					BlueDroidCCBNullDeref(0x40, 15, false)),
@@ -95,13 +62,11 @@ func Catalog(disableVulns bool) []CatalogEntry {
 			},
 		},
 		{
-			ID: "D2", Type: "Smartphone", Vendor: "Google", Model: "Pixel 3 (GA00464)",
-			Year: 2018, OS: "Android 11.0.1", Stack: "BlueDroid", BTVersion: "5.0 + LE",
-			Addr:          radio.MustBDAddr("F8:8F:CA:44:55:66"),
-			ClassOfDevice: codSmartphone,
-			ExpectVuln:    true, ExpectClass: ClassDoS,
+			Name: "D2", ExpectVuln: true, ExpectClass: ClassDoS,
 			Config: Config{
-				Name: "Pixel 3",
+				Name:          "Pixel 3",
+				Addr:          radio.MustBDAddr("F8:8F:CA:44:55:66"),
+				ClassOfDevice: codSmartphone,
 				Profile: BlueDroidProfile("5.0 + LE",
 					"google/blueline/blueline:11/RQ1D.210105.003/7005430:user/release-keys",
 					BlueDroidCCBNullDeref(0x40, 15, false)),
@@ -109,13 +74,11 @@ func Catalog(disableVulns bool) []CatalogEntry {
 			},
 		},
 		{
-			ID: "D3", Type: "Smartphone", Vendor: "Samsung", Model: "Galaxy S7 (SM-G930L)",
-			Year: 2016, OS: "Android 8.0.0", Stack: "BlueDroid", BTVersion: "4.2",
-			Addr:          radio.MustBDAddr("8C:F5:A3:77:88:99"), // Samsung OUI
-			ClassOfDevice: codSmartphone,
-			ExpectVuln:    true, ExpectClass: ClassDoS,
+			Name: "D3", ExpectVuln: true, ExpectClass: ClassDoS,
 			Config: Config{
-				Name: "Galaxy S7",
+				Name:          "Galaxy S7",
+				Addr:          radio.MustBDAddr("8C:F5:A3:77:88:99"), // Samsung OUI
+				ClassOfDevice: codSmartphone,
 				Profile: BlueDroidProfile("4.2",
 					"samsung/heroltexx/herolte:8.0.0/R16NW/G930LKLU1DRG3:user/release-keys",
 					SamsungCreateChannelDeref(0x0D, 8, 0x00FF)),
@@ -123,13 +86,12 @@ func Catalog(disableVulns bool) []CatalogEntry {
 			},
 		},
 		{
-			ID: "D4", Type: "Smartphone", Vendor: "Apple", Model: "iPhone 6S (A1688)",
-			Year: 2015, OS: "iOS 15.0.2", Stack: "iOS stack", BTVersion: "4.2",
-			Addr:          radio.MustBDAddr("F0:DB:E2:10:20:30"), // Apple OUI
-			ClassOfDevice: codSmartphone,
+			Name: "D4",
 			Config: Config{
-				Name:    "iPhone 6S",
-				Profile: IOSProfile("4.2"),
+				Name:          "iPhone 6S",
+				Addr:          radio.MustBDAddr("F0:DB:E2:10:20:30"), // Apple OUI
+				ClassOfDevice: codSmartphone,
+				Profile:       IOSProfile("4.2"),
 				Ports: ports([]ServicePort{
 					{PSM: l2cap.PSMSDP, Name: "Service Discovery"},
 					{PSM: l2cap.PSMAVCTP, Name: "AVCTP"},
@@ -138,14 +100,12 @@ func Catalog(disableVulns bool) []CatalogEntry {
 			},
 		},
 		{
-			ID: "D5", Type: "Earphone", Vendor: "Apple", Model: "AirPods 1 gen (A1523)",
-			Year: 2016, OS: "FW 6.8.8", Stack: "RTKit stack", BTVersion: "4.2",
-			Addr:          radio.MustBDAddr("F0:DB:E2:40:50:60"),
-			ClassOfDevice: codEarphone,
-			ExpectVuln:    true, ExpectClass: ClassCrash,
+			Name: "D5", ExpectVuln: true, ExpectClass: ClassCrash,
 			Config: Config{
-				Name:    "AirPods",
-				Profile: RTKitProfile("4.2", RTKitPSMServiceKill(0x09, 0x001F)),
+				Name:          "AirPods",
+				Addr:          radio.MustBDAddr("F0:DB:E2:40:50:60"),
+				ClassOfDevice: codEarphone,
+				Profile:       RTKitProfile("4.2", RTKitPSMServiceKill(0x09, 0x001F)),
 				// Six service ports, matching §IV-B's elapsed-time analysis.
 				Ports: ports([]ServicePort{
 					{PSM: l2cap.PSMSDP, Name: "Service Discovery"},
@@ -155,13 +115,12 @@ func Catalog(disableVulns bool) []CatalogEntry {
 			},
 		},
 		{
-			ID: "D6", Type: "Earphone", Vendor: "Samsung", Model: "Galaxy Buds+ (SM-R175NZKATUR)",
-			Year: 2020, OS: "R175XXU0AUG1", Stack: "BTW", BTVersion: "5.0 + LE",
-			Addr:          radio.MustBDAddr("8C:F5:A3:AA:BB:CC"),
-			ClassOfDevice: codEarphone,
+			Name: "D6",
 			Config: Config{
-				Name:    "Galaxy Buds+",
-				Profile: BTWProfile("5.0 + LE"),
+				Name:          "Galaxy Buds+",
+				Addr:          radio.MustBDAddr("8C:F5:A3:AA:BB:CC"),
+				ClassOfDevice: codEarphone,
+				Profile:       BTWProfile("5.0 + LE"),
 				Ports: ports([]ServicePort{
 					{PSM: l2cap.PSMSDP, Name: "Service Discovery"},
 					{PSM: l2cap.PSMAVDTP, Name: "AVDTP"},
@@ -169,24 +128,21 @@ func Catalog(disableVulns bool) []CatalogEntry {
 			},
 		},
 		{
-			ID: "D7", Type: "Laptop", Vendor: "LG", Model: "Gram 2019 (15ZD990-VX50K)",
-			Year: 2019, OS: "Windows 10", Stack: "Windows stack", BTVersion: "5.0",
-			Addr:          radio.MustBDAddr("A8:92:2C:01:02:03"), // LG OUI
-			ClassOfDevice: codLaptop,
+			Name: "D7",
 			Config: Config{
-				Name:    "LG Gram (Windows)",
-				Profile: WindowsProfile("5.0"),
-				Ports:   ports(standardPhonePorts(), 5),
+				Name:          "LG Gram (Windows)",
+				Addr:          radio.MustBDAddr("A8:92:2C:01:02:03"), // LG OUI
+				ClassOfDevice: codLaptop,
+				Profile:       WindowsProfile("5.0"),
+				Ports:         ports(standardPhonePorts(), 5),
 			},
 		},
 		{
-			ID: "D8", Type: "Laptop", Vendor: "LG", Model: "Gram 2017 (15ZD970-GX55K)",
-			Year: 2017, OS: "Ubuntu 18.04.4", Stack: "BlueZ", BTVersion: "5.0",
-			Addr:          radio.MustBDAddr("A8:92:2C:04:05:06"),
-			ClassOfDevice: codLaptop,
-			ExpectVuln:    true, ExpectClass: ClassCrash,
+			Name: "D8", ExpectVuln: true, ExpectClass: ClassCrash,
 			Config: Config{
-				Name: "LG Gram (Ubuntu)",
+				Name:          "LG Gram (Ubuntu)",
+				Addr:          radio.MustBDAddr("A8:92:2C:04:05:06"),
+				ClassOfDevice: codLaptop,
 				Profile: BlueZProfile("5.0",
 					"bluez-5.48-0ubuntu3.4 linux-5.3.0-28-generic",
 					BlueZOptionOverrunGPF(0x40, 0x0140, 8, sm.StateWaitConfigRsp)),
@@ -195,20 +151,8 @@ func Catalog(disableVulns bool) []CatalogEntry {
 			},
 		},
 	}
-	for i := range entries {
-		entries[i].Config.Addr = entries[i].Addr
-		entries[i].Config.ClassOfDevice = entries[i].ClassOfDevice
-		entries[i].Config.DisableVulns = disableVulns
+	for i := range specs {
+		specs[i].Config.DisableVulns = disableVulns
 	}
-	return entries
-}
-
-// CatalogEntryByID returns the entry with the given paper ID ("D1".."D8").
-func CatalogEntryByID(id string, disableVulns bool) (CatalogEntry, error) {
-	for _, e := range Catalog(disableVulns) {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	return CatalogEntry{}, fmt.Errorf("device: no catalog entry %q", id)
+	return specs
 }

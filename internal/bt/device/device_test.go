@@ -523,25 +523,22 @@ func TestResetRestoresCrashedDevice(t *testing.T) {
 }
 
 func TestCatalogShape(t *testing.T) {
-	entries := Catalog(false)
-	if len(entries) != 8 {
-		t.Fatalf("catalog has %d devices, want 8", len(entries))
+	specs := CatalogSpecs(false)
+	if len(specs) != 8 {
+		t.Fatalf("catalog has %d devices, want 8", len(specs))
 	}
 	wantVuln := map[string]bool{"D1": true, "D2": true, "D3": true, "D5": true, "D8": true}
 	seen := make(map[string]bool)
-	for _, e := range entries {
-		if seen[e.ID] {
-			t.Errorf("duplicate catalog ID %s", e.ID)
+	for _, s := range specs {
+		if seen[s.Name] {
+			t.Errorf("duplicate catalog ID %s", s.Name)
 		}
-		seen[e.ID] = true
-		if e.ExpectVuln != wantVuln[e.ID] {
-			t.Errorf("%s: ExpectVuln = %v, want %v (Table VI)", e.ID, e.ExpectVuln, wantVuln[e.ID])
+		seen[s.Name] = true
+		if s.ExpectVuln != wantVuln[s.Name] {
+			t.Errorf("%s: ExpectVuln = %v, want %v (Table VI)", s.Name, s.ExpectVuln, wantVuln[s.Name])
 		}
-		if e.ExpectVuln == (len(e.Config.Profile.Vulns) == 0) {
-			t.Errorf("%s: vuln specs inconsistent with expectation", e.ID)
-		}
-		if e.Config.Addr != e.Addr {
-			t.Errorf("%s: config address mismatch", e.ID)
+		if s.ExpectVuln == (len(s.Config.Profile.Vulns) == 0) {
+			t.Errorf("%s: vuln specs inconsistent with expectation", s.Name)
 		}
 	}
 	// D5 exposes 6 ports and D8 13 ports (§IV-B elapsed-time analysis).
@@ -549,12 +546,12 @@ func TestCatalogShape(t *testing.T) {
 		id   string
 		want int
 	}{{"D5", 6}, {"D8", 13}} {
-		e, err := CatalogEntryByID(tt.id, false)
+		spec, err := CatalogSpec(tt.id, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := radio.NewMedium(nil, radio.DefaultTiming())
-		d, err := New(m, e.Config)
+		d, err := New(m, spec.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,19 +559,16 @@ func TestCatalogShape(t *testing.T) {
 			t.Errorf("%s exposes %d ports, want %d", tt.id, got, tt.want)
 		}
 	}
-	if _, err := CatalogEntryByID("D9", false); err == nil {
-		t.Error("CatalogEntryByID(D9) should fail")
-	}
 }
 
 func TestCatalogDevicesAllInstantiable(t *testing.T) {
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	for _, e := range Catalog(true) {
-		if _, err := New(m, e.Config); err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+	for _, s := range CatalogSpecs(true) {
+		if _, err := New(m, s.Config); err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
 		}
-		if e.Config.Name == "" {
-			t.Errorf("%s has empty name", e.ID)
+		if s.Config.Name == "" {
+			t.Errorf("%s has empty name", s.Name)
 		}
 	}
 	cl, err := host.NewClient(m, radio.MustBDAddr("00:1B:DC:00:00:01"), "tester")

@@ -25,7 +25,8 @@
 //
 // Device identity is a first-class Spec: a target name plus a full
 // Config plus expected-defect metadata. The Table V catalog is eight
-// predefined Specs (CatalogSpecs) and CatalogEntry is the inventory
-// view over them; custom targets are any validated Spec, built in code
-// or decoded from JSON (DecodeSpec).
+// predefined Specs (CatalogSpecs); custom targets are any validated
+// Spec, built in code or decoded from the human-written JSON form
+// (DecodeSpec). Machines write a Spec as its Go struct JSON — journals,
+// the proc worker wire and corpus entries all carry that exact form.
 package device

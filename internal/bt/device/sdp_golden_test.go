@@ -33,13 +33,13 @@ var sdpGoldenRequests = []struct {
 func TestSDPAnswersGolden(t *testing.T) {
 	var b strings.Builder
 	for _, measure := range []bool{false, true} {
-		for _, e := range Catalog(measure) {
-			d, err := New(radio.NewMedium(nil, radio.DefaultTiming()), e.Config)
+		for _, s := range CatalogSpecs(measure) {
+			d, err := New(radio.NewMedium(nil, radio.DefaultTiming()), s.Config)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, req := range sdpGoldenRequests {
-				fmt.Fprintf(&b, "%s measure=%v %s %x\n", e.ID, measure, req.name, d.sdpSrv.Handle(req.raw))
+				fmt.Fprintf(&b, "%s measure=%v %s %x\n", s.Name, measure, req.name, d.sdpSrv.Handle(req.raw))
 			}
 		}
 	}

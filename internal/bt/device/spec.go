@@ -66,44 +66,20 @@ func (s Spec) Clone() Spec {
 	return s
 }
 
-// Spec re-expresses the catalog entry as a first-class target spec: the
-// paper ID becomes the target name and the entry's configuration and
-// expected-defect metadata carry over unchanged, so a catalog Spec is
-// byte-compatible with the entry it views.
-func (e CatalogEntry) Spec() Spec {
-	return Spec{
-		Name:        e.ID,
-		Config:      e.Config,
-		ExpectVuln:  e.ExpectVuln,
-		ExpectClass: e.ExpectClass,
-	}
-}
-
-// CatalogSpecs returns the eight Table V devices as predefined target
-// specs, in catalog order. disableVulns builds measurement-grade
-// targets, as with Catalog.
-func CatalogSpecs(disableVulns bool) []Spec {
-	entries := Catalog(disableVulns)
-	specs := make([]Spec, len(entries))
-	for i, e := range entries {
-		specs[i] = e.Spec()
-	}
-	return specs
-}
-
 // CatalogSpec returns the Table V device with the given paper ID
 // ("D1".."D8") as a target spec.
 func CatalogSpec(id string, disableVulns bool) (Spec, error) {
-	e, err := CatalogEntryByID(id, disableVulns)
-	if err != nil {
-		return Spec{}, err
+	for _, s := range CatalogSpecs(disableVulns) {
+		if s.Name == id {
+			return s, nil
+		}
 	}
-	return e.Spec(), nil
+	return Spec{}, fmt.Errorf("device: no catalog entry %q", id)
 }
 
 // catalogIDs are the Table V paper IDs in catalog order. Kept as bare
 // strings so ID checks never pay for building the full catalog; a test
-// pins them against Catalog itself.
+// pins them against CatalogSpecs itself.
 var catalogIDs = []string{"D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8"}
 
 // CatalogIDs returns the catalog's paper IDs in catalog order.

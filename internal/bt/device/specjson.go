@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 	"sort"
 	"strings"
 
@@ -222,125 +221,6 @@ func DecodeSpec(data []byte) (Spec, error) {
 		return Spec{}, err
 	}
 	return spec, nil
-}
-
-// stackNames and defectNames are the encoder's inverse maps, derived
-// from the decoder's tables so the two directions cannot drift: each
-// stack constructor's Profile.Stack display name maps back to its doc
-// key, and each catalog defect's VulnSpec.ID maps back to its defect
-// name.
-var (
-	stackNames = func() map[string]string {
-		m := make(map[string]string, len(specProfiles))
-		for key, build := range specProfiles {
-			m[build("", "", nil).Stack] = key
-		}
-		return m
-	}()
-	defectNames = func() map[string]string {
-		m := make(map[string]string, len(specDefects))
-		for key, build := range specDefects {
-			m[build().ID] = key
-		}
-		return m
-	}()
-)
-
-// EncodeSpec renders a target spec into the JSON form DecodeSpec
-// parses — the inverse direction, used to embed a custom target's
-// identity in corpus entries so they stay self-contained.
-//
-// Not every hand-built Spec is representable: the JSON form carries one
-// name (Config.Name must equal Spec.Name), only the six named stacks
-// with their constructor-default behaviour knobs, only the four catalog
-// defects at their catalog calibration, and an RFCOMM defect only
-// alongside services (DecodeSpec rejects the combination otherwise).
-// Every mismatch is reported as an error: defect triggers are
-// declarative descriptors the encoder compares by value, so a
-// re-calibrated defect under a catalog ID is rejected rather than
-// silently encoded as the catalog calibration. Specs produced by
-// DecodeSpec always round-trip exactly.
-func EncodeSpec(spec Spec) ([]byte, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := spec.Config
-	if cfg.Name != spec.Name {
-		return nil, fmt.Errorf("device spec %q: config name %q differs from the spec name; the JSON form carries one name", spec.Name, cfg.Name)
-	}
-	if cfg.DisableVulns {
-		return nil, fmt.Errorf("device spec %q: DisableVulns is a rig-level switch the JSON form does not carry", spec.Name)
-	}
-	stackKey, ok := stackNames[cfg.Profile.Stack]
-	if !ok {
-		return nil, fmt.Errorf("device spec %q: profile stack %q has no JSON name (have %s)",
-			spec.Name, cfg.Profile.Stack, sortedNames(specProfiles))
-	}
-	var defects []string
-	for _, v := range cfg.Profile.Vulns {
-		key, ok := defectNames[v.ID]
-		if !ok {
-			return nil, fmt.Errorf("device spec %q: defect %q is not a catalog defect (have %s)",
-				spec.Name, v.ID, sortedNames(specDefects))
-		}
-		if catalog := specDefects[key](); !reflect.DeepEqual(v, catalog) {
-			return nil, fmt.Errorf("device spec %q: defect %q calibration differs from the catalog's; DecodeSpec could not rebuild it",
-				spec.Name, v.ID)
-		}
-		defects = append(defects, key)
-	}
-	// The defect list round-trips by construction (verified above), so
-	// the whole profile — knobs and defects — must equal what the stack
-	// constructor rebuilds from the doc.
-	rebuilt := specProfiles[stackKey](cfg.Profile.BTVersion, cfg.Profile.Fingerprint, cfg.Profile.Vulns)
-	if !reflect.DeepEqual(cfg.Profile, rebuilt) {
-		return nil, fmt.Errorf("device spec %q: profile behaviour knobs differ from the %q stack constructor's; DecodeSpec could not rebuild them", spec.Name, stackKey)
-	}
-
-	doc := specDoc{
-		Name:          spec.Name,
-		Addr:          cfg.Addr.String(),
-		ClassOfDevice: cfg.ClassOfDevice,
-		Profile: profileDoc{
-			Stack:       stackKey,
-			BTVersion:   cfg.Profile.BTVersion,
-			Fingerprint: cfg.Profile.Fingerprint,
-		},
-		Defects: defects,
-	}
-	for _, p := range cfg.Ports {
-		doc.Ports = append(doc.Ports, portDoc{
-			PSM:             uint16(p.PSM),
-			Name:            p.Name,
-			RequiresPairing: p.RequiresPairing,
-		})
-	}
-	if len(cfg.RFCOMMServices) > 0 || cfg.RFCOMMDefect != nil {
-		if cfg.RFCOMMDefect != nil && len(cfg.RFCOMMServices) == 0 {
-			return nil, fmt.Errorf("device spec %q: an RFCOMM defect without RFCOMM services is not decodable", spec.Name)
-		}
-		if cfg.RFCOMMDefect != nil && *cfg.RFCOMMDefect != *rfcomm.ReservedDLCIDefect() {
-			return nil, fmt.Errorf("device spec %q: RFCOMM defect calibration differs from the reserved-DLCI defect's; DecodeSpec could not rebuild it", spec.Name)
-		}
-		rd := &rfcommDoc{Defect: cfg.RFCOMMDefect != nil}
-		for _, s := range cfg.RFCOMMServices {
-			rd.Services = append(rd.Services, serviceDoc{Channel: s.Channel, Name: s.Name})
-		}
-		doc.RFCOMM = rd
-	}
-	// expectVuln is always explicit so the decoder's armed-defect
-	// default cannot flip it; expectClass is written whenever the spec
-	// carries one (an unset class falls back to the decoder's
-	// first-defect default, which is how it was derived).
-	doc.ExpectVuln = &spec.ExpectVuln
-	if spec.ExpectClass != 0 {
-		doc.ExpectClass = spec.ExpectClass.String()
-	}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("device spec %q: %w", spec.Name, err)
-	}
-	return data, nil
 }
 
 // locateSpecError augments a json decoding error with the 1-based line

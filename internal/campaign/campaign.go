@@ -22,7 +22,8 @@ import (
 	"l2fuzz/internal/telemetry"
 )
 
-// Config parameterises a campaign. A zero bound means its default.
+// Config parameterises a campaign. A zero bound means its default; a
+// negative one fails Run.
 type Config struct {
 	// Seed drives the first run; later runs derive fresh seeds from it.
 	Seed int64
@@ -83,10 +84,10 @@ type Runner struct {
 // New builds a runner, filling zero-valued config fields with their
 // defaults. The device must live on the same medium as the client.
 func New(cl *host.Client, dev *device.Device, cfg Config) *Runner {
-	if cfg.MaxRuns <= 0 {
+	if cfg.MaxRuns == 0 {
 		cfg.MaxRuns = defaultMaxRuns
 	}
-	if cfg.MaxPacketsPerRun <= 0 {
+	if cfg.MaxPacketsPerRun == 0 {
 		cfg.MaxPacketsPerRun = defaultMaxPacketsPerRun
 	}
 	return &Runner{cl: cl, dev: dev, cfg: cfg}
@@ -94,6 +95,12 @@ func New(cl *host.Client, dev *device.Device, cfg Config) *Runner {
 
 // Run executes the campaign.
 func (r *Runner) Run() (*Report, error) {
+	if r.cfg.MaxRuns < 0 {
+		return nil, fmt.Errorf("campaign: negative MaxRuns %d", r.cfg.MaxRuns)
+	}
+	if r.cfg.MaxPacketsPerRun < 0 {
+		return nil, fmt.Errorf("campaign: negative MaxPacketsPerRun %d", r.cfg.MaxPacketsPerRun)
+	}
 	report := &Report{}
 	// De-duplication keys by the shared core.Signature, the same triple
 	// the fleet and the persistent corpus key by, so a campaign finding

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"strings"
 	"testing"
 
 	"l2fuzz/internal/bt/device"
@@ -12,11 +13,11 @@ import (
 func campaignRig(t *testing.T, deviceID string) (*device.Device, *host.Client) {
 	t.Helper()
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	entry, err := device.CatalogEntryByID(deviceID, false)
+	spec, err := device.CatalogSpec(deviceID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := device.New(m, entry.Config)
+	d, err := device.New(m, spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,5 +134,28 @@ func TestCampaignStopsOnDryStreak(t *testing.T) {
 	}
 	if len(report.Findings) != 0 || report.Resets != 0 {
 		t.Fatalf("phantom activity on robust device: %+v", report)
+	}
+}
+
+// TestConfigBudgets pins the budget rule: a zero bound means its
+// default, and a negative one fails Run with an error naming the field.
+func TestConfigBudgets(t *testing.T) {
+	d, cl := campaignRig(t, "D4")
+	for _, tc := range []struct {
+		field string
+		at    func(*Config) *int
+		def   int
+	}{
+		{"MaxRuns", func(c *Config) *int { return &c.MaxRuns }, defaultMaxRuns},
+		{"MaxPacketsPerRun", func(c *Config) *int { return &c.MaxPacketsPerRun }, defaultMaxPacketsPerRun},
+	} {
+		var cfg Config
+		if got := New(cl, d, cfg).cfg; *tc.at(&got) != tc.def {
+			t.Errorf("%s 0: got %d, want the default %d", tc.field, *tc.at(&got), tc.def)
+		}
+		*tc.at(&cfg) = -3
+		if _, err := New(cl, d, cfg).Run(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s -3: error %v, want one naming the field", tc.field, err)
+		}
 	}
 }

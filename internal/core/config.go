@@ -8,7 +8,8 @@ import (
 )
 
 // Config parameterises an L2Fuzz run. A zero field means its default,
-// so the zero value runs L2Fuzz as published at seed 0.
+// so the zero value runs L2Fuzz as published at seed 0; a negative
+// MaxPackets fails Run.
 type Config struct {
 	// Seed drives every random choice; equal seeds give equal runs.
 	Seed int64
@@ -65,7 +66,7 @@ const (
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.MaxPackets <= 0 {
+	if c.MaxPackets == 0 {
 		c.MaxPackets = DefaultMaxPackets
 	}
 	return c

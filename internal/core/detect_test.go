@@ -101,11 +101,11 @@ func TestFuzzerSurvivesRadioLoss(t *testing.T) {
 	// measurement-grade target.
 	m := radio.NewMedium(nil, radio.DefaultTiming())
 	m.FaultEveryN = 97
-	entry, err := device.CatalogEntryByID("D2", true)
+	spec, err := device.CatalogSpec("D2", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := device.New(m, entry.Config)
+	d, err := device.New(m, spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

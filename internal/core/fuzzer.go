@@ -98,6 +98,9 @@ func New(cl *host.Client, cfg Config) *Fuzzer {
 // Run executes the four phases against the target until a vulnerability
 // is found or the packet budget is exhausted.
 func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
+	if f.cfg.MaxPackets < 0 {
+		return nil, fmt.Errorf("core: negative MaxPackets %d", f.cfg.MaxPackets)
+	}
 	f.target = target
 	start := f.cl.Clock().Now()
 

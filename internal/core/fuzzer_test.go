@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"l2fuzz/internal/bt/device"
@@ -15,11 +16,11 @@ import (
 func rig(t *testing.T, id string, disableVulns bool) (*device.Device, *host.Client) {
 	t.Helper()
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	entry, err := device.CatalogEntryByID(id, disableVulns)
+	spec, err := device.CatalogSpec(id, disableVulns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := device.New(m, entry.Config)
+	d, err := device.New(m, spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,5 +262,27 @@ func TestNoGarbageAblationPreventsD2Crash(t *testing.T) {
 	}
 	if d.Crashed() {
 		t.Error("device crashed without garbage tails")
+	}
+}
+
+// TestConfigBudgets pins the budget rule: a zero budget means its
+// default, and a negative one fails Run with an error naming the field.
+func TestConfigBudgets(t *testing.T) {
+	d, cl := rig(t, "D4", true)
+	for _, tc := range []struct {
+		field string
+		at    func(*Config) *int
+		def   int
+	}{
+		{"MaxPackets", func(c *Config) *int { return &c.MaxPackets }, DefaultMaxPackets},
+	} {
+		var cfg Config
+		if got := New(cl, cfg).cfg; *tc.at(&got) != tc.def {
+			t.Errorf("%s 0: got %d, want the default %d", tc.field, *tc.at(&got), tc.def)
+		}
+		*tc.at(&cfg) = -3
+		if _, err := New(cl, cfg).Run(d.Address()); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s -3: error %v, want one naming the field", tc.field, err)
+		}
 	}
 }

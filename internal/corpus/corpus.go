@@ -1,9 +1,9 @@
 package corpus
 
 import (
-	"encoding/json"
 	"fmt"
 
+	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/bt/l2cap"
 	"l2fuzz/internal/bt/sm"
@@ -56,13 +56,12 @@ type Entry struct {
 	Finding core.Finding `json:"finding"`
 	// Trace is the recorded repro trace.
 	Trace Trace `json:"trace"`
-	// Spec is the target's JSON form (device.EncodeSpec) for entries
-	// recorded against custom, non-catalog targets, making them
-	// self-contained: Replay rebuilds the rig from it when the trace's
-	// target name is not a catalog ID and no explicit spec is passed.
-	// Absent for catalog targets and for custom specs the encoder cannot
-	// represent.
-	Spec json.RawMessage `json:"spec,omitempty"`
+	// TargetSpec is the target of an entry recorded against a custom,
+	// non-catalog target, in the struct form journals and the proc
+	// worker wire carry, so the entry replays on its own. Nil for
+	// catalog targets, which replay by ID. It is declared after Trace:
+	// Store.Put streams the ops in place of the first "ops" key.
+	TargetSpec *device.Spec `json:"targetSpec,omitempty"`
 }
 
 // Validate checks the entry is storable: a classified signature and a

@@ -17,7 +17,8 @@
 //   - Trace and Entry bind a recorded operation sequence to the finding
 //     it reproduces: the seed, target spec name, L2CAP state and port
 //     under test, and the shared core.Signature the fleet de-duplicates
-//     by.
+//     by. An entry of a custom target also embeds the target's spec, so
+//     every entry replays on its own.
 //   - Store persists entries as one JSON file per signature in a
 //     directory, so farms become resumable across processes: a second
 //     run over the same store recognises yesterday's findings as Known

@@ -16,11 +16,11 @@ const kindRFCOMM = "RFCOMM"
 
 // ReplayConfig parameterises a replay.
 type ReplayConfig struct {
-	// Spec is the target to rebuild, overriding the entry's own target
-	// resolution. Nil resolves the trace's target name as a catalog ID
-	// with its defects armed — the common case for farm-produced
-	// entries — falling back to the spec embedded in the entry for
-	// custom targets.
+	// Spec rebuilds the target of the entries whose trace target is
+	// Spec.Name, in place of what the entry would resolve to. Entries of
+	// other targets resolve as without it: a catalog ID as that catalog
+	// device with its defects armed, a custom target from the spec the
+	// entry embeds. Nil resolves every entry on its own.
 	Spec *device.Spec
 }
 
@@ -44,27 +44,23 @@ type ReplayResult struct {
 	RootCause triage.Report
 }
 
-// resolveSpec picks the rig target, in precedence order: an explicit
-// spec, the trace's target name looked up in the catalog, the spec
-// embedded in the entry (self-contained custom-target entries).
+// resolveSpec picks the rig target, in precedence order: the explicit
+// spec when it names the trace's target, the trace's target name looked
+// up in the catalog, the spec the entry embeds.
 func resolveSpec(e Entry, cfg ReplayConfig) (device.Spec, error) {
-	if cfg.Spec != nil {
+	target := e.Trace.Target
+	switch {
+	case cfg.Spec != nil && cfg.Spec.Name == target:
 		return *cfg.Spec, nil
-	}
-	if device.IsCatalogID(e.Trace.Target) {
-		return device.CatalogSpec(e.Trace.Target, false)
-	}
-	if len(e.Spec) > 0 {
-		spec, err := device.DecodeSpec(e.Spec)
-		if err != nil {
-			return device.Spec{}, fmt.Errorf("corpus: entry %v embeds an undecodable spec: %w", e.Signature, err)
+	case device.IsCatalogID(target):
+		return device.CatalogSpec(target, false)
+	case e.TargetSpec != nil:
+		if e.TargetSpec.Name != target {
+			return device.Spec{}, fmt.Errorf("corpus: embedded spec %q does not name the trace target %q", e.TargetSpec.Name, target)
 		}
-		if spec.Name != e.Trace.Target {
-			return device.Spec{}, fmt.Errorf("corpus: embedded spec %q does not name the trace target %q", spec.Name, e.Trace.Target)
-		}
-		return spec, nil
+		return *e.TargetSpec, nil
 	}
-	return device.Spec{}, fmt.Errorf("corpus: target %q is not a catalog ID and the entry embeds no spec; pass the spec explicitly", e.Trace.Target)
+	return device.Spec{}, fmt.Errorf("corpus: target %q is not a catalog ID and the entry embeds no spec; pass its spec explicitly", target)
 }
 
 // Replay re-drives an entry's recorded trace against a fresh testbed

@@ -7,6 +7,7 @@
 package corpus_test
 
 import (
+	"reflect"
 	"testing"
 
 	"l2fuzz/internal/bt/device"
@@ -124,8 +125,8 @@ func TestFarmRoundTripReplayMinimizeKnown(t *testing.T) {
 
 // easyTarget is a custom spec with the catalog's D2 defect widened to
 // fire on the first qualifying packet, so the L2Fuzz and Campaign farm
-// paths produce corpus entries within a small budget. Replaying a
-// custom-target entry requires passing the spec explicitly.
+// paths produce corpus entries within a small budget. Its over-the-air
+// name differs from its target name.
 func easyTarget() device.Spec {
 	return device.Spec{
 		Name: "easy-phone",
@@ -147,7 +148,8 @@ func easyTarget() device.Spec {
 
 // TestL2FuzzAndCampaignEntriesReplay drives the two core.Fuzzer farm
 // paths (plain L2Fuzz and the campaign wrapper with its device resets)
-// into the corpus and replays their entries against the explicit spec.
+// into the corpus and replays their entries from the spec each embeds:
+// no spec is passed back in.
 func TestL2FuzzAndCampaignEntriesReplay(t *testing.T) {
 	for _, kind := range []fleet.Kind{fleet.KindL2Fuzz, fleet.KindCampaign} {
 		t.Run(string(kind), func(t *testing.T) {
@@ -182,28 +184,24 @@ func TestL2FuzzAndCampaignEntriesReplay(t *testing.T) {
 					entry.Trace.Seed, entry.Trace.Target, spec.Name)
 			}
 
-			// Without the spec the target name cannot resolve.
-			if _, err := corpus.Replay(entry, corpus.ReplayConfig{}); err == nil {
-				t.Error("replay of a custom-target entry without a spec succeeded")
+			if entry.TargetSpec == nil || !reflect.DeepEqual(*entry.TargetSpec, spec) {
+				t.Fatalf("entry embeds spec %+v, want the farmed %+v", entry.TargetSpec, spec)
 			}
-			res, err := corpus.Replay(entry, corpus.ReplayConfig{Spec: &spec})
+			res, err := corpus.Replay(entry, corpus.ReplayConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Reproduced || res.Signature != entry.Signature {
 				t.Fatalf("replay = %+v, want reproduction of %v", res, entry.Signature)
 			}
-			minimized, err := corpus.Minimize(entry, corpus.MinimizeConfig{
-				ReplayConfig: corpus.ReplayConfig{Spec: &spec},
-				MaxReplays:   256,
-			})
+			minimized, err := corpus.Minimize(entry, corpus.MinimizeConfig{MaxReplays: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if minimized.After > minimized.Before {
 				t.Fatalf("minimize grew the trace: %d -> %d", minimized.Before, minimized.After)
 			}
-			again, err := corpus.Replay(minimized.Entry, corpus.ReplayConfig{Spec: &spec})
+			again, err := corpus.Replay(minimized.Entry, corpus.ReplayConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/core"
 )
@@ -130,8 +131,8 @@ var opsKey = []byte("\n    \"ops\": ")
 // opsNull returns the offset of the null that encodes nil ops in an
 // indented entry, or -1. The trace's ops are the first key at that
 // depth named "ops": the signature, kind and finding before it have
-// none, string values escape their newlines, and only the spec comes
-// after it.
+// none, string values escape their newlines, and only the target spec
+// comes after it.
 func opsNull(head []byte) int {
 	i := bytes.Index(head, opsKey)
 	if i < 0 || !bytes.HasPrefix(head[i+len(opsKey):], []byte("null")) {
@@ -183,15 +184,29 @@ func writeOps(w *bufio.Writer, ops []Op) {
 }
 
 // GetKey loads the entry stored under an explicit key (as listed by
-// Keys — the CLI's addressing scheme).
+// Keys — the CLI's addressing scheme). Entries written before
+// Entry.TargetSpec carry a custom target in the JSON form
+// device.DecodeSpec reads, under "spec"; GetKey decodes that into
+// TargetSpec, so a rewritten entry stores the struct form instead.
 func (s *Store) GetKey(key string) (Entry, error) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		return Entry{}, fmt.Errorf("corpus: %w", err)
 	}
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
+	var v struct {
+		Entry
+		DocSpec json.RawMessage `json:"spec"`
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
 		return Entry{}, fmt.Errorf("corpus: decode %s: %w", key, err)
+	}
+	e := v.Entry
+	if e.TargetSpec == nil && len(v.DocSpec) > 0 {
+		spec, err := device.DecodeSpec(v.DocSpec)
+		if err != nil {
+			return Entry{}, fmt.Errorf("corpus: decode %s: %w", key, err)
+		}
+		e.TargetSpec = &spec
 	}
 	return e, nil
 }

@@ -206,14 +206,10 @@ func (a *Aggregator) persist(acc *findingAcc, job Job, occ Occurrence, idx int) 
 		Finding:   occ.Finding,
 		Trace:     trace,
 	}
-	// Custom targets embed their spec so the entry replays without the
-	// caller re-supplying it. Best-effort: specs the encoder cannot
-	// represent (hand-built closures, non-catalog calibrations) leave
-	// the entry spec-less, exactly as before.
-	if !device.IsCatalogID(job.Device) && job.Spec != nil {
-		if data, err := device.EncodeSpec(*job.Spec); err == nil {
-			entry.Spec = data
-		}
+	// A custom target's entry embeds its spec, so it replays on its own;
+	// a catalog target's replays by ID.
+	if !device.IsCatalogID(job.Device) {
+		entry.TargetSpec = job.Spec
 	}
 	err := a.cfg.Corpus.Put(entry)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/l2cap"
 	"l2fuzz/internal/bt/radio"
+	"l2fuzz/internal/bt/sdp"
 	"l2fuzz/internal/corpus"
 )
 
@@ -145,13 +146,14 @@ func TestDeepFindingRecordsCompleteTrace(t *testing.T) {
 	}
 }
 
-// TestCustomTargetEntryIsSelfContained pins the PR 6 corpus follow-up:
-// a finding recorded against a JSON-defined custom target embeds the
-// target's spec in its corpus entry, and Replay with an empty config —
-// no explicit spec — rebuilds the rig from that embedding and
-// reproduces the crash. Catalog-target entries stay spec-less.
+// TestCustomTargetEntryIsSelfContained pins that a finding recorded
+// against a custom target embeds the target's spec in its corpus entry,
+// and that Replay with an empty config — no explicit spec — rebuilds the
+// rig from that embedding and reproduces the crash. The targets are one
+// defined in JSON and a BlueZ one whose SDP defect is set in its config
+// with ExpectVuln false. Catalog-target entries stay spec-less.
 func TestCustomTargetEntryIsSelfContained(t *testing.T) {
-	spec, err := device.DecodeSpec([]byte(`{
+	fieldUnit, err := device.DecodeSpec([]byte(`{
 	  "name": "field-unit",
 	  "addr": "02:EE:40:00:00:07",
 	  "profile": {"stack": "bluedroid", "btVersion": "5.0"},
@@ -165,53 +167,75 @@ func TestCustomTargetEntryIsSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := corpus.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	sdpUnit := device.Spec{
+		Name: "sdp-unit",
+		Config: device.Config{
+			Addr:      radio.MustBDAddr("02:EE:40:00:00:08"),
+			Name:      "sdp-unit",
+			Profile:   device.BlueZProfile("5.0", "bluez-5.64"),
+			Ports:     []device.ServicePort{{PSM: l2cap.PSMSDP, Name: "Service Discovery"}},
+			SDPDefect: sdp.OverreadDefect(),
+		},
 	}
-	rep, err := Run(Config{
-		Devices:          []string{"D2"},
-		CustomDevices:    []device.Spec{spec},
-		Kinds:            []Kind{KindL2Fuzz},
-		BaseSeed:         7,
-		Workers:          2,
-		MaxPacketsPerJob: 20_000,
-		Corpus:           store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PerDevice["field-unit"] == nil || rep.PerDevice["field-unit"].Findings == 0 {
-		t.Fatal("custom target produced no findings; the embedding would be unexercised")
-	}
-
-	entries, err := store.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayedCustom bool
-	for _, e := range entries {
-		switch e.Trace.Target {
-		case "field-unit":
-			if len(e.Spec) == 0 {
-				t.Fatalf("custom-target entry %v embeds no spec", e.Signature)
-			}
-			res, err := corpus.Replay(e, corpus.ReplayConfig{})
+	for _, tc := range []struct {
+		spec    device.Spec
+		devices []string
+		kind    Kind
+	}{
+		{fieldUnit, []string{"D2"}, KindL2Fuzz},
+		// Alone: a catalog target's SDP finding would share the
+		// signature and, from a lower job index, take the entry.
+		{sdpUnit, nil, KindSDP},
+	} {
+		t.Run(tc.spec.Name, func(t *testing.T) {
+			store, err := corpus.Open(t.TempDir())
 			if err != nil {
-				t.Fatalf("spec-less replay of custom-target entry %v: %v", e.Signature, err)
+				t.Fatal(err)
 			}
-			if !res.Reproduced {
-				t.Errorf("embedded-spec replay of %v did not reproduce: %+v", e.Signature, res)
+			rep, err := Run(Config{
+				Devices:          tc.devices,
+				CustomDevices:    []device.Spec{tc.spec},
+				Kinds:            []Kind{tc.kind},
+				BaseSeed:         7,
+				Workers:          2,
+				MaxPacketsPerJob: 20_000,
+				Corpus:           store,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			replayedCustom = true
-		case "D2":
-			if len(e.Spec) != 0 {
-				t.Errorf("catalog-target entry %v embeds a spec: %s", e.Signature, e.Spec)
+			if g := rep.PerDevice[tc.spec.Name]; g == nil || g.Findings == 0 {
+				t.Fatal("custom target produced no findings; the embedding would be unexercised")
 			}
-		}
-	}
-	if !replayedCustom {
-		t.Fatal("no custom-target entry was persisted")
+
+			entries, err := store.Entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var replayedCustom bool
+			for _, e := range entries {
+				if device.IsCatalogID(e.Trace.Target) {
+					if e.TargetSpec != nil {
+						t.Errorf("catalog-target entry %v embeds a spec: %+v", e.Signature, e.TargetSpec)
+					}
+					continue
+				}
+				if e.TargetSpec == nil {
+					t.Fatalf("custom-target entry %v embeds no spec", e.Signature)
+				}
+				res, err := corpus.Replay(e, corpus.ReplayConfig{})
+				if err != nil {
+					t.Fatalf("spec-less replay of custom-target entry %v: %v", e.Signature, err)
+				}
+				if !res.Reproduced {
+					t.Errorf("embedded-spec replay of %v did not reproduce: %+v", e.Signature, res)
+				}
+				replayedCustom = true
+			}
+			if !replayedCustom {
+				t.Fatal("no custom-target entry was persisted")
+			}
+		})
 	}
 }
 

@@ -91,16 +91,16 @@ func TestEightDeviceSweep(t *testing.T) {
 	if len(rep.Jobs) != 8 {
 		t.Fatalf("sweep scheduled %d jobs, want 8", len(rep.Jobs))
 	}
-	for _, entry := range device.Catalog(false) {
-		found := len(rep.FindingsOn(entry.ID)) > 0
-		if entry.ExpectVuln && !found {
-			t.Errorf("%s is defect-armed but the sweep surfaced no finding on it", entry.ID)
+	for _, spec := range device.CatalogSpecs(false) {
+		found := len(rep.FindingsOn(spec.Name)) > 0
+		if spec.ExpectVuln && !found {
+			t.Errorf("%s is defect-armed but the sweep surfaced no finding on it", spec.Name)
 		}
-		if !entry.ExpectVuln && found {
-			t.Errorf("%s is robust but the sweep reports findings %+v", entry.ID, rep.FindingsOn(entry.ID))
+		if !spec.ExpectVuln && found {
+			t.Errorf("%s is robust but the sweep reports findings %+v", spec.Name, rep.FindingsOn(spec.Name))
 		}
-		if entry.ExpectVuln && rep.PerDevice[entry.ID].Crashes == 0 {
-			t.Errorf("%s found but not recorded as crashed", entry.ID)
+		if spec.ExpectVuln && rep.PerDevice[spec.Name].Crashes == 0 {
+			t.Errorf("%s found but not recorded as crashed", spec.Name)
 		}
 	}
 	if rep.TotalPackets == 0 || rep.TotalSimTime == 0 {

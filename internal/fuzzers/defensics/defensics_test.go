@@ -14,11 +14,11 @@ import (
 func catalogRig(t *testing.T, id string) (*device.Device, *host.Client) {
 	t.Helper()
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	entry, err := device.CatalogEntryByID(id, false)
+	spec, err := device.CatalogSpec(id, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := device.New(m, entry.Config)
+	d, err := device.New(m, spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

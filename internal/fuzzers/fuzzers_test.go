@@ -16,11 +16,11 @@ import (
 func newRig(t *testing.T) (*host.Client, radio.BDAddr) {
 	t.Helper()
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	entry, err := device.CatalogEntryByID("D2", true)
+	spec, err := device.CatalogSpec("D2", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := device.New(m, entry.Config)
+	d, err := device.New(m, spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestBaselinesSurviveDeadTarget(t *testing.T) {
 	// A target that vanishes mid-run must end the run gracefully, not
 	// hang or error.
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	entry, err := device.CatalogEntryByID("D2", true)
+	spec, err := device.CatalogSpec("D2", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := device.New(m, entry.Config)
+	d, err := device.New(m, spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,35 @@ type TableVRow struct {
 	Ports int
 }
 
-// TableV regenerates the device-inventory table from the catalog.
+// product is a catalog device's product columns of Table V: what the
+// paper lists about the hardware that no layer below the table reads.
+type product struct {
+	Type, Vendor, Model string
+	Year                int
+	OS                  string
+}
+
+// products holds the Table V product columns by paper ID.
+var products = map[string]product{
+	"D1": {"Tablet PC", "Google", "Nexus 7 (ASUS-1A005A)", 2013, "Android 6.0.1"},
+	"D2": {"Smartphone", "Google", "Pixel 3 (GA00464)", 2018, "Android 11.0.1"},
+	"D3": {"Smartphone", "Samsung", "Galaxy S7 (SM-G930L)", 2016, "Android 8.0.0"},
+	"D4": {"Smartphone", "Apple", "iPhone 6S (A1688)", 2015, "iOS 15.0.2"},
+	"D5": {"Earphone", "Apple", "AirPods 1 gen (A1523)", 2016, "FW 6.8.8"},
+	"D6": {"Earphone", "Samsung", "Galaxy Buds+ (SM-R175NZKATUR)", 2020, "R175XXU0AUG1"},
+	"D7": {"Laptop", "LG", "Gram 2019 (15ZD990-VX50K)", 2019, "Windows 10"},
+	"D8": {"Laptop", "LG", "Gram 2017 (15ZD970-GX55K)", 2017, "Ubuntu 18.04.4"},
+}
+
+// TableV regenerates the device-inventory table from the catalog: the
+// product columns from products, the stack, Bluetooth version, address
+// and ports from each device's spec.
 func TableV() []TableVRow {
 	var rows []TableVRow
-	for _, e := range device.Catalog(false) {
-		ports := len(e.Config.Ports)
+	for _, s := range device.CatalogSpecs(false) {
+		ports := len(s.Config.Ports)
 		hasSDP := false
-		for _, p := range e.Config.Ports {
+		for _, p := range s.Config.Ports {
 			if p.PSM == 0x0001 {
 				hasSDP = true
 			}
@@ -38,10 +60,12 @@ func TableV() []TableVRow {
 		if !hasSDP {
 			ports++ // the device model adds SDP automatically
 		}
+		p := products[s.Name]
 		rows = append(rows, TableVRow{
-			ID: e.ID, Type: e.Type, Vendor: e.Vendor, Model: e.Model,
-			Year: e.Year, OS: e.OS, Stack: e.Stack, BTVersion: e.BTVersion,
-			MAC: e.Addr.String(), Ports: ports,
+			ID: s.Name, Type: p.Type, Vendor: p.Vendor, Model: p.Model,
+			Year: p.Year, OS: p.OS,
+			Stack: s.Config.Profile.Stack, BTVersion: s.Config.Profile.BTVersion,
+			MAC: s.Config.Addr.String(), Ports: ports,
 		})
 	}
 	return rows

@@ -54,8 +54,8 @@ func DefaultTableVIConfig() TableVIConfig {
 // and reports one row per device.
 func TableVI(cfg TableVIConfig) ([]TableVIRow, error) {
 	var rows []TableVIRow
-	for _, entry := range device.Catalog(false) {
-		row, err := TableVIRun(entry.ID, cfg)
+	for _, id := range device.CatalogIDs() {
+		row, err := TableVIRun(id, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func TableVI(cfg TableVIConfig) ([]TableVIRow, error) {
 
 // TableVIRun produces one Table VI row.
 func TableVIRun(deviceID string, cfg TableVIConfig) (TableVIRow, error) {
-	entry, err := device.CatalogEntryByID(deviceID, false)
+	spec, err := device.CatalogSpec(deviceID, false)
 	if err != nil {
 		return TableVIRow{}, err
 	}
@@ -77,7 +77,7 @@ func TableVIRun(deviceID string, cfg TableVIConfig) (TableVIRow, error) {
 		seed = seed*131 + int64(c)
 	}
 	budget := cfg.RobustBudget
-	if entry.ExpectVuln {
+	if spec.ExpectVuln {
 		budget = vulnerableBudget
 	}
 	res, rig, err := runCell(fleet.KindL2Fuzz, deviceID, false, seed, budget)
@@ -91,7 +91,7 @@ func TableVIRun(deviceID string, cfg TableVIConfig) (TableVIRow, error) {
 		PacketsSent:  res.PacketsSent,
 		ErrorClass:   "-",
 		DumpKind:     "-",
-		ExpectedVuln: entry.ExpectVuln,
+		ExpectedVuln: spec.ExpectVuln,
 	}
 	if len(res.Findings) > 0 {
 		f := res.Findings[0].Finding

@@ -35,7 +35,8 @@ import (
 	"l2fuzz/internal/bt/rfcomm"
 )
 
-// Config parameterises a run. A zero budget means its default.
+// Config parameterises a run. A zero budget means its default; a
+// negative one fails Run.
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
@@ -94,7 +95,7 @@ type Fuzzer struct {
 
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
-	if cfg.MaxFrames <= 0 {
+	if cfg.MaxFrames == 0 {
 		cfg.MaxFrames = defaultMaxFrames
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
@@ -103,6 +104,9 @@ func New(cl *host.Client, cfg Config) *Fuzzer {
 // Run fuzzes the target's RFCOMM layer until the multiplexer dies or the
 // frame budget is exhausted.
 func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
+	if f.cfg.MaxFrames < 0 {
+		return nil, fmt.Errorf("rfcommfuzz: negative MaxFrames %d", f.cfg.MaxFrames)
+	}
 	f.target = target
 	start := f.cl.Clock().Now()
 	if err := f.cl.Connect(target); err != nil {

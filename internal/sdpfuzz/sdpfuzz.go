@@ -40,7 +40,8 @@ import (
 	"l2fuzz/internal/bt/sdp"
 )
 
-// Config parameterises a run. A zero budget means its default.
+// Config parameterises a run. A zero budget means its default; a
+// negative one fails Run.
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
@@ -98,7 +99,7 @@ type Fuzzer struct {
 
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
-	if cfg.MaxPDUs <= 0 {
+	if cfg.MaxPDUs == 0 {
 		cfg.MaxPDUs = defaultMaxPDUs
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
@@ -107,6 +108,9 @@ func New(cl *host.Client, cfg Config) *Fuzzer {
 // Run fuzzes the target's SDP server until it dies or the request
 // budget is exhausted.
 func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
+	if f.cfg.MaxPDUs < 0 {
+		return nil, fmt.Errorf("sdpfuzz: negative MaxPDUs %d", f.cfg.MaxPDUs)
+	}
 	f.target = target
 	start := f.cl.Clock().Now()
 	if err := f.cl.Connect(target); err != nil {

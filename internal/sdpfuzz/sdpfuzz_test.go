@@ -152,3 +152,25 @@ func TestDifferentSeedsDiverge(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigBudgets pins the budget rule: a zero budget means its
+// default, and a negative one fails Run with an error naming the field.
+func TestConfigBudgets(t *testing.T) {
+	d, cl := rig(t, targetConfig(nil))
+	for _, tc := range []struct {
+		field string
+		at    func(*Config) *int
+		def   int
+	}{
+		{"MaxPDUs", func(c *Config) *int { return &c.MaxPDUs }, defaultMaxPDUs},
+	} {
+		var cfg Config
+		if got := New(cl, cfg).cfg; *tc.at(&got) != tc.def {
+			t.Errorf("%s 0: got %d, want the default %d", tc.field, *tc.at(&got), tc.def)
+		}
+		*tc.at(&cfg) = -3
+		if _, err := New(cl, cfg).Run(d.Address()); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s -3: error %v, want one naming the field", tc.field, err)
+		}
+	}
+}

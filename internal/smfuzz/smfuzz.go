@@ -37,7 +37,8 @@ import (
 	"l2fuzz/internal/bt/sm"
 )
 
-// Config parameterises a run. A zero budget means its default.
+// Config parameterises a run. A zero budget means its default; a
+// negative one fails Run.
 type Config struct {
 	// Seed drives all randomness.
 	Seed int64
@@ -151,7 +152,7 @@ type Fuzzer struct {
 
 // New builds a fuzzer over a tester client.
 func New(cl *host.Client, cfg Config) *Fuzzer {
-	if cfg.MaxPackets <= 0 {
+	if cfg.MaxPackets == 0 {
 		cfg.MaxPackets = defaultMaxPackets
 	}
 	return &Fuzzer{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
@@ -160,6 +161,9 @@ func New(cl *host.Client, cfg Config) *Fuzzer {
 // Run walks the state machine against the target until it dies or the
 // command budget is exhausted.
 func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
+	if f.cfg.MaxPackets < 0 {
+		return nil, fmt.Errorf("smfuzz: negative MaxPackets %d", f.cfg.MaxPackets)
+	}
 	f.target = target
 	f.model = sm.NewMachine()
 	start := f.cl.Clock().Now()

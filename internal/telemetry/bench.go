@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 )
 
 // BenchRow is one measured configuration of a bench snapshot.
@@ -50,58 +48,7 @@ type BenchSnapshot struct {
 	Rows     []BenchRow `json:"rows"`
 }
 
-// Measure runs one workload and fills a row's measured fields: wall
-// time, packets/s and the run's allocation cost from runtime.MemStats
-// deltas. The caller sets Name, Workers and Telemetry.
-func Measure(fn func() (packets int64, findings int)) BenchRow {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	packets, findings := fn()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	row := BenchRow{
-		Packets:     packets,
-		Findings:    findings,
-		WallSeconds: wall.Seconds(),
-		MBPerOp:     float64(after.TotalAlloc-before.TotalAlloc) / 1e6,
-		AllocsPerOp: int64(after.Mallocs - before.Mallocs),
-	}
-	if row.WallSeconds > 0 {
-		row.PktsPerSec = float64(packets) / row.WallSeconds
-	}
-	return row
-}
-
-// NewBenchSnapshot stamps a snapshot with the measuring host's
-// toolchain and CPU context.
-func NewBenchSnapshot(bench string, rows []BenchRow) BenchSnapshot {
-	return BenchSnapshot{
-		Bench:    bench,
-		Go:       runtime.Version(),
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		CPUs:     runtime.NumCPU(),
-		MaxProcs: runtime.GOMAXPROCS(0),
-		Rows:     rows,
-	}
-}
-
-// WriteBenchSnapshot writes the snapshot as indented JSON.
-func WriteBenchSnapshot(path string, s BenchSnapshot) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	return nil
-}
-
-// ReadBenchSnapshot reads a snapshot written by WriteBenchSnapshot.
+// ReadBenchSnapshot reads a committed snapshot.
 func ReadBenchSnapshot(path string) (BenchSnapshot, error) {
 	var s BenchSnapshot
 	data, err := os.ReadFile(path)

@@ -1,40 +1,37 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-func TestMeasureFillsRow(t *testing.T) {
-	row := Measure(func() (int64, int) {
-		_ = make([]byte, 1<<20)
-		return 5000, 2
-	})
-	if row.Packets != 5000 || row.Findings != 2 {
-		t.Fatalf("row = %+v", row)
+// writeSnapshot writes s as a committed BENCH_<pr>.json is written,
+// indented JSON plus a newline, and returns the file's path.
+func writeSnapshot(t *testing.T, s BenchSnapshot) string {
+	t.Helper()
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if row.WallSeconds <= 0 || row.PktsPerSec <= 0 {
-		t.Fatalf("timing not measured: %+v", row)
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if row.MBPerOp <= 0 || row.AllocsPerOp <= 0 {
-		t.Fatalf("allocation cost not measured: %+v", row)
-	}
+	return path
 }
 
 func TestBenchSnapshotRoundTrip(t *testing.T) {
-	s := NewBenchSnapshot("BenchmarkFleet", []BenchRow{
-		{Name: "workers=1", Workers: 1, Packets: 100, PktsPerSec: 50},
-		{Name: "workers=4/telemetry", Workers: 4, Telemetry: true, Packets: 400},
-	})
-	if s.Go == "" || s.CPUs == 0 {
-		t.Fatalf("host context not stamped: %+v", s)
+	s := BenchSnapshot{
+		Bench: "BenchmarkFleet", Go: "go1.24.0", GOOS: "linux", GOARCH: "amd64", CPUs: 2, MaxProcs: 2,
+		Rows: []BenchRow{
+			{Name: "workers=1", Workers: 1, Packets: 100, PktsPerSec: 50},
+			{Name: "workers=4/telemetry", Workers: 4, Telemetry: true, Packets: 400},
+		},
 	}
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := WriteBenchSnapshot(path, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchSnapshot(path)
+	got, err := ReadBenchSnapshot(writeSnapshot(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}

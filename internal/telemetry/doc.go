@@ -39,10 +39,11 @@
 //
 // # Bench trajectory
 //
-// BenchSnapshot turns a BenchmarkFleet-style measurement into a
-// committed JSON artifact (BENCH_<pr>.json at the repository root):
-// packets per second, MB and allocations consumed per run, per worker
-// count, so the performance trajectory of the fleet orchestrator is a
-// diffable file rather than a number in a PR description. Measure runs
-// one workload and fills the measured fields of a row.
+// BenchSnapshot is the schema of a committed BenchmarkFleet measurement
+// (BENCH_<pr>.json at the repository root, recorded by the root
+// package's TestBenchSnapshot): packets per second, MB and allocations
+// consumed per run, per worker count, so the performance trajectory of
+// the fleet orchestrator is a diffable file rather than a number in a
+// PR description. ReadBenchSnapshot loads one and
+// RenderBenchTrajectory renders a series of them.
 package telemetry

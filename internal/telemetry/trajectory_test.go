@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -44,14 +43,10 @@ func TestRenderBenchTrajectory(t *testing.T) {
 // survive the JSON snapshot format, or proc rows silently read back as
 // full-process measurements.
 func TestParentOnlyRoundTrip(t *testing.T) {
-	s := NewBenchSnapshot("BenchmarkFleet", []BenchRow{
+	s := BenchSnapshot{Bench: "BenchmarkFleet", Rows: []BenchRow{
 		{Name: "workers=4/proc", Workers: 4, ParentOnly: true, Packets: 100},
-	})
-	path := filepath.Join(t.TempDir(), "BENCH.json")
-	if err := WriteBenchSnapshot(path, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchSnapshot(path)
+	}}
+	got, err := ReadBenchSnapshot(writeSnapshot(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}

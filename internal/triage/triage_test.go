@@ -17,11 +17,11 @@ import (
 func findingFor(t *testing.T, deviceID string, seed int64) (core.Finding, *device.CrashDump) {
 	t.Helper()
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	entry, err := device.CatalogEntryByID(deviceID, false)
+	spec, err := device.CatalogSpec(deviceID, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := device.New(m, entry.Config)
+	d, err := device.New(m, spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

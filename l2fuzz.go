@@ -256,8 +256,9 @@ type (
 	// CorpusOp is one recorded client operation (page, link drop, or
 	// transmitted wire packet).
 	CorpusOp = corpus.Op
-	// CorpusReplayConfig parameterises ReplayCorpusEntry (pass the spec
-	// for entries recorded against custom targets).
+	// CorpusReplayConfig parameterises ReplayCorpusEntry. Entries
+	// replay on their own; a spec passed in rebuilds the entries
+	// recorded against its name.
 	CorpusReplayConfig = corpus.ReplayConfig
 	// CorpusReplayResult reports whether a replay reproduced the entry's
 	// signature on a fresh rig, with the fresh crash artefact and the
@@ -288,12 +289,6 @@ type (
 	// TelemetryServerConfig wires counters and a snapshot source into a
 	// TelemetryServer.
 	TelemetryServerConfig = telemetry.ServerConfig
-	// BenchRow is one recorded benchmark measurement (packets/s, MB and
-	// allocations per op).
-	BenchRow = telemetry.BenchRow
-	// BenchSnapshot is a committed benchmark trajectory: environment
-	// fingerprint plus measurement rows (the repo's BENCH_*.json files).
-	BenchSnapshot = telemetry.BenchSnapshot
 )
 
 // The farm event types.
@@ -451,26 +446,6 @@ func ServeTelemetry(addr string, cfg TelemetryServerConfig) (*TelemetryServer, e
 	return telemetry.Serve(addr, cfg)
 }
 
-// MeasureBenchRow runs fn under runtime memory accounting and returns a
-// benchmark row with its packet rate and per-op allocation figures.
-func MeasureBenchRow(fn func() (packets int64, findings int)) BenchRow { return telemetry.Measure(fn) }
-
-// NewBenchSnapshot stamps measurement rows with the running binary's
-// environment fingerprint.
-func NewBenchSnapshot(bench string, rows []BenchRow) BenchSnapshot {
-	return telemetry.NewBenchSnapshot(bench, rows)
-}
-
-// WriteBenchSnapshot writes a benchmark trajectory as indented JSON —
-// the format of the repo's committed BENCH_*.json files.
-func WriteBenchSnapshot(path string, s BenchSnapshot) error {
-	return telemetry.WriteBenchSnapshot(path, s)
-}
-
-// ReadBenchSnapshot reads a benchmark trajectory written by
-// WriteBenchSnapshot.
-func ReadBenchSnapshot(path string) (BenchSnapshot, error) { return telemetry.ReadBenchSnapshot(path) }
-
 // Connection-error classes (paper §III-E).
 const (
 	ErrNone             = core.ErrNone
@@ -580,7 +555,8 @@ const (
 type FuzzConfig struct {
 	// Seed drives every random choice; equal seeds give equal runs.
 	Seed int64
-	// MaxPackets caps the run; zero uses the library default.
+	// MaxPackets caps the run; zero uses the library default, and a
+	// negative value fails the run.
 	MaxPackets int
 	// LogWriter receives the run log; nil discards it.
 	LogWriter io.Writer
@@ -786,7 +762,7 @@ func (s *Simulation) RunSMFuzz(name string, seed int64, maxPackets int) (*SMFuzz
 // RunCampaign performs long-term fuzzing against the named device: the
 // §V extension that replaces the paper's manual device resets with
 // automatic ones in the virtual environment. Zero-valued config fields
-// get library defaults.
+// get library defaults; a negative bound fails the run.
 func (s *Simulation) RunCampaign(name string, cfg CampaignConfig) (*CampaignReport, error) {
 	d, err := s.lookup(name)
 	if err != nil {
