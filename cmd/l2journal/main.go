@@ -16,6 +16,11 @@
 //	          tolerance-banded on normalized area-under-curve; exits
 //	          nonzero on regression (the CI gate over the journaled
 //	          farm artifact)
+//	diff      compare two runs of one config job by job: every job
+//	          result's deterministic fields, the finding signatures
+//	          and the target specs; prints the first differing field
+//	          of each differing job and exits nonzero on any
+//	          difference (the "same behaviour" check)
 //
 // Every subcommand takes a journal path: the journal.jsonl itself, a
 // run directory holding one, or a directory of run directories (the
@@ -29,6 +34,7 @@
 //	l2journal latency [-by device|kind|variant] [-format text|csv|svg] [-o FILE] JOURNAL
 //	l2journal workers [-format text|csv|svg] [-o FILE] JOURNAL
 //	l2journal trend [-total-tol 0] [-auc-tol 0.35] [-format text|csv] [-o FILE] BASELINE CURRENT
+//	l2journal diff A B
 //
 // Examples:
 //
@@ -36,6 +42,7 @@
 //	l2journal figures -format svg -o coverage.svg runs
 //	l2journal latency -by kind runs
 //	l2journal trend testdata/baseline.jsonl runs
+//	l2journal diff testdata/baseline.jsonl runs
 package main
 
 import (
@@ -51,7 +58,7 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "l2journal: want a subcommand: figures, latency, workers, trend")
+		fmt.Fprintln(os.Stderr, "l2journal: want a subcommand: figures, latency, workers, trend, diff")
 		os.Exit(2)
 	}
 	err := run(os.Args[1], os.Args[2:])
@@ -77,8 +84,10 @@ func run(sub string, args []string) error {
 		return workers(args)
 	case "trend":
 		return trend(args)
+	case "diff":
+		return diff(args)
 	default:
-		return fmt.Errorf("unknown subcommand %q (have figures, latency, workers, trend)", sub)
+		return fmt.Errorf("unknown subcommand %q (have figures, latency, workers, trend, diff)", sub)
 	}
 }
 
@@ -238,5 +247,30 @@ func trend(args []string) error {
 	if t.Regressed {
 		return errRegressed{}
 	}
+	return nil
+}
+
+func diff(args []string) error {
+	fs := flag.NewFlagSet("diff", flag.ExitOnError)
+	fs.Parse(args)
+	if fs.NArg() != 2 {
+		return fmt.Errorf("want two journal paths, A and B")
+	}
+	a, err := parseFile(fs.Arg(0))
+	if err != nil {
+		return fmt.Errorf("A: %w", err)
+	}
+	b, err := parseFile(fs.Arg(1))
+	if err != nil {
+		return fmt.Errorf("B: %w", err)
+	}
+	lines := analyze.Diff(a, b)
+	for _, l := range lines {
+		fmt.Println(l)
+	}
+	if len(lines) > 0 {
+		return fmt.Errorf("%d differences between %s and %s", len(lines), fs.Arg(0), fs.Arg(1))
+	}
+	fmt.Printf("same behaviour: %d jobs, %d finding signatures\n", len(a.Jobs), len(a.Findings))
 	return nil
 }

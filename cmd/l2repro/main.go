@@ -21,6 +21,9 @@
 // every reproducing witness must also still delta-debug to a minimal
 // trace, so a minimizer/replayer divergence fails the build as well.
 //
+// A zero -jobs or -max-replays means its default; a negative one is
+// refused with an error naming the flag.
+//
 // Every entry rebuilds its own target: a catalog device ("D1".."D8") by
 // its ID, a custom target from the spec the entry embeds. -device-file
 // (the JSON format l2farm accepts) rebuilds the entries recorded
@@ -75,6 +78,14 @@ func run() error {
 	flag.Parse()
 	if *corpusDir == "" {
 		return fmt.Errorf("-corpus DIR is required")
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"jobs", *jobs}, {"max-replays", *maxReplays}} {
+		if f.v < 0 {
+			return fmt.Errorf("negative -%s %d", f.name, f.v)
+		}
 	}
 	args := flag.Args()
 	if len(args) == 0 {
@@ -170,7 +181,7 @@ func regress(store *l2fuzz.CorpusStore, rcfg l2fuzz.CorpusReplayConfig, jobs int
 		fmt.Println("corpus is empty; nothing to regress")
 		return nil
 	}
-	if jobs <= 0 {
+	if jobs == 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	type outcome struct {

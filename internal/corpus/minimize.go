@@ -15,8 +15,8 @@ const DefaultMaxReplays = 2048
 // MinimizeConfig parameterises a minimization.
 type MinimizeConfig struct {
 	ReplayConfig
-	// MaxReplays caps the number of verification replays; zero means
-	// DefaultMaxReplays.
+	// MaxReplays caps the number of verification replays. Zero means
+	// DefaultMaxReplays; a negative cap is an error.
 	MaxReplays int
 }
 
@@ -50,7 +50,10 @@ type probeOutcome struct {
 // trace — match the sequential algorithm's at every worker count.
 func Minimize(e Entry, cfg MinimizeConfig) (*MinimizeResult, error) {
 	maxReplays := cfg.MaxReplays
-	if maxReplays <= 0 {
+	switch {
+	case maxReplays < 0:
+		return nil, fmt.Errorf("corpus: negative MaxReplays %d", maxReplays)
+	case maxReplays == 0:
 		maxReplays = DefaultMaxReplays
 	}
 	res := &MinimizeResult{Entry: e, Before: len(e.Trace.Ops)}

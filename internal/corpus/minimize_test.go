@@ -6,7 +6,9 @@ package corpus_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"l2fuzz/internal/corpus"
@@ -66,5 +68,26 @@ func TestMinimizeDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if !again.Reproduced || again.Signature != entry.Signature {
 		t.Fatalf("minimized trace no longer reproduces: %+v", again)
+	}
+}
+
+// TestMinimizeConfigReplays pins the settings rule for MaxReplays: zero
+// means DefaultMaxReplays, and a negative cap is refused with an error
+// naming the field.
+func TestMinimizeConfigReplays(t *testing.T) {
+	store, err := corpus.Open(filepath.Join("testdata", "regress"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := store.Entries()
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("committed corpus: %d entries, err %v", len(entries), err)
+	}
+	res, err := corpus.Minimize(entries[0], corpus.MinimizeConfig{MaxReplays: 0})
+	if err != nil || res.Replays < 1 || res.Replays > corpus.DefaultMaxReplays {
+		t.Errorf("MaxReplays 0: %+v, err %v; want a minimization within DefaultMaxReplays", res, err)
+	}
+	if _, err := corpus.Minimize(entries[0], corpus.MinimizeConfig{MaxReplays: -3}); err == nil || !strings.Contains(err.Error(), "MaxReplays") {
+		t.Errorf("MaxReplays -3: error %v, want one naming the field", err)
 	}
 }

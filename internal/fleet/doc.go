@@ -8,7 +8,8 @@
 // fully programmable: catalog device IDs (Devices) and first-class
 // device.Spec values (CustomDevices) resolve into one target list, so
 // the same farm fuzzes the paper's Table V testbed next to devices the
-// paper never named. Every job carries its resolved Spec; seeds,
+// paper never named. Every job points at its resolved Spec, which
+// journals and proc worker sessions carry once per target; seeds,
 // packet Budgets and per-device report sections key by target name,
 // with catalog IDs hashing exactly as they always did. Each job builds
 // its own radio medium, target device, tester client and trace sniffer

@@ -1,26 +1,22 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 
+	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/fleet/record"
 	"l2fuzz/internal/telemetry"
 )
 
-// The job-started and finding records exist for progress curves and
-// farm forensics; neither the replay nor the analyzer reads them, so
-// their payloads are declared here, next to their only writer.
+// The job-started record exists for progress curves and farm
+// forensics; no reader reads it, so its payload is declared here, next
+// to its only writer.
 type journalStarted struct {
 	Job record.Job `json:"job"`
-	record.Progress
-}
-
-type journalFinding struct {
-	Record FindingRecord `json:"record"`
-	Job    record.Job    `json:"job"`
 	record.Progress
 }
 
@@ -39,6 +35,7 @@ func (f *Farm) journalHeader(jobs []Job) {
 		Shards:         f.cfg.Shards,
 		Kinds:          f.cfg.Kinds,
 		SampleInterval: f.cfg.SampleInterval,
+		Specs:          f.cfg.targets,
 	}
 	for _, t := range f.cfg.targets {
 		hdr.Targets = append(hdr.Targets, t.Name)
@@ -78,7 +75,7 @@ func (f *Farm) journalFinding(rec FindingRecord, job Job) {
 	if f.cfg.Journal == nil {
 		return
 	}
-	f.cfg.Journal.Write(record.TypeFinding, journalFinding{Record: rec, Job: record.Job(job), Progress: f.progress()})
+	f.cfg.Journal.Write(record.TypeFinding, record.Finding{Record: rec, Job: record.Job(job), Progress: f.progress()})
 }
 
 func (f *Farm) journalWorker(ev WorkerEvent) {
@@ -86,6 +83,19 @@ func (f *Farm) journalWorker(ev WorkerEvent) {
 		return
 	}
 	f.cfg.Journal.Write(record.TypeWorker, record.WorkerChange{Worker: ev.Worker, Up: ev.Up, Err: ev.Err, Progress: f.progress()})
+}
+
+// minReplayVersion is the oldest journal schema ReplayJournal folds:
+// version 3 is the first whose results carry the trace spans the live
+// report holds.
+const minReplayVersion = 3
+
+// sameSpecs reports whether a journal header's specs are the config's
+// targets, compared in their journal form.
+func sameSpecs(journaled, targets []*device.Spec) bool {
+	a, errA := json.Marshal(journaled)
+	b, errB := json.Marshal(targets)
+	return errA == nil && errB == nil && bytes.Equal(a, b)
 }
 
 // ReplayJournal folds a persisted run journal back into a Report, using
@@ -97,10 +107,13 @@ func (f *Farm) journalWorker(ev WorkerEvent) {
 // its own clock, which a replay does not have.
 //
 // cfg must be the configuration the journal was written under: the
-// journal's header is checked against the matrix it builds, and each
-// result is folded under the config's own job at the recorded index —
-// an index outside the matrix, or a seed other than that job's, is
-// rejected as the wrong config. Replay is a pure re-fold:
+// journal's header is checked against the matrix it builds (its job
+// count and, from schema version 4, its target specs), and each result
+// is folded under the config's own job at the recorded index — an
+// index outside the matrix, or a seed other than that job's, is
+// rejected as the wrong config. Versions 3 and 4 are read; a version-3
+// job record's inline spec is ignored, since the fold uses the
+// config's own. Replay is a pure re-fold:
 // Corpus, Journal, Counters and Executor are stripped, so replaying
 // never writes store entries — which also means the Known flags of a
 // corpus-backed run are not reconstructed (a replayed report marks
@@ -129,11 +142,14 @@ func ReplayJournal(cfg Config, r io.Reader) (*Report, error) {
 			if err := json.Unmarshal(rec.Data, &hdr); err != nil {
 				return fmt.Errorf("fleet: farm record: %w", err)
 			}
-			if hdr.Version != record.Version {
-				return fmt.Errorf("fleet: journal schema version %d, this build reads %d", hdr.Version, record.Version)
+			if hdr.Version < minReplayVersion || hdr.Version > record.Version {
+				return fmt.Errorf("fleet: journal schema version %d, this build reads %d..%d", hdr.Version, minReplayVersion, record.Version)
 			}
 			if hdr.Jobs != len(jobs) {
 				return fmt.Errorf("fleet: journal covers %d jobs but the config builds a %d-job matrix — wrong config for this journal", hdr.Jobs, len(jobs))
+			}
+			if hdr.Version >= 4 && !sameSpecs(hdr.Specs, rcfg.targets) {
+				return errors.New("fleet: journal's target specs differ from the config's — wrong config for this journal")
 			}
 			sawHeader = true
 		case record.TypeJobDone:

@@ -239,3 +239,79 @@ func flattenJSON(prefix string, v any, out map[string]bool) {
 		out[fmt.Sprintf("%s:%T", prefix, v)] = true
 	}
 }
+
+// ciBaseline is the committed CI-baseline journal: schema version 3,
+// recorded on worker subprocesses under ciConfig.
+const ciBaseline = "../telemetry/analyze/testdata/ci-baseline.jsonl"
+
+// ciConfig mirrors the CI journaled-farm step's l2farm flags, under
+// which ciBaseline was recorded.
+func ciConfig() Config {
+	return Config{
+		Devices:          []string{"D2", "D5"},
+		Kinds:            []Kind{KindL2Fuzz, KindRFCOMM, KindSDP, KindSM},
+		BaseSeed:         1,
+		Workers:          4,
+		MaxPacketsPerJob: 20_000,
+	}
+}
+
+// ciJournal runs ciConfig in process and returns its journal.
+func ciJournal(t testing.TB) (*Report, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg := ciConfig()
+	cfg.Journal = telemetry.NewJournal(&buf)
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Journal.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rep, buf.Bytes()
+}
+
+// TestV3BaselineReplaysLikeALocalRun is the cross-version check of the
+// journal reader: the committed version-3 baseline, whose job records
+// carry their spec inline, replays under the CI farm's config into the
+// report of a fresh local run, wall times and workers scrubbed, and so
+// does that run's own version-4 journal, which lists the specs once.
+func TestV3BaselineReplaysLikeALocalRun(t *testing.T) {
+	v3, err := os.ReadFile(ciBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(v3, []byte(`"version":3`)) || !bytes.Contains(v3, []byte(`"spec":{`)) {
+		t.Fatal("the baseline is no longer a version-3 journal with inline specs")
+	}
+	live, v4 := ciJournal(t)
+	if bytes.Contains(v4, []byte(`"spec":`)) || !bytes.Contains(v4, []byte(`"specs":[`)) {
+		t.Fatal("a version-4 journal must carry its specs in the header only")
+	}
+	live.ScrubWall()
+	stripWorkers(live)
+	for name, journal := range map[string][]byte{"v3 baseline": v3, "v4 run": v4} {
+		rep, err := ReplayJournal(ciConfig(), bytes.NewReader(journal))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep.ScrubWall()
+		stripWorkers(rep)
+		if !reflect.DeepEqual(rep.Jobs, live.Jobs) {
+			t.Errorf("%s: replayed job results differ from the local run's:\nreplayed: %+v\nlocal:    %+v", name, rep.Jobs, live.Jobs)
+		}
+		if !reflect.DeepEqual(rep, live) {
+			t.Errorf("%s: replayed report differs from the local run's:\nreplayed: %+v\nlocal:    %+v", name, rep, live)
+		}
+	}
+
+	// A version-4 header's specs must be the config's targets.
+	other := bytes.Replace(v4, []byte(`"SignalingMTU":672`), []byte(`"SignalingMTU":48`), 1)
+	if bytes.Equal(other, v4) {
+		t.Fatal("no spec field to change in the v4 journal")
+	}
+	if _, err := ReplayJournal(ciConfig(), bytes.NewReader(other)); err == nil || !strings.Contains(err.Error(), "specs") {
+		t.Errorf("replay of a journal of other target specs: got %v, want a spec mismatch", err)
+	}
+}

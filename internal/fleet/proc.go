@@ -16,8 +16,9 @@ import (
 // ProcConfig configures a ProcExecutor.
 type ProcConfig struct {
 	// Procs is the worker subprocess count. Zero means the farm's
-	// resolved Workers count. The farm runs at most Config.Workers jobs
-	// in flight, so extra workers beyond that idle.
+	// resolved Workers count; a negative count is an error. The farm
+	// runs at most Config.Workers jobs in flight, so extra workers
+	// beyond that idle.
 	Procs int
 	// Command is the argv spawning one worker; the spawned process must
 	// run the wire protocol on its stdin/stdout (RunWorker). Empty means
@@ -30,7 +31,8 @@ type ProcConfig struct {
 	Env []string
 	// JobDeadline bounds one job's wall time on a worker. A worker
 	// exceeding it is killed, which surfaces as a transport failure the
-	// farm answers by requeueing the job. Zero means no deadline.
+	// farm answers by requeueing the job. Zero means no deadline; a
+	// negative deadline is an error.
 	JobDeadline time.Duration
 }
 
@@ -42,8 +44,9 @@ type ProcConfig struct {
 // and requeues the lost job, and when no worker is left Execute returns
 // ErrNoWorkers.
 //
-// Each worker session starts with the farm's matrix variants (wireFarm),
-// so workers run every variant the in-process pool runs.
+// Each worker session starts with the farm's matrix variants and
+// resolved target specs (wireFarm), so workers run every variant and
+// target the in-process pool runs.
 type ProcExecutor struct {
 	pc  ProcConfig
 	cfg Config
@@ -93,22 +96,33 @@ func (e *ProcExecutor) workerIDs() []string {
 	return ids
 }
 
-// Start spawns the worker pool. A worker that fails to spawn or
-// handshake fails the whole Start; the farm surfaces that instead of
-// limping from the off.
+// Start spawns the worker pool. A negative Procs or JobDeadline fails
+// it before any worker spawns, and so does a worker that fails to spawn
+// or handshake; the farm surfaces that instead of limping from the off.
 func (e *ProcExecutor) Start(cfg Config) error {
+	if e.pc.Procs < 0 {
+		return fmt.Errorf("fleet: negative ProcConfig.Procs %d", e.pc.Procs)
+	}
+	if e.pc.JobDeadline < 0 {
+		return fmt.Errorf("fleet: negative ProcConfig.JobDeadline %v", e.pc.JobDeadline)
+	}
 	e.cfg = cfg
 	procs := e.pc.Procs
-	if procs <= 0 {
+	if procs == 0 {
 		procs = cfg.Workers
 	}
-	fc := wireFarm{
+	// The session message is the same for every worker: encode it once.
+	fc, err := wire.Frame(wireFarm{
 		Version:          wireVersion,
 		MeasurementGrade: cfg.MeasurementGrade,
 		CampaignRuns:     cfg.CampaignRuns,
 		Variants:         cfg.Variants,
+		Targets:          cfg.targets,
 		Record:           cfg.Corpus != nil,
 		Counters:         cfg.Counters != nil,
+	})
+	if err != nil {
+		return fmt.Errorf("fleet: encode farm config: %w", err)
 	}
 	e.idle = make(chan *procWorker, procs)
 	e.deadCh = make(chan struct{})
@@ -127,8 +141,9 @@ func (e *ProcExecutor) Start(cfg Config) error {
 	return nil
 }
 
-// spawn launches one worker and completes the hello/config handshake.
-func (e *ProcExecutor) spawn(i int, fc wireFarm) (*procWorker, error) {
+// spawn launches one worker and completes the hello/config handshake,
+// sending fc, the encoded wireFarm frame.
+func (e *ProcExecutor) spawn(i int, fc []byte) (*procWorker, error) {
 	argv := e.pc.Command
 	if len(argv) == 0 {
 		self, err := os.Executable()
@@ -172,7 +187,7 @@ func (e *ProcExecutor) spawn(i int, fc wireFarm) (*procWorker, error) {
 		return fail(fmt.Errorf("fleet: worker %s speaks wire version %d, this coordinator version %d", w.id, hello.Version, wireVersion))
 	}
 	w.pid = hello.PID
-	if err := w.enc.Encode(fc); err != nil {
+	if err := w.enc.WriteFrame(fc); err != nil {
 		return fail(fmt.Errorf("fleet: worker %s rejected farm config: %w", w.id, err))
 	}
 	return w, nil

@@ -1,13 +1,18 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/corpus"
+	"l2fuzz/internal/fleet/record"
+	"l2fuzz/internal/fleet/wire"
 	"l2fuzz/internal/telemetry"
 )
 
@@ -232,5 +237,128 @@ func TestProcJobDeadline(t *testing.T) {
 	}
 	if rep.Failed == 0 {
 		t.Error("a 1ms deadline failed no jobs; the deadline path went unexercised")
+	}
+}
+
+// TestLocalVsProcCustomTarget runs a custom target next to a catalog
+// one on worker subprocesses: a worker looks each job's target up by
+// name among the specs its session opened with, so the proc report
+// must equal the local one, custom target included.
+func TestLocalVsProcCustomTarget(t *testing.T) {
+	cfg := func() Config {
+		return Config{
+			Devices:          []string{"D5"},
+			CustomDevices:    []device.Spec{customTarget()},
+			Kinds:            []Kind{KindL2Fuzz, KindRFCOMM},
+			BaseSeed:         7,
+			Workers:          2,
+			MaxPacketsPerJob: 20_000,
+		}
+	}
+	local, err := Run(cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(local.FindingsOn("iot-cam")) == 0 {
+		t.Fatal("the custom target produced no findings; the comparison would be vacuous")
+	}
+	pcfg := cfg()
+	pcfg.Executor = NewProcExecutor(procConfig(2))
+	proc, err := Run(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if proc.Failed != 0 {
+		t.Fatalf("%d proc jobs failed: %+v", proc.Failed, proc.Jobs)
+	}
+	local.ScrubWall()
+	proc.ScrubWall()
+	if l, p := local.Render(), proc.Render(); l != p {
+		t.Errorf("rendered reports differ:\nlocal:\n%s\nproc:\n%s", l, p)
+	}
+	stripWorkers(local)
+	stripWorkers(proc)
+	if !reflect.DeepEqual(local, proc) {
+		t.Errorf("proc report differs from local:\nlocal: %+v\nproc:  %+v", local, proc)
+	}
+}
+
+// TestWorkerFailsJobOfUnknownTarget pins what a worker does with a job
+// naming a target its session does not hold: that job fails, naming
+// the target, and the session goes on to run the next job.
+func TestWorkerFailsJobOfUnknownTarget(t *testing.T) {
+	cfg, err := Config{Devices: []string{"D2"}, MaxPacketsPerJob: 200}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := record.Job(buildJobs(cfg)[0])
+	stray := job
+	stray.Device = "D9"
+	var in, out bytes.Buffer
+	enc := wire.NewEncoder(&in)
+	for _, msg := range []any{
+		wireFarm{Version: wireVersion, CampaignRuns: cfg.CampaignRuns, Variants: cfg.Variants, Targets: cfg.targets},
+		wireJob{Job: stray},
+		wireJob{Job: job},
+	} {
+		if err := enc.Encode(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := RunWorker(&in, &out); err != nil {
+		t.Fatal(err)
+	}
+	dec := wire.NewDecoder(&out)
+	var hello wireHello
+	var unknown, known wireResult
+	for _, msg := range []any{&hello, &unknown, &known} {
+		if err := dec.Decode(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.Contains(unknown.Err, `"D9"`) {
+		t.Errorf("job of an unknown target: err %q, want one naming \"D9\"", unknown.Err)
+	}
+	if known.Err != "" || known.PacketsSent == 0 {
+		t.Errorf("the next job did not run: err %q, %d packets", known.Err, known.PacketsSent)
+	}
+}
+
+// TestProcConfigSettings pins the settings rule for ProcConfig: zero
+// means the documented default, and a negative Procs or JobDeadline
+// fails Start, naming the field, before any worker spawns. A zero case
+// spawns a single worker.
+func TestProcConfigSettings(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		set     func(*ProcConfig)
+		wantErr string
+	}{
+		{"zero Procs", func(pc *ProcConfig) { pc.Procs = 0 }, ""},
+		{"negative Procs", func(pc *ProcConfig) { pc.Procs = -3 }, "Procs"},
+		{"zero JobDeadline", func(pc *ProcConfig) { pc.JobDeadline = 0 }, ""},
+		{"negative JobDeadline", func(pc *ProcConfig) { pc.JobDeadline = -time.Second }, "JobDeadline"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pc := procConfig(1)
+			tc.set(&pc)
+			exec := NewProcExecutor(pc)
+			rep, err := Run(Config{Devices: []string{"D2"}, Workers: 1, MaxPacketsPerJob: 200, MeasurementGrade: true, Executor: exec})
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("got %v, want an error naming %s", err, tc.wantErr)
+				}
+				if len(exec.workers) != 0 {
+					t.Fatalf("%d workers spawned before the setting was refused", len(exec.workers))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Completed != 1 || rep.Jobs[0].Worker != "proc/0" {
+				t.Fatalf("the farm did not run its job on one worker: %+v", rep.Jobs)
+			}
+		})
 	}
 }

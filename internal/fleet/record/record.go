@@ -21,7 +21,10 @@ import (
 // the worker lifecycle record. Version 3 added the per-job trace span
 // to result records and the counter-sample interval to the header, and
 // re-based every record's envelope offset onto the farm's start time.
-const Version = 3
+// Version 4 writes each target's spec once, in the header (Specs), and
+// job records name their target by Device alone; a version-3 job's
+// inline spec is ignored on read.
+const Version = 4
 
 // The journal's record type tags. A journal additionally carries
 // telemetry.RecordSample records when the writer runs a counter
@@ -50,6 +53,10 @@ type Header struct {
 	Kinds    []Kind   `json:"kinds"`
 	Variants []string `json:"variants"`
 	Shards   int      `json:"shards"`
+	// Specs are the resolved target specs, once each, in Targets order:
+	// the specs every job of the matrix runs against. Empty before
+	// version 4.
+	Specs []*device.Spec `json:"specs,omitempty"`
 	// SampleInterval is how often the run's counter sampler wrote
 	// sample records, when the writer declared it; an analyzer labels
 	// the sampled series' time axis with it. Zero means unknown or no
@@ -67,11 +74,13 @@ type Job struct {
 	// spec name. Seeds, budgets and report sections key by it.
 	Device string `json:"device"`
 	// Spec is the resolved target spec the job runs against; treat it
-	// as read-only. Specs are pure data (defect triggers are
-	// declarative descriptors, not closures), so the spec travels
-	// inline: journals are self-describing and worker subprocesses need
-	// no target catalog of their own.
-	Spec *device.Spec `json:"spec,omitempty"`
+	// as read-only. It is never encoded: a journal lists each target's
+	// spec once in its Header, and a worker session once in its farm
+	// message, and both name a job's target by Device. Specs are pure
+	// data (defect triggers are declarative descriptors, not closures),
+	// so journals stay self-describing and worker subprocesses need no
+	// target catalog of their own.
+	Spec *device.Spec `json:"-"`
 	// Kind is the fuzzer kind.
 	Kind Kind `json:"kind"`
 	// Variant names the job's configuration variant.
@@ -185,6 +194,17 @@ type Result struct {
 	Progress
 }
 
+// Deterministic is the result without its wall-clock fields: the
+// executor worker, the wall time, the trace span and the progress
+// counters (Worker, WallNs, Span, Done and Total) differ between runs
+// of one config. What is left, the job identity, the outcome with its
+// summary and the findings, is a pure function of the job, so two runs
+// of one config agree on it exactly.
+func (r Result) Deterministic() Result {
+	r.Worker, r.WallNs, r.Span, r.Progress = "", 0, Span{}, Progress{}
+	return r
+}
+
 // DecodeResult decodes a job-done record's payload. It rejects a
 // negative duration, which no farm writes and which readers would use
 // as a bucket or timeline index.
@@ -197,6 +217,51 @@ func DecodeResult(data []byte) (Result, error) {
 		return Result{}, fmt.Errorf("job-done record of job %d: negative duration (wall %v, elapsed %v, span %+v)", r.Job.Index, r.WallNs, r.ElapsedNs, s)
 	}
 	return r, nil
+}
+
+// FindingRecord is one de-duplicated finding with its farm-wide
+// provenance. Finding.Trace carries the recorded repro trace of the
+// canonical first occurrence when the farm records traces (a corpus
+// store is configured).
+type FindingRecord struct {
+	// Signature is the de-duplication key.
+	Signature core.Signature
+	// Finding is the first occurrence.
+	Finding core.Finding
+	// Devices lists the target names (catalog IDs or custom spec names)
+	// that exhibited it, sorted.
+	Devices []string
+	// Kinds lists the fuzzer kinds that produced it, in the engine
+	// table's order.
+	Kinds []Kind
+	// Count sums occurrences across all jobs.
+	Count int
+	// Dump is the first non-empty crash artefact.
+	Dump string
+	// Known marks a signature the configured corpus store already held
+	// before this farm run: a reproduction of yesterday's finding, not
+	// a new one. Known findings are still counted and listed, but they
+	// are not announced as new and not re-written to the store.
+	Known bool
+}
+
+// Finding is a finding record: a signature the farm saw for the first
+// time, as it stood when the job that brought it folded.
+type Finding struct {
+	Record FindingRecord `json:"record"`
+	Job    Job           `json:"job"`
+	Progress
+}
+
+// Deterministic is the finding record without the parts that depend
+// on which job folded its signature first, which is worker scheduling:
+// the first-sight snapshot (occurrence, devices, kinds, count and
+// dump), the job and the progress counters. What is left, the
+// signature and whether the corpus already knew it, is a pure function
+// of the config; the occurrences themselves are compared job by job in
+// the job-done records.
+func (f Finding) Deterministic() Finding {
+	return Finding{Record: FindingRecord{Signature: f.Record.Signature, Known: f.Record.Known}}
 }
 
 // WorkerChange is a worker record: one executor worker lifecycle

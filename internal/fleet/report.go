@@ -81,30 +81,8 @@ func (r *JobResult) setOutcome(o record.Outcome) {
 type Signature = core.Signature
 
 // FindingRecord is one de-duplicated finding with its farm-wide
-// provenance. Finding.Trace carries the recorded repro trace of the
-// canonical first occurrence when the farm records traces (a corpus
-// store is configured).
-type FindingRecord struct {
-	// Signature is the de-duplication key.
-	Signature Signature
-	// Finding is the first occurrence.
-	Finding core.Finding
-	// Devices lists the target names (catalog IDs or custom spec names)
-	// that exhibited it, sorted.
-	Devices []string
-	// Kinds lists the fuzzer kinds that produced it, in AllKinds order.
-	Kinds []Kind
-	// Count sums occurrences across all jobs.
-	Count int
-	// Dump is the first non-empty crash artefact.
-	Dump string
-	// Known marks a signature the configured corpus store already held
-	// before this farm run: a reproduction of yesterday's finding, not
-	// a new one. Known findings are still counted and listed, but they
-	// are not announced as new (no EventNewFinding) and not re-written
-	// to the store.
-	Known bool
-}
+// provenance; see record.FindingRecord.
+type FindingRecord = record.FindingRecord
 
 // CorpusStats summarises a farm's interaction with its corpus store.
 type CorpusStats struct {

@@ -56,22 +56,39 @@ func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
 // Encode marshals v and writes it as one frame.
 func (e *Encoder) Encode(v any) error {
-	payload, err := json.Marshal(v)
+	frame, err := appendFrame(e.buf[:0], v)
 	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+		return err
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	e.buf = e.buf[:0]
-	var hdr [headerSize]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	e.buf = append(e.buf, hdr[:]...)
-	e.buf = append(e.buf, payload...)
-	if _, err := e.w.Write(e.buf); err != nil {
+	e.buf = frame
+	return e.WriteFrame(frame)
+}
+
+// Frame marshals v into one complete frame, for a message written
+// unchanged to many streams with WriteFrame: it is encoded once, not
+// once per stream.
+func Frame(v any) ([]byte, error) { return appendFrame(nil, v) }
+
+// WriteFrame writes a frame built by Frame in one Write.
+func (e *Encoder) WriteFrame(frame []byte) error {
+	if _, err := e.w.Write(frame); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
+}
+
+// appendFrame appends v's frame, length prefix and JSON payload, to
+// dst.
+func appendFrame(dst []byte, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	if err != nil {
+		return dst, fmt.Errorf("wire: marshal: %w", err)
+	}
+	if len(payload) > MaxFrame {
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...), nil
 }
 
 // Decoder reads framed JSON messages from a stream. Not safe for

@@ -32,15 +32,15 @@ func TestWireSchemaGolden(t *testing.T) {
 	}
 
 	flatten("hello", wireHello{Version: wireVersion, PID: 4242})
-	fc := wireFarm{Version: wireVersion, CampaignRuns: 2, Variants: AblationVariants(), Record: true, Counters: true}
-	full := fc
-	full.MeasurementGrade = true
-	flatten("farm", full)
-
 	cfg, err := journalMatrix(1).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc := wireFarm{Version: wireVersion, CampaignRuns: 2, Variants: AblationVariants(), Targets: cfg.targets, Record: true, Counters: true}
+	full := fc
+	full.MeasurementGrade = true
+	flatten("farm", full)
+
 	findings := 0
 	for _, job := range buildJobs(cfg) {
 		wj := wireJob{Job: record.Job(job)}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/core"
 	"l2fuzz/internal/fleet/record"
@@ -30,7 +31,9 @@ import (
 // coordinator can split a proc job's wall into transport vs execute.
 // Version 3 sends the matrix's variants in wireFarm, once per session,
 // so a worker resolves a job's variant as the in-process pool does.
-const wireVersion = 3
+// Version 4 sends the resolved target specs in wireFarm the same way,
+// and a job names its target by device alone.
+const wireVersion = 4
 
 // wireHello is the worker's opening message.
 type wireHello struct {
@@ -47,6 +50,9 @@ type wireFarm struct {
 	CampaignRuns     int  `json:"campaignRuns"`
 	// Variants is the matrix's variant axis; each job names its entry.
 	Variants []Variant `json:"variants"`
+	// Targets is the matrix's resolved device axis; each job names its
+	// entry. Names are unique within a farm.
+	Targets []*device.Spec `json:"targets"`
 	// Record makes the worker's rigs record repro traces (the
 	// coordinator holds a corpus store the worker cannot see).
 	Record bool `json:"record,omitempty"`
@@ -55,11 +61,11 @@ type wireFarm struct {
 	Counters bool `json:"counters,omitempty"`
 }
 
-// wireJob is one job assignment: the job in its record form. The
-// resolved target spec travels inline — specs are pure data since
-// defects became declarative — so a worker needs no target catalog of
-// its own and custom targets work unchanged. The job's variant travels
-// by name, resolved against the session's wireFarm.Variants.
+// wireJob is one job assignment: the job in its record form. Its
+// target and variant travel by name, resolved against the session's
+// wireFarm.Targets and wireFarm.Variants — specs are pure data since
+// defects became declarative, so a worker needs no target catalog of
+// its own and custom targets work unchanged.
 type wireJob struct {
 	record.Job
 	// StartedNs is the job's span context: the offset on the farm's
@@ -133,6 +139,16 @@ func fromWireResult(wr wireResult, job Job, workerID string) JobResult {
 	return res
 }
 
+// target resolves a target name against the session's targets.
+func (fc wireFarm) target(name string) *device.Spec {
+	for _, t := range fc.Targets {
+		if t != nil && t.Name == name {
+			return t
+		}
+	}
+	return nil
+}
+
 // RunWorker runs the farm worker loop of a subprocess spawned by
 // ProcExecutor: speak the wire protocol on r/w (the process's
 // stdin/stdout), executing one job at a time until the coordinator
@@ -168,6 +184,8 @@ func RunWorker(r io.Reader, w io.Writer) error {
 
 // workerRun executes one wire job with a per-job config rebuilt from
 // the farm message, mirroring what runJob sees under local execution.
+// A job naming a target the session does not hold fails, as a job
+// whose rig cannot be built does; the session goes on.
 func workerRun(fc wireFarm, wj wireJob) wireResult {
 	cfg := Config{
 		MeasurementGrade: fc.MeasurementGrade,
@@ -181,8 +199,13 @@ func workerRun(fc wireFarm, wj wireJob) wireResult {
 		local = &telemetry.Counters{}
 		cfg.Counters = local
 	}
+	job := Job(wj.Job)
+	job.Spec = fc.target(job.Device)
+	if job.Spec == nil {
+		return wireResult{Index: wj.Index, Err: fmt.Sprintf("worker session holds no target %q", job.Device), StartedNs: wj.StartedNs}
+	}
 	execStart := time.Now()
-	res := runJob(cfg, Job(wj.Job))
+	res := runJob(cfg, job)
 	o := res.outcome()
 	wr := wireResult{
 		Index:       wj.Index,

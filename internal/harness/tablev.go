@@ -71,15 +71,20 @@ func TableV() []TableVRow {
 	return rows
 }
 
-// RenderTableV prints the rows the way the paper's Table V reads.
+// RenderTableV prints the rows the way the paper's Table V reads. The
+// Model column is as wide as its longest entry.
 func RenderTableV(rows []TableVRow) string {
+	modelW := len("Model")
+	for _, r := range rows {
+		modelW = max(modelW, len(r.Model))
+	}
 	var b strings.Builder
 	b.WriteString("Table V: Summary of test devices used in the experiments\n")
-	fmt.Fprintf(&b, "%-3s %-11s %-8s %-28s %-5s %-14s %-14s %-9s %-6s\n",
-		"No.", "Type", "Vendor", "Model", "Year", "OS or FW", "BT Stack", "BT Ver.", "Ports")
+	fmt.Fprintf(&b, "%-3s %-11s %-8s %-*s %-5s %-14s %-14s %-9s %-6s\n",
+		"No.", "Type", "Vendor", modelW, "Model", "Year", "OS or FW", "BT Stack", "BT Ver.", "Ports")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-3s %-11s %-8s %-28s %-5d %-14s %-14s %-9s %-6d\n",
-			r.ID, r.Type, r.Vendor, r.Model, r.Year, r.OS, r.Stack, r.BTVersion, r.Ports)
+		fmt.Fprintf(&b, "%-3s %-11s %-8s %-*s %-5d %-14s %-14s %-9s %-6d\n",
+			r.ID, r.Type, r.Vendor, modelW, r.Model, r.Year, r.OS, r.Stack, r.BTVersion, r.Ports)
 	}
 	return b.String()
 }

@@ -39,20 +39,21 @@ type WorkerChange struct {
 	record.WorkerChange
 }
 
-// Run is one parsed journal, ready for the figure builders.
+// Run is one parsed journal, ready for the figure builders and Diff.
 type Run struct {
-	Header  record.Header
-	Jobs    []JobDone // in journal (fold) order
-	Samples []Sample
-	Workers []WorkerChange
+	Header   record.Header
+	Jobs     []JobDone // in journal (fold) order
+	Findings []record.Finding
+	Samples  []Sample
+	Workers  []WorkerChange
 	// Duration is the largest envelope offset in the journal — the
 	// run's observed wall extent on its own monotonic clock.
 	Duration time.Duration
 }
 
 // Parse decodes a farm journal stream. The journal must open with a
-// farm header of a schema version this package reads; records the
-// figures do not consume (job-started, finding) are skipped. A journal
+// farm header of a schema version this package reads; job-started
+// records, which nothing here consumes, are skipped. A journal
 // whose writer died mid-record parses into the run of its complete
 // records, returned with an error wrapping telemetry.ErrTornJournal.
 func Parse(r io.Reader) (*Run, error) {
@@ -80,6 +81,12 @@ func Parse(r io.Reader) (*Run, error) {
 				return fmt.Errorf("analyze: %w", err)
 			}
 			run.Jobs = append(run.Jobs, JobDone{At: rec.Offset, Result: res})
+		case record.TypeFinding:
+			var f record.Finding
+			if err := json.Unmarshal(rec.Data, &f); err != nil {
+				return fmt.Errorf("analyze: finding record: %w", err)
+			}
+			run.Findings = append(run.Findings, f)
 		case telemetry.RecordSample:
 			var s Sample
 			if err := json.Unmarshal(rec.Data, &s.CounterSnapshot); err != nil {

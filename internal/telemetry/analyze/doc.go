@@ -11,7 +11,7 @@
 // The journal's records are decoded into the farm's own record types
 // (internal/fleet/record), the package the farm writes them with, so
 // the analyzer depends on the record format and never imports the
-// fleet package. It reads schema versions 2 and 3, and like the fleet's
+// fleet package. It reads schema versions 2 to 4, and like the fleet's
 // replay it rejects a job result with a negative duration and returns
 // the complete records of a journal with a torn last line. Renderers
 // produce aligned text tables (Render*), CSV (*CSV) and self-contained
@@ -19,5 +19,7 @@
 // so outputs are diffable and goldenable. CompareTrend diffs two runs'
 // coverage curves — exact on final totals, tolerance-banded on
 // normalized area-under-curve — which is the CI regression gate
-// cmd/l2journal exposes as "l2journal trend".
+// cmd/l2journal exposes as "l2journal trend". Diff compares two runs of
+// one config job by job on the fields the record types declare
+// deterministic ("l2journal diff", the same-behaviour check).
 package analyze

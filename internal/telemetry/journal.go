@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -51,12 +52,27 @@ type Journal struct {
 	now   func() time.Time
 	epoch time.Time
 	err   error
+	// line is the record being built, and enc encodes payloads onto
+	// its end; both are reused from record to record.
+	line lineBuffer
+	enc  *json.Encoder
+}
+
+// lineBuffer is a byte slice as an io.Writer, so a json.Encoder
+// appends to it in place.
+type lineBuffer struct{ b []byte }
+
+func (l *lineBuffer) Write(p []byte) (int, error) {
+	l.b = append(l.b, p...)
+	return len(p), nil
 }
 
 // NewJournal wraps an arbitrary writer as a journal. Close does not
 // close the writer.
 func NewJournal(w io.Writer) *Journal {
-	return &Journal{w: w, now: time.Now, epoch: time.Now()}
+	j := &Journal{w: w, now: time.Now, epoch: time.Now()}
+	j.enc = json.NewEncoder(&j.line)
+	return j
 }
 
 // OpenJournal creates dir (and parents) and opens a fresh JournalFile
@@ -106,46 +122,59 @@ func (j *Journal) SetEpoch(t time.Time) {
 	j.mu.Unlock()
 }
 
-// Write appends one record of the given type. The payload is marshaled
-// first so an unmarshalable payload never emits a half-written line.
+// Write appends one record of the given type. The envelope and the
+// payload are encoded once, into the journal's own line buffer, and
+// the line goes out in one Write only once it is complete, so an
+// unmarshalable payload never emits a half-written line. The bytes are
+// json.Marshal's of the Record plus a newline.
 func (j *Journal) Write(typ string, data any) error {
-	payload, err := json.Marshal(data)
-	if err != nil {
-		return j.fail(fmt.Errorf("telemetry: marshal %s record: %w", typ, err))
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return j.err
 	}
 	now := j.now()
-	off := now.Sub(j.epoch)
-	if off < 0 {
-		// A record predating the epoch (written before the farm re-based
-		// it) clamps to zero rather than going negative: analyzers treat
-		// offsets as positions on the run's time axis.
-		off = 0
-	}
-	line, err := json.Marshal(Record{Time: now.UTC(), Offset: off, Type: typ, Data: payload})
+	// A record predating the epoch (written before the farm re-based
+	// it) clamps to zero rather than going negative: analyzers treat
+	// offsets as positions on the run's time axis.
+	off := max(now.Sub(j.epoch), 0)
+	b := append(j.line.b[:0], `{"time":"`...)
+	b, err := now.UTC().AppendText(b)
 	if err != nil {
 		j.err = fmt.Errorf("telemetry: marshal %s envelope: %w", typ, err)
 		return j.err
 	}
-	line = append(line, '\n')
-	if _, err := j.w.Write(line); err != nil {
+	b = append(b, `","offsetNs":`...)
+	b = strconv.AppendInt(b, int64(off), 10)
+	b = append(b, `,"type":`...)
+	b = appendJSONString(b, typ)
+	j.line.b = append(b, `,"data":`...)
+	if err := j.enc.Encode(data); err != nil {
+		j.err = fmt.Errorf("telemetry: marshal %s record: %w", typ, err)
+		return j.err
+	}
+	// Encode ends the payload with a newline: close the envelope
+	// before it.
+	j.line.b = append(j.line.b[:len(j.line.b)-1], '}', '\n')
+	if _, err := j.w.Write(j.line.b); err != nil {
 		j.err = fmt.Errorf("telemetry: write %s record: %w", typ, err)
 		return j.err
 	}
 	return nil
 }
 
-func (j *Journal) fail(err error) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err == nil {
-		j.err = err
+// appendJSONString appends s as encoding/json encodes a string. Record
+// types are plain ASCII tags, which need no escaping.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
 	}
-	return j.err
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Err reports the first error the journal hit, if any.

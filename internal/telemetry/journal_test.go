@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -186,4 +187,71 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestJournalWriteMatchesMarshal pins Write's one-buffer encoding to
+// encoding/json's: each line is json.Marshal of its Record plus a
+// newline, for payloads encoding/json HTML-escapes, type tags that need
+// escaping, and a clock off UTC with sub-second readings and one before
+// the epoch.
+func TestJournalWriteMatchesMarshal(t *testing.T) {
+	zone := time.FixedZone("UTC+5:30", 5*3600+1800)
+	base := time.Date(2026, 8, 8, 17, 30, 0, 0, zone)
+	// Reading 0 is the epoch SetClock takes; reading 2 predates it, so
+	// its offset clamps to zero.
+	clock := func(n int) time.Time {
+		if n == 2 {
+			return base.Add(-time.Second)
+		}
+		return base.Add(time.Duration(n) * 1234567891)
+	}
+	var buf bytes.Buffer
+	j := NewJournal(&buf)
+	n := 0
+	j.SetClock(func() time.Time { n++; return clock(n - 1) })
+
+	type write struct {
+		typ  string
+		data any
+	}
+	writes := []write{
+		{"farm", map[string]any{"html": "<a href=\"x\">&amp;</a>", "n": 1}},
+		{"job-done", struct {
+			S  string  `json:"s"`
+			F  float64 `json:"f"`
+			Ls []int   `json:"ls"`
+		}{"\u2028 line & <sep>", 0.1, nil}},
+		{RecordSample, nil},
+	}
+	for _, typ := range []string{"a<b", "a>b", "a&b", `a"b`, `a\b`, "a\tb", "a\u2028b", "aéb"} {
+		writes = append(writes, write{typ, []string{typ}})
+	}
+	var want []byte
+	for i, w := range writes {
+		if err := j.Write(w.typ, w.data); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(w.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := clock(i + 1)
+		line, err := json.Marshal(Record{Time: now.UTC(), Offset: max(now.Sub(base), 0), Type: w.typ, Data: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, line...), '\n')
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Write's lines differ from json.Marshal's:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
+	}
+
+	// An unmarshalable payload latches an error and writes nothing.
+	before := buf.Len()
+	if err := j.Write("bad", func() {}); err == nil {
+		t.Fatal("unmarshalable payload accepted")
+	}
+	if buf.Len() != before {
+		t.Fatalf("a failed write emitted %q", buf.Bytes()[before:])
+	}
 }

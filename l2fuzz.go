@@ -431,9 +431,10 @@ func DecodeTelemetryJournal(r io.Reader, fn func(TelemetryRecord) error) error {
 // aggregator and returns the reconstructed farm report. cfg must
 // describe the same job matrix the journal was recorded from; the
 // reconstructed report matches the live one exactly (the farm-level
-// Wall aside, which only the live farm's clock can stamp). A journal
-// with a torn last line replays into the report of its complete
-// records, returned together with a non-nil error.
+// Wall aside, which only the live farm's clock can stamp). Journal
+// schema versions 3 and 4 are read. A journal with a torn last line
+// replays into the report of its complete records, returned together
+// with a non-nil error.
 func ReplayFleetJournal(cfg FleetConfig, r io.Reader) (*FleetReport, error) {
 	return fleet.ReplayJournal(cfg, r)
 }
