@@ -253,7 +253,7 @@ type fleetBenchCase struct {
 
 // fleetBenchCases is the recorded fleet trajectory: the three worker
 // counts, a telemetry-on point whose overhead against the plain
-// workers=4 point is the budget the telemetry hot path must hold, a
+// workers=4 point is the budget telemetry must hold, a
 // process-isolated point whose overhead against the same baseline
 // prices the executor's serialization and pipe transport, an engines
 // point that runs every fuzzer kind, not L2Fuzz alone, and a corpus
@@ -271,7 +271,7 @@ var fleetBenchCases = []fleetBenchCase{
 
 // fleetBenchRun executes one BenchmarkFleet matrix once: eight devices ×
 // L2Fuzz × two shards at 50k packets. With telemetry on, the farm
-// carries hot-path counters and writes a discarded run journal — the
+// carries farm counters and writes a discarded run journal — the
 // full recording stack minus the disk. With proc on, jobs run in worker
 // subprocesses (re-executions of this test binary, see TestMain)
 // instead of the in-process pool. With engines on, the matrix is

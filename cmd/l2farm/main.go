@@ -260,25 +260,11 @@ func run() error {
 	if *telemetry != "" || *journalDir != "" {
 		cfg.Counters = &l2fuzz.TelemetryCounters{}
 	}
-	if *journalDir == "" {
-		if *journalEvery != time.Second {
-			return fmt.Errorf("-journal-interval requires -journal")
-		}
-	} else {
-		if *journalEvery <= 0 {
-			return fmt.Errorf("-journal-interval must be positive, got %v", *journalEvery)
-		}
-		runDir := filepath.Join(*journalDir,
-			fmt.Sprintf("run-%s-%d", time.Now().UTC().Format("20060102-150405"), os.Getpid()))
-		journal, err := l2fuzz.OpenTelemetryJournal(runDir)
-		if err != nil {
-			return err
-		}
-		cfg.Journal = journal
-		// The header records the sampler period so an analyzer can label
-		// the sampled series' time axis honestly.
-		cfg.SampleInterval = *journalEvery
-		fmt.Fprintln(os.Stderr, "l2farm: journaling to", filepath.Join(runDir, l2fuzz.TelemetryJournalFile))
+	if *journalDir == "" && *journalEvery != time.Second {
+		return fmt.Errorf("-journal-interval requires -journal")
+	}
+	if *journalDir != "" && *journalEvery <= 0 {
+		return fmt.Errorf("-journal-interval must be positive, got %v", *journalEvery)
 	}
 	switch *devices {
 	case "all":
@@ -345,9 +331,31 @@ func run() error {
 		}
 	}
 
+	var runDir string
+	if *journalDir != "" {
+		runDir = filepath.Join(*journalDir,
+			fmt.Sprintf("run-%s-%d", time.Now().UTC().Format("20060102-150405"), os.Getpid()))
+		journal, err := l2fuzz.OpenTelemetryJournal(runDir)
+		if err != nil {
+			return err
+		}
+		cfg.Journal = journal
+		// The header records the sampler period so an analyzer can label
+		// the sampled series' time axis honestly.
+		cfg.SampleInterval = *journalEvery
+	}
 	farm, err := l2fuzz.StartFleet(cfg)
 	if err != nil {
+		if cfg.Journal != nil {
+			// A refused farm leaves no run directory behind: an empty
+			// journal would shadow the last complete run in l2journal.
+			cfg.Journal.Close()
+			os.RemoveAll(runDir)
+		}
 		return err
+	}
+	if cfg.Journal != nil {
+		fmt.Fprintln(os.Stderr, "l2farm: journaling to", filepath.Join(runDir, l2fuzz.TelemetryJournalFile))
 	}
 	if *telemetry != "" {
 		srv, err := l2fuzz.ServeTelemetry(*telemetry, l2fuzz.TelemetryServerConfig{

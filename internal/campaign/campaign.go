@@ -19,7 +19,6 @@ import (
 	"l2fuzz/internal/bt/device"
 	"l2fuzz/internal/bt/host"
 	"l2fuzz/internal/core"
-	"l2fuzz/internal/telemetry"
 )
 
 // Config parameterises a campaign. A zero bound means its default; a
@@ -34,8 +33,6 @@ type Config struct {
 	// Ablation switches off design choices in every run, as a fleet
 	// ablation variant does for its campaign jobs.
 	Ablation core.Ablation
-	// Counters, when set, receives every run's hot-path telemetry.
-	Counters *telemetry.Counters
 }
 
 // The campaign defaults: up to eight runs of 250,000 packets, stopping
@@ -68,6 +65,10 @@ type Report struct {
 	Resets int
 	// TotalPackets sums packets across runs.
 	TotalPackets int
+	// TotalMalformed sums malformed test packets across runs.
+	TotalMalformed int
+	// TotalMutations sums generated test packets across runs.
+	TotalMutations int
 	// TotalElapsed sums simulated run time.
 	TotalElapsed time.Duration
 	// Findings are the de-duplicated findings in first-seen order.
@@ -121,7 +122,6 @@ func (r *Runner) Run() (*Report, error) {
 		fz := core.New(r.cl, core.Config{
 			Seed:       r.cfg.Seed + int64(run)*7919,
 			MaxPackets: r.cfg.MaxPacketsPerRun,
-			Counters:   r.cfg.Counters,
 			Ablation:   r.cfg.Ablation,
 		})
 		res, err := fz.Run(r.dev.Address())
@@ -130,6 +130,8 @@ func (r *Runner) Run() (*Report, error) {
 		}
 		report.Runs++
 		report.TotalPackets += res.PacketsSent
+		report.TotalMalformed += res.MalformedSent
+		report.TotalMutations += res.Mutations
 		report.TotalElapsed += res.Elapsed
 
 		if !res.Found {

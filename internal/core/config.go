@@ -3,8 +3,6 @@ package core
 import (
 	"io"
 	"time"
-
-	"l2fuzz/internal/telemetry"
 )
 
 // Config parameterises an L2Fuzz run. A zero field means its default,
@@ -18,11 +16,6 @@ type Config struct {
 	MaxPackets int
 	// LogWriter receives the run log; nil discards it.
 	LogWriter io.Writer
-	// Counters, when set, receives hot-path telemetry: the run's packet,
-	// malformed-packet and mutation tallies, kept locally and flushed
-	// through the batched Add* forms at every liveness probe and at run
-	// end, so no atomic sits on the per-packet path.
-	Counters *telemetry.Counters
 	// Ablation switches off design choices for the §IV-D study; the
 	// zero value runs L2Fuzz as published.
 	Ablation

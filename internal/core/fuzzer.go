@@ -29,6 +29,8 @@ type Report struct {
 	// MalformedSent counts the test packets whose mutation made them
 	// malformed.
 	MalformedSent int
+	// Mutations counts the test packets the mutator generated.
+	Mutations int
 	// StatesTested lists the states whose setup succeeded at least once.
 	StatesTested []sm.State
 	// Cycles counts completed port sweeps.
@@ -49,28 +51,6 @@ type Fuzzer struct {
 	sincePing     int
 	statesTested  map[sm.State]bool
 	logw          io.Writer
-
-	// flushedPackets/Malformed/Mutations mark how much of the tallies
-	// above has been published to cfg.Counters: telemetry flushes as
-	// deltas at probe points and at run end, keeping atomics off the
-	// per-packet path.
-	flushedPackets   int
-	flushedMalformed int
-	flushedMutations int
-}
-
-// flushCounters publishes the tally growth since the last flush to the
-// telemetry counters. No-op without counters.
-func (f *Fuzzer) flushCounters() {
-	if f.cfg.Counters == nil {
-		return
-	}
-	f.cfg.Counters.AddPackets(f.packetsSent - f.flushedPackets)
-	f.cfg.Counters.AddMalformed(f.malformedSent - f.flushedMalformed)
-	f.cfg.Counters.AddMutations(f.mutationsDone - f.flushedMutations)
-	f.flushedPackets = f.packetsSent
-	f.flushedMalformed = f.malformedSent
-	f.flushedMutations = f.mutationsDone
 }
 
 // New builds a fuzzer over an existing tester client.
@@ -114,12 +94,12 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 
 	report := &Report{Scan: scan}
 	finish := func(found bool, finding Finding) (*Report, error) {
-		f.flushCounters()
 		report.Found = found
 		report.Finding = finding
 		report.Elapsed = f.cl.Clock().Now() - start
 		report.PacketsSent = f.packetsSent
 		report.MalformedSent = f.malformedSent
+		report.Mutations = f.mutationsDone
 		for _, s := range sm.AllStates() {
 			if f.statesTested[s] {
 				report.StatesTested = append(report.StatesTested, s)
@@ -206,10 +186,6 @@ func (f *Fuzzer) fuzzState(state sm.State, psm l2cap.PSM) (Finding, bool) {
 			f.sincePing = 0
 			class := ProbeLiveness(f.cl, f.target)
 			f.packetsSent++ // the echo probe is a transmitted packet
-			// Probe points double as telemetry flush points: frequent
-			// enough for fresh live samples, rare enough that the atomics
-			// stay off the per-packet path.
-			f.flushCounters()
 			if class == ErrNone {
 				continue
 			}

@@ -79,10 +79,7 @@ func Replay(e Entry, cfg ReplayConfig) (*ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rig, err := testbed.New(spec, testbed.Options{
-		RFCOMM:     e.Kind == kindRFCOMM,
-		TesterName: "l2repro",
-	})
+	rig, err := testbed.New(spec, testbed.Options{RFCOMM: e.Kind == kindRFCOMM})
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"l2fuzz/internal/fuzzers/bss"
 	"l2fuzz/internal/fuzzers/defensics"
 	"l2fuzz/internal/rfcommfuzz"
+	"l2fuzz/internal/telemetry"
 	"l2fuzz/internal/testbed"
 )
 
@@ -40,8 +41,10 @@ type Engine interface {
 	// rig is built holds for the whole job.
 	TraceBudget(cfg Config, job Job) int
 	// Run executes the job on its private rig, folding the outcome into
-	// res. Run reports failures through res.Err, never by panicking: one
-	// failed cell must not bring the farm down.
+	// res. An engine built on the L2Fuzz core merges the core's packet,
+	// malformed and mutation totals into cfg.Counters once, after a
+	// successful run. Run reports failures through res.Err, never by
+	// panicking: one failed cell must not bring the farm down.
 	Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *JobResult)
 }
 
@@ -98,13 +101,14 @@ func (l2fuzzEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *Job
 	report, err := core.New(r.Client, core.Config{
 		Seed:       job.Seed,
 		MaxPackets: job.MaxPackets,
-		Counters:   cfg.Counters,
 		Ablation:   v.Ablation,
 	}).Run(r.Device.Address())
 	if err != nil {
 		res.Err = err
 		return
 	}
+	cfg.Counters.Merge(telemetry.CounterSnapshot{Packets: int64(report.PacketsSent),
+		Malformed: int64(report.MalformedSent), Mutations: int64(report.Mutations)})
 	res.PacketsSent = report.PacketsSent
 	res.Elapsed = report.Elapsed
 	if report.Found {
@@ -200,12 +204,13 @@ func (campaignEngine) Run(cfg Config, r *testbed.Rig, job Job, v Variant, res *J
 		MaxRuns:          cfg.CampaignRuns,
 		MaxPacketsPerRun: job.MaxPackets,
 		Ablation:         v.Ablation,
-		Counters:         cfg.Counters,
 	}).Run()
 	if err != nil {
 		res.Err = err
 		return
 	}
+	cfg.Counters.Merge(telemetry.CounterSnapshot{Packets: int64(report.TotalPackets),
+		Malformed: int64(report.TotalMalformed), Mutations: int64(report.TotalMutations)})
 	res.PacketsSent = report.TotalPackets
 	res.Elapsed = report.TotalElapsed
 	for _, f := range report.Findings {

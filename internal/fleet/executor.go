@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"time"
 )
@@ -24,7 +23,7 @@ type Executor interface {
 	// non-nil error is a transport failure — the job did not run to
 	// completion and the farm may requeue it on another worker. Failures
 	// of the job itself travel inside JobResult.Err.
-	Execute(ctx context.Context, job Job) (JobResult, error)
+	Execute(job Job) (JobResult, error)
 	// Close releases the executor's resources. The farm calls it after
 	// the last job is accounted for.
 	Close() error
@@ -82,7 +81,7 @@ func (e *LocalExecutor) Start(cfg Config) error {
 // failure in the result. Execution starts immediately — StartedNs is
 // stamped here and ExecNs measured around the run, so a local job's
 // Span.Transport is (near) zero by construction.
-func (e *LocalExecutor) Execute(_ context.Context, job Job) (JobResult, error) {
+func (e *LocalExecutor) Execute(job Job) (JobResult, error) {
 	started := time.Now()
 	res := runJob(e.cfg, job)
 	res.Worker = LocalWorkerID

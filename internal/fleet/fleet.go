@@ -113,14 +113,14 @@ type Config struct {
 	// A later cmd/l2repro (or corpus.Replay) can then reproduce,
 	// minimize and triage any stored finding on a fresh rig.
 	Corpus *corpus.Store
-	// Counters, when set, receives the farm's hot-path telemetry: frame
-	// and byte counts from the rigs' radio media, packet and mutation
-	// counts from the fuzzer cores, and job/finding counts from the
-	// worker loop. Share the same Counters with a telemetry server to
-	// watch the farm live. Traffic counts batch per job — each job tallies
-	// into a private Counters merged in at job end, keeping shared cache
-	// lines off the per-packet path — while job and finding counts land
-	// as they happen.
+	// Counters, when set, receives the farm's telemetry: frame and byte
+	// counts from the rigs' radio media, the L2Fuzz core's packet,
+	// malformed and mutation counts (L2Fuzz and Campaign jobs), and
+	// job/finding counts from the worker loop. Share the same Counters
+	// with a telemetry server to watch the farm live. A job's traffic
+	// lands once, when the job completes — per-packet bumps to a shared
+	// cache line cost about 9% of farm throughput — while job and
+	// finding counts land as they happen.
 	Counters *telemetry.Counters
 	// Journal, when set, persists the farm run as structured JSONL: a
 	// farm header at Start, then every job start, job result and fresh

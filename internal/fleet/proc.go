@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -196,8 +195,8 @@ func (e *ProcExecutor) spawn(i int, fc []byte) (*procWorker, error) {
 // Execute ships the job to an idle worker and waits for its result. A
 // transport failure retires the worker and is returned for the farm to
 // requeue the job elsewhere.
-func (e *ProcExecutor) Execute(ctx context.Context, job Job) (JobResult, error) {
-	w, err := e.acquire(ctx)
+func (e *ProcExecutor) Execute(job Job) (JobResult, error) {
+	w, err := e.acquire()
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -212,7 +211,7 @@ func (e *ProcExecutor) Execute(ctx context.Context, job Job) (JobResult, error) 
 
 // acquire takes an idle worker, preferring one over noticing that the
 // pool has died.
-func (e *ProcExecutor) acquire(ctx context.Context) (*procWorker, error) {
+func (e *ProcExecutor) acquire() (*procWorker, error) {
 	select {
 	case w := <-e.idle:
 		return w, nil
@@ -223,8 +222,6 @@ func (e *ProcExecutor) acquire(ctx context.Context) (*procWorker, error) {
 		return w, nil
 	case <-e.deadCh:
 		return nil, ErrNoWorkers
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
 }
 
@@ -262,8 +259,8 @@ func (e *ProcExecutor) runOn(w *procWorker, job Job) (JobResult, error) {
 		return JobResult{}, fmt.Errorf("answered span %v while running span %v of job %d", wr.StartedNs, wj.StartedNs, job.Index)
 	}
 	if wr.Counters != nil {
-		// Fold the worker's per-job telemetry delta into the farm's
-		// counters — the subprocess form of runJob's local-merge.
+		// Fold the worker's per-job counters into the farm's, as
+		// runJob's end-of-job merges do in process.
 		e.cfg.Counters.Merge(*wr.Counters)
 	}
 	return fromWireResult(wr, job, w.id), nil

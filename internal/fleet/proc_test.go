@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"l2fuzz/internal/bt/device"
+	"l2fuzz/internal/core"
 	"l2fuzz/internal/corpus"
 	"l2fuzz/internal/fleet/record"
 	"l2fuzz/internal/fleet/wire"
@@ -176,6 +178,57 @@ func TestProcCountersFoldBackExactly(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ls, ps) {
 		t.Errorf("proc counters differ from local:\nlocal: %+v\nproc:  %+v", ls, ps)
+	}
+}
+
+// TestFarmCountersGolden pins every farm counter of a 64-job farm (D2
+// and D5 × every kind × the baseline and a custom stateless variant × 2
+// shards) in process and on worker subprocesses. Where a job's traffic
+// reaches the counters may move; what the counters read may not.
+func TestFarmCountersGolden(t *testing.T) {
+	run := func(exec Executor) telemetry.CounterSnapshot {
+		cfg := Config{
+			Devices: []string{"D2", "D5"},
+			Kinds:   AllKinds(),
+			Variants: []Variant{
+				BaselineVariant(),
+				{Name: "stateless", Ablation: core.Ablation{NoStateGuiding: true}},
+			},
+			Shards:           2,
+			BaseSeed:         7,
+			Workers:          2,
+			MaxPacketsPerJob: 20_000,
+			CampaignRuns:     2,
+			Counters:         &telemetry.Counters{},
+			Executor:         exec,
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Counters.Snapshot()
+	}
+	golden := "testdata/counters.golden"
+	for _, ex := range []struct {
+		name string
+		exec Executor
+	}{{"local", nil}, {"proc", NewProcExecutor(procConfig(2))}} {
+		b, err := json.MarshalIndent(run(ex.exec), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := string(b) + "\n"
+		if *updateGolden && ex.exec == nil {
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("read golden (rerun with -update to regenerate): %v", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s farm counters drifted from the golden:\ngot:\n%s\nwant:\n%s", ex.name, got, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"l2fuzz/internal/bt/device"
+	"l2fuzz/internal/bt/radio"
 	"l2fuzz/internal/telemetry"
 	"l2fuzz/internal/testbed"
 )
@@ -21,8 +22,6 @@ func newRig(cfg Config, eng Engine, job Job) (*testbed.Rig, error) {
 	opts := testbed.Options{
 		DisableVulns: cfg.MeasurementGrade,
 		RFCOMM:       eng.NeedsRFCOMM(),
-		TesterName:   "farm-worker",
-		Counters:     cfg.Counters,
 	}
 	if cfg.recordTraces() && eng.ProducesFindings() {
 		// Corpus-backed farms — and proc workers executing for one —
@@ -43,24 +42,24 @@ func newRig(cfg Config, eng Engine, job Job) (*testbed.Rig, error) {
 // absorbs scan and setup traffic.
 func traceLimit(budget int) int { return 2*budget + 4096 }
 
+// frameTally counts the frames and bytes one rig's medium carries. The
+// medium is single-goroutine by contract, so plain fields do.
+type frameTally struct{ frames, bytes int64 }
+
+func (t *frameTally) tap(f radio.TapFrame) {
+	t.frames++
+	t.bytes += int64(len(f.Data))
+}
+
 // runJob executes one job on a fresh rig and folds the outcome into a
 // JobResult. The job's kind resolves to its registered engine and its
 // variant to the entry of that name in cfg.Variants, which a proc
 // worker receives in its session's wireFarm. Job errors are recorded,
 // not returned: one failed cell must not bring the farm down.
+//
+// With cfg.Counters set, the job's frames and bytes land there once, at
+// job end, as the engine's packet totals do at the end of its Run.
 func runJob(cfg Config, job Job) JobResult {
-	if cfg.Counters != nil {
-		// The job counts into a private Counters whose cache lines stay
-		// local to this worker, merged into the farm-wide set once at
-		// job end — per-packet bumps must never bounce a shared cache
-		// line between cores (measured at ~9% farm throughput when they
-		// do). The live endpoint's traffic counters advance per
-		// completed job; the job lifecycle counters stay live.
-		farm := cfg.Counters
-		local := &telemetry.Counters{}
-		cfg.Counters = local
-		defer func() { farm.Merge(local.Snapshot()) }()
-	}
 	res := JobResult{Job: job}
 	eng, ok := EngineFor(job.Kind)
 	if !ok {
@@ -72,10 +71,19 @@ func runJob(cfg Config, job Job) JobResult {
 		res.Err = fmt.Errorf("rig: %w", err)
 		return res
 	}
+	// Built only when counted: a counter-less job allocates nothing for
+	// the tally.
+	var tally *frameTally
+	if cfg.Counters != nil {
+		tally = &frameTally{}
+		r.Medium.AddTap(tally.tap)
+	}
 	eng.Run(cfg, r, job, cfg.variant(job.Variant), &res)
 	res.Crashed = r.Device.Crashed()
 	res.Summary = r.Sniffer.Summary()
-	r.FlushTelemetry()
+	if tally != nil {
+		cfg.Counters.Merge(telemetry.CounterSnapshot{Frames: tally.frames, Bytes: tally.bytes})
+	}
 	return res
 }
 

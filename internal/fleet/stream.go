@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -212,7 +211,7 @@ func (f *Farm) dispatch() {
 	for job := range f.feed {
 		f.emitStarted(job)
 		dispatched := time.Now()
-		res, err := f.exec.Execute(context.Background(), job)
+		res, err := f.exec.Execute(job)
 		if err != nil {
 			if f.requeue(job, err) {
 				continue

@@ -56,8 +56,8 @@ type wireFarm struct {
 	// Record makes the worker's rigs record repro traces (the
 	// coordinator holds a corpus store the worker cannot see).
 	Record bool `json:"record,omitempty"`
-	// Counters makes the worker tally hot-path telemetry per job and
-	// ship the deltas back in each result.
+	// Counters makes the worker count each job's telemetry into a
+	// private Counters and ship its snapshot back in the job's result.
 	Counters bool `json:"counters,omitempty"`
 }
 

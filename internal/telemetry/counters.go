@@ -2,12 +2,14 @@ package telemetry
 
 import "sync/atomic"
 
-// Counters is the farm's hot-path counter set. All methods are safe on
-// a nil receiver and allocate nothing, so instrumented code calls them
-// unconditionally: a run without telemetry pays one nil check per
-// event. One Counters value is shared by every worker of a farm; the
-// fields are independent atomics, so concurrent bumps never contend on
-// a lock.
+// Counters is the farm's counter set. All methods are safe on a nil
+// receiver and allocate nothing, so callers call them unconditionally.
+// One Counters value is shared by every worker of a farm; the fields
+// are independent atomics, so concurrent updates never contend on a
+// lock. Traffic (frames, bytes, packets, malformed packets, mutations)
+// lands through Merge only, once per job: per-packet bumps to a shared
+// cache line cost about 9% of farm throughput. Jobs and findings land
+// as the farm's emit path sees them.
 type Counters struct {
 	frames      atomic.Int64
 	bytes       atomic.Int64
@@ -18,41 +20,6 @@ type Counters struct {
 	jobsStarted atomic.Int64
 	jobsDone    atomic.Int64
 	jobsFailed  atomic.Int64
-}
-
-// AddPackets records n fuzzing packets at once (connection setup
-// traffic is counted in bulk).
-func (c *Counters) AddPackets(n int) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.packets.Add(int64(n))
-}
-
-// AddFrames records frames radio frames carrying bytes payload bytes at
-// once, for taps that tally locally and flush periodically.
-func (c *Counters) AddFrames(frames int, bytes int64) {
-	if c == nil || frames == 0 {
-		return
-	}
-	c.frames.Add(int64(frames))
-	c.bytes.Add(bytes)
-}
-
-// AddMalformed records n malformed packets at once (batch form).
-func (c *Counters) AddMalformed(n int) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.malformed.Add(int64(n))
-}
-
-// AddMutations records n successful mutations at once (batch form).
-func (c *Counters) AddMutations(n int) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.mutations.Add(int64(n))
 }
 
 // AddFindings records n freshly de-duplicated findings.
@@ -83,11 +50,10 @@ func (c *Counters) CountJobDone(failed bool) {
 	}
 }
 
-// Merge folds a snapshot's totals into the counters. This is the batch
-// path contended farms use: each job counts into a private Counters —
-// whose cache lines stay local to one worker — and the worker merges
-// the totals into the farm-wide set when the job completes, so the
-// per-packet hot path never bounces a shared cache line between cores.
+// Merge folds a snapshot's totals into the counters. A job's traffic
+// lands here once, from where the job's result is made: the engine's
+// run report and the job's frame tally in process, or a proc worker's
+// snapshot of its finished job.
 func (c *Counters) Merge(s CounterSnapshot) {
 	if c == nil {
 		return

@@ -7,14 +7,10 @@ import (
 
 func TestCountersNilSafe(t *testing.T) {
 	var c *Counters
-	c.AddFrames(3, 99)
-	c.AddPackets(7)
-	c.AddMalformed(2)
-	c.AddMutations(2)
 	c.AddFindings(3)
 	c.CountJobStarted()
 	c.CountJobDone(true)
-	c.Merge(CounterSnapshot{Packets: 5})
+	c.Merge(CounterSnapshot{Frames: 3, Bytes: 99, Packets: 5, Malformed: 2, Mutations: 2})
 	if got := c.Snapshot(); got != (CounterSnapshot{}) {
 		t.Fatalf("nil Counters snapshot = %+v, want zero", got)
 	}
@@ -24,10 +20,7 @@ func TestCountersNilSafe(t *testing.T) {
 // merged into a shared set must land every field.
 func TestCountersMerge(t *testing.T) {
 	var job Counters
-	job.AddFrames(4, 512)
-	job.AddPackets(100)
-	job.AddMalformed(60)
-	job.AddMutations(99)
+	job.Merge(CounterSnapshot{Frames: 4, Bytes: 512, Packets: 100, Malformed: 60, Mutations: 99})
 	var farm Counters
 	farm.CountJobStarted()
 	farm.Merge(job.Snapshot())
@@ -43,13 +36,8 @@ func TestCountersMerge(t *testing.T) {
 
 func TestCountersSnapshot(t *testing.T) {
 	var c Counters
-	c.AddFrames(1, 100)
-	c.AddFrames(1, 24)
-	c.AddPackets(1)
-	c.AddPackets(9)
-	c.AddMalformed(1)
-	c.AddMutations(1)
-	c.AddMutations(1)
+	c.Merge(CounterSnapshot{Frames: 1, Bytes: 100, Packets: 1, Malformed: 1, Mutations: 1})
+	c.Merge(CounterSnapshot{Frames: 1, Bytes: 24, Packets: 9, Mutations: 1})
 	c.AddFindings(2)
 	c.CountJobStarted()
 	c.CountJobStarted()
@@ -80,8 +68,7 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				c.AddFrames(1, 10)
-				c.AddPackets(1)
+				c.Merge(CounterSnapshot{Frames: 1, Bytes: 10, Packets: 1})
 			}
 		}()
 	}

@@ -1,19 +1,25 @@
-// Package telemetry is the farm's observability layer: hot-path
-// counters, a structured run journal, a live HTTP introspection
-// endpoint and a recorded benchmark trajectory.
+// Package telemetry is the farm's observability layer: farm counters,
+// a structured run journal, a live HTTP introspection endpoint and a
+// recorded benchmark trajectory.
 //
-// The package is a stdlib-only leaf — fleet, testbed and core all
-// import it, so it must import none of them.
+// The package is a stdlib-only leaf. The farm (internal/fleet), the
+// journal analyzer (telemetry/analyze), the root facade, cmd/benchtab,
+// cmd/l2journal and perfbench import it; the packet path — internal/bt,
+// core, campaign, testbed, metrics and the engine packages — does not,
+// and the root package's TestPacketPathImportsNoTelemetry keeps it that
+// way.
 //
 // # Counters
 //
-// Counters is a fixed set of atomic counters the packet path and the
-// worker loop bump as they run: frames and bytes carried on the radio
-// medium (tapped in testbed), packets, malformed packets and mutations
-// generated by the core fuzzer, and jobs/findings from the fleet's
-// emit path. Every method is safe on a nil receiver, so instrumented
-// code calls them unconditionally — an un-instrumented run pays one
-// nil check per event and allocates nothing.
+// Counters is a fixed set of atomic counters. A job's traffic lands
+// once, when the job completes, through Merge: the fleet's engine
+// adapters merge the L2Fuzz core's packet, malformed and mutation
+// totals from their run reports (so those three count L2Fuzz and
+// Campaign jobs only), and the fleet's runJob merges the frames and
+// bytes a tap on the job's radio medium counted. Jobs and findings
+// land from the fleet's emit path as they happen. Every method is
+// safe on a nil receiver, so a farm without telemetry calls them
+// unconditionally and allocates nothing.
 //
 // # Run journal
 //

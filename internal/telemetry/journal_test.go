@@ -36,9 +36,7 @@ func TestJournalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c Counters
-	c.AddFrames(1, 64)
-	c.AddPackets(12)
-	c.AddMutations(1)
+	c.Merge(CounterSnapshot{Frames: 1, Bytes: 64, Packets: 12, Mutations: 1})
 	if err := j.Sample(&c); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 // ServerConfig wires a live farm into the introspection endpoint.
 type ServerConfig struct {
-	// Counters is the farm's hot-path counter set; nil serves zeros.
+	// Counters is the farm's counter set; nil serves zeros.
 	Counters *Counters
 	// Snapshot, when set, returns the value served as JSON under
 	// /snapshot — typically the farm's live Aggregator snapshot.

@@ -18,8 +18,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	var c Counters
-	c.AddFrames(1, 128)
-	c.AddPackets(42)
+	c.Merge(CounterSnapshot{Frames: 1, Bytes: 128, Packets: 42})
 	c.AddFindings(1)
 	h := NewHandler(ServerConfig{
 		Counters: &c,
@@ -96,7 +95,7 @@ func TestHandlerNoSnapshot(t *testing.T) {
 
 func TestServe(t *testing.T) {
 	var c Counters
-	c.AddPackets(1)
+	c.Merge(CounterSnapshot{Packets: 1})
 	s, err := Serve("127.0.0.1:0", ServerConfig{Counters: &c})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"l2fuzz/internal/bt/rfcomm"
 	"l2fuzz/internal/bt/sdp"
 	"l2fuzz/internal/metrics"
-	"l2fuzz/internal/telemetry"
 )
 
 // TesterAddr is the tester endpoint's fixed address: the analogue of
@@ -38,19 +37,6 @@ type Rig struct {
 	// Recorder is the client's trace recorder when Options.Record was
 	// set, nil otherwise.
 	Recorder *host.TraceRecorder
-	// flushTelemetry drains the frame tap's local tally into
-	// Options.Counters; nil when no counters are wired.
-	flushTelemetry func()
-}
-
-// FlushTelemetry drains any locally batched telemetry into the rig's
-// counters. Call it when the rig's traffic is done (the frame tap
-// tallies into plain locals and flushes in batches, so the tail of a
-// run is only visible after a flush). Safe on counter-less rigs.
-func (r *Rig) FlushTelemetry() {
-	if r.flushTelemetry != nil {
-		r.flushTelemetry()
-	}
 }
 
 // Options selects the rig variant.
@@ -65,8 +51,6 @@ type Options struct {
 	// specs expected to be vulnerable also carry the reserved-DLCI mux
 	// defect.
 	RFCOMM bool
-	// TesterName names the tester endpoint; empty means "test-machine".
-	TesterName string
 	// Record attaches a host.TraceRecorder to the rig's client, so every
 	// page, link drop and transmitted frame is captured as a replayable
 	// operation sequence (the corpus subsystem's repro traces).
@@ -76,62 +60,27 @@ type Options struct {
 	// trace truncated rather than dropping its head, because a headless
 	// trace could not replay from a fresh rig.
 	RecordLimit int
-	// Counters, when set, taps the rig's medium so every carried frame
-	// bumps the frame and byte counters. The tap batches locally; call
-	// Rig.FlushTelemetry after the traffic to make the tail visible.
-	Counters *telemetry.Counters
 }
-
-// frameFlushBatch is the frame tap's local batch size: large enough to
-// keep atomics off the per-frame path, small enough that live samples
-// stay fresh at farm frame rates.
-const frameFlushBatch = 256
 
 // New builds a rig around one target spec.
 func New(spec device.Spec, opts Options) (*Rig, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	name := opts.TesterName
-	if name == "" {
-		name = "test-machine"
-	}
 	m := radio.NewMedium(nil, radio.DefaultTiming())
-	var flush func()
-	if opts.Counters != nil {
-		// The tap tallies into plain locals and flushes in batches: the
-		// medium is single-goroutine by contract, and per-frame atomic
-		// bumps are measurable farm overhead. The tail flushes through
-		// Rig.FlushTelemetry.
-		ctr := opts.Counters
-		frames, bytes := 0, int64(0)
-		m.AddTap(func(f radio.TapFrame) {
-			frames++
-			bytes += int64(len(f.Data))
-			if frames == frameFlushBatch {
-				ctr.AddFrames(frames, bytes)
-				frames, bytes = 0, 0
-			}
-		})
-		flush = func() {
-			ctr.AddFrames(frames, bytes)
-			frames, bytes = 0, 0
-		}
-	}
 	dev, err := device.New(m, DeviceConfig(spec, opts))
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	cl, err := host.NewClient(m, TesterAddr, name)
+	cl, err := host.NewClient(m, TesterAddr, "test-machine")
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
 	rig := &Rig{
-		Medium:         m,
-		Device:         dev,
-		Client:         cl,
-		Sniffer:        metrics.NewSniffer(m, TesterAddr),
-		flushTelemetry: flush,
+		Medium:  m,
+		Device:  dev,
+		Client:  cl,
+		Sniffer: metrics.NewSniffer(m, TesterAddr),
 	}
 	if opts.Record {
 		rig.Recorder = host.NewTraceRecorder(opts.RecordLimit)

@@ -75,14 +75,14 @@
 //	res, err := l2fuzz.ReplayCorpusEntry(entry, l2fuzz.CorpusReplayConfig{})
 //	fmt.Println(res.Reproduced, res.RootCause.Render())
 //
-// Running farms are observable. FleetConfig.Counters taps the packet
-// hot path with allocation-free atomic counters, FleetConfig.Journal
-// records every farm event (plus periodic counter samples) as a
-// timestamped JSONL run journal that ReplayFleetJournal can fold back
-// into the exact live report, and ServeTelemetry exposes counters,
-// Prometheus-format metrics, live report snapshots and pprof over HTTP
-// while the farm runs (cmd/l2farm's -telemetry and -journal flags are
-// the CLI form):
+// Running farms are observable. FleetConfig.Counters collects atomic
+// farm counters (a job's traffic lands once, at job end),
+// FleetConfig.Journal records every farm event (plus periodic counter
+// samples) as a timestamped JSONL run journal that ReplayFleetJournal
+// can fold back into the exact live report, and ServeTelemetry exposes
+// counters, Prometheus-format metrics, live report snapshots and pprof
+// over HTTP while the farm runs (cmd/l2farm's -telemetry and -journal
+// flags are the CLI form):
 //
 //	ctr := &l2fuzz.TelemetryCounters{}
 //	journal, err := l2fuzz.OpenTelemetryJournal("runs/run-1")
@@ -269,7 +269,7 @@ type (
 	// CorpusMinimizeResult is the delta-debugged (minimal still-crashing)
 	// form of an entry's trace.
 	CorpusMinimizeResult = corpus.MinimizeResult
-	// TelemetryCounters is a set of allocation-free atomic hot-path
+	// TelemetryCounters is a set of allocation-free atomic farm
 	// counters (frames, packets, mutations, findings, job lifecycle).
 	// Wire one into a farm via FleetConfig.Counters; all methods are
 	// safe on a nil receiver, so instrumentation is zero-cost when off.

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -164,6 +165,44 @@ func TestEverySurfaceHasACaller(t *testing.T) {
 	for key := range surfaceAllowlist {
 		if !flagged[key] {
 			t.Errorf("%s: allowlisted, but it now has a caller or is gone; drop the entry", key)
+		}
+	}
+}
+
+// packetPath is the simulated stack, the layers a job's packets cross
+// in the rig, and the engines that drive them. Each reports its traffic
+// in its own results, and the farm reads a job's tallies once, where
+// the job's result is made; so none of them depends on telemetry.
+var packetPath = []string{
+	"./internal/bt/...", "./internal/core", "./internal/campaign", "./internal/testbed", "./internal/metrics",
+	"./internal/fuzzers/...", "./internal/sdpfuzz", "./internal/smfuzz", "./internal/rfcommfuzz",
+}
+
+// TestPacketPathImportsNoTelemetry fails when a packet-path package, or
+// any package it depends on, imports internal/telemetry.
+func TestPacketPathImportsNoTelemetry(t *testing.T) {
+	const telemetry = "l2fuzz/internal/telemetry"
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-f", "{{.ImportPath}} {{join .Imports \" \"}}"}, packetPath...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		listed = append(listed, f[0])
+		for _, imp := range f[1:] {
+			if imp == telemetry {
+				t.Errorf("%s imports %s; the packet path reports traffic in its results instead", f[0], telemetry)
+			}
+		}
+	}
+	for _, p := range packetPath {
+		path := "l2fuzz/" + strings.TrimSuffix(strings.TrimPrefix(p, "./"), "/...")
+		if !slices.ContainsFunc(listed, func(s string) bool { return s == path || strings.HasPrefix(s, path+"/") }) {
+			t.Errorf("%s matched no package", p)
 		}
 	}
 }
