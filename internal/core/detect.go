@@ -81,7 +81,9 @@ type Finding struct {
 	// host.TraceRecorder is attached to the fuzzing client. Replaying it
 	// against a fresh rig reproduces the finding (internal/corpus). The
 	// corpus stores the trace under its own schema, so it is excluded
-	// from the finding's JSON form.
+	// from the finding's JSON form. When a farm folds the job, its
+	// corpus store takes the trace or nothing keeps it: the findings in
+	// a farm's report and events carry none.
 	Trace []host.TraceOp `json:"-"`
 	// TraceTruncated reports the trace outgrew the recorder's limit and
 	// therefore cannot replay faithfully.

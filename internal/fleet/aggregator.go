@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"l2fuzz/internal/bt/device"
+	"l2fuzz/internal/core"
 	"l2fuzz/internal/corpus"
 	"l2fuzz/internal/metrics"
 )
@@ -83,6 +84,15 @@ func newAggregator(cfg Config, total int) *Aggregator {
 // the farm had not seen before this fold (snapshot copies, in the
 // order the job listed them). Results whose job index falls outside
 // the matrix, or that were already folded, are ignored.
+//
+// Add takes the result's repro traces. The corpus store is a trace's
+// only long-lived owner: once Add has written a finding's trace, if it
+// writes one, it clears Finding.Trace and TraceTruncated in place in
+// res.Findings — the array the caller's result shares — so neither the
+// kept result, nor the finding records, nor the caller's copy hold one.
+// A trace the store does not take (a Known signature, a higher-index
+// occurrence, a truncated trace, a failed Put) is dropped. A failed
+// result carries no findings.
 func (a *Aggregator) Add(res JobResult) []FindingRecord {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -148,7 +158,7 @@ func (a *Aggregator) Add(res JobResult) []FindingRecord {
 		acc, seen := a.recs[sig]
 		if !seen {
 			acc = &findingAcc{
-				rec:      FindingRecord{Signature: sig, Finding: occ.Finding},
+				rec:      FindingRecord{Signature: sig, Finding: untraced(occ.Finding)},
 				minIdx:   idx,
 				occPos:   pos,
 				dumpIdx:  math.MaxInt,
@@ -163,7 +173,7 @@ func (a *Aggregator) Add(res JobResult) []FindingRecord {
 		} else if idx < acc.minIdx {
 			// An earlier matrix cell contributed the signature: its
 			// occurrence is the canonical first one.
-			acc.rec.Finding = occ.Finding
+			acc.rec.Finding = untraced(occ.Finding)
 			acc.minIdx, acc.occPos = idx, pos
 		}
 		acc.rec.Count += occ.Count
@@ -174,6 +184,7 @@ func (a *Aggregator) Add(res JobResult) []FindingRecord {
 			acc.dumpIdx = idx
 		}
 		a.persist(acc, res.Job, occ, idx)
+		res.Findings[pos].Finding = untraced(occ.Finding)
 		if !seen && !acc.rec.Known {
 			fresh = append(fresh, cloneRecord(acc.rec))
 		}
@@ -292,6 +303,12 @@ func (a *Aggregator) Snapshot() *Report {
 	rep.Metrics.States = append([]string(nil), a.metrics.States...)
 	rep.StateCoverage = append([]string(nil), a.metrics.States...)
 	return rep
+}
+
+// untraced returns f without its repro trace.
+func untraced(f core.Finding) core.Finding {
+	f.Trace, f.TraceTruncated = nil, false
+	return f
 }
 
 // cloneRecord deep-copies a finding record so snapshots and events do

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -8,7 +9,9 @@ import (
 	"l2fuzz/internal/bt/l2cap"
 	"l2fuzz/internal/bt/radio"
 	"l2fuzz/internal/bt/sdp"
+	"l2fuzz/internal/core"
 	"l2fuzz/internal/corpus"
+	"l2fuzz/internal/telemetry"
 )
 
 // corpusMatrix is a multi-job matrix in which two cells (the RFCOMM
@@ -28,8 +31,9 @@ func corpusMatrix(workers int, store *corpus.Store) Config {
 
 // TestCorpusFarmSchedulingIndependence extends the farm's determinism
 // guarantee to corpus-backed runs: the report (Known flags, corpus
-// stats, recorded traces riding in the findings) and the persisted
-// store content must not depend on worker scheduling.
+// stats) and the persisted store content must not depend on worker
+// scheduling. The report carries no repro trace (the store owns them),
+// so the entries comparison is what compares traces byte for byte.
 func TestCorpusFarmSchedulingIndependence(t *testing.T) {
 	run := func(workers int) (*Report, []corpus.Entry) {
 		store, err := corpus.Open(t.TempDir())
@@ -72,6 +76,101 @@ func TestCorpusFarmSchedulingIndependence(t *testing.T) {
 		if e.Finding.Trace != nil {
 			t.Errorf("stored entry %v duplicates the trace inside the finding", e.Signature)
 		}
+	}
+}
+
+// TestCorpusFarmReplaysLikeLive pins the corpus store as a repro
+// trace's only long-lived owner, in process and on worker subprocesses:
+// no job result, finding record or event of a store-backed farm carries
+// a trace, so its live report equals its journal replay once the
+// corpus section, which replay strips by design, is set aside. Every
+// stored entry still replays to its own signature.
+func TestCorpusFarmReplaysLikeLive(t *testing.T) {
+	traced := func(f core.Finding) bool { return f.Trace != nil || f.TraceTruncated }
+	for _, tc := range []struct {
+		name string
+		exec func() Executor
+	}{
+		{"local", func() Executor { return nil }},
+		{"proc", func() Executor { return NewProcExecutor(procConfig(2)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := corpus.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var journal bytes.Buffer
+			cfg := corpusMatrix(2, store)
+			cfg.Executor = tc.exec()
+			cfg.Journal = telemetry.NewJournal(&journal)
+			farm, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ev := range farm.Events() {
+				switch ev.Type {
+				case EventJobDone:
+					for _, occ := range ev.Result.Findings {
+						if traced(occ.Finding) {
+							t.Errorf("JobDone event of %v carries a trace (%d ops)", ev.Job, len(occ.Finding.Trace))
+						}
+					}
+				case EventNewFinding:
+					if traced(ev.Finding.Finding) {
+						t.Errorf("NewFinding event of %v carries a trace (%d ops)", ev.Finding.Signature, len(ev.Finding.Finding.Trace))
+					}
+				}
+			}
+			live := farm.Wait()
+			if err := cfg.Journal.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(live.Findings) == 0 || live.Corpus == nil || live.Corpus.Saved == 0 {
+				t.Fatalf("farm saved no findings (corpus %+v); the checks would be vacuous", live.Corpus)
+			}
+			saved := live.Corpus.Saved
+			for _, res := range live.Jobs {
+				for _, occ := range res.Findings {
+					if traced(occ.Finding) {
+						t.Errorf("report job %v carries a trace (%d ops)", res.Job, len(occ.Finding.Trace))
+					}
+				}
+			}
+			for _, f := range live.Findings {
+				if traced(f.Finding) {
+					t.Errorf("report finding %v carries a trace (%d ops)", f.Signature, len(f.Finding.Trace))
+				}
+			}
+
+			replayed, err := ReplayJournal(corpusMatrix(2, nil), bytes.NewReader(journal.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rep := range []*Report{live, replayed} {
+				rep.ScrubWall()
+				stripWorkers(rep)
+			}
+			live.Corpus = nil
+			if !reflect.DeepEqual(live, replayed) {
+				t.Errorf("replayed report differs from the live one:\nlive:     %+v\nreplayed: %+v", live, replayed)
+			}
+
+			entries, err := store.Entries()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != saved {
+				t.Errorf("store holds %d entries, the report saved %d", len(entries), saved)
+			}
+			for _, e := range entries {
+				res, err := corpus.Replay(e, corpus.ReplayConfig{})
+				if err != nil {
+					t.Errorf("entry %v: replay: %v", e.Signature, err)
+				} else if !res.Reproduced || res.Signature != e.Signature {
+					t.Errorf("entry %v replays to %v (reproduced %v)", e.Signature, res.Signature, res.Reproduced)
+				}
+			}
+		})
 	}
 }
 

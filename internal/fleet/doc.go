@@ -66,5 +66,10 @@
 // replayed, minimized and triaged on a fresh rig (internal/corpus,
 // cmd/l2repro). The stored trace, like the report, is scheduling-
 // independent: it converges on the lowest-index job that contributed a
-// replayable one.
+// replayable one. The store is a trace's only long-lived owner: the
+// fold writes a new finding's trace and then clears every trace from
+// the job's result, so no report, job result or event holds one, a
+// farm's memory follows the jobs it is running rather than the
+// findings it has made, and a store-backed farm's live report equals
+// its journal replay but for the Corpus section and the Known flags.
 package fleet

@@ -111,7 +111,10 @@ type Config struct {
 	// store as they stream in, and signatures the store already holds
 	// are marked Known in the report instead of being announced as new.
 	// A later cmd/l2repro (or corpus.Replay) can then reproduce,
-	// minimize and triage any stored finding on a fresh rig.
+	// minimize and triage any stored finding on a fresh rig. The store
+	// is a trace's only long-lived owner: the report, its job results
+	// and the farm's events carry none, so a farm's memory follows the
+	// jobs it is running, not the findings it has made.
 	Corpus *corpus.Store
 	// Counters, when set, receives the farm's telemetry: frame and byte
 	// counts from the rigs' radio media, the L2Fuzz core's packet,

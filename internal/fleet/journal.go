@@ -104,7 +104,10 @@ func sameSpecs(journaled, targets []*device.Spec) bool {
 // times and trace spans, which are read from the journal, not
 // re-measured), breakdown tables, merged metrics and de-duplicated
 // findings. Only the top-level Wall is zero: the farm stamps it from
-// its own clock, which a replay does not have.
+// its own clock, which a replay does not have. The equality holds for
+// corpus-backed farms too, whose live reports carry no repro traces
+// either, with two stated exceptions: the replayed report has no
+// Corpus section and marks no finding Known (see below).
 //
 // cfg must be the configuration the journal was written under: the
 // journal's header is checked against the matrix it builds (its job
@@ -118,7 +121,7 @@ func sameSpecs(journaled, targets []*device.Spec) bool {
 // never writes store entries — which also means the Known flags of a
 // corpus-backed run are not reconstructed (a replayed report marks
 // every finding new). Repro traces are store-owned and never journaled,
-// so replayed findings carry none.
+// so replayed findings carry none, and neither do live ones.
 //
 // A journal whose writer died mid-record replays into the report of
 // its complete records, returned with an error wrapping

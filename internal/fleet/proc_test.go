@@ -234,7 +234,8 @@ func TestFarmCountersGolden(t *testing.T) {
 
 // TestProcCorpusMatchesLocal sends repro traces across the wire: a
 // corpus-backed proc farm must persist the same entries an in-process
-// one does.
+// one does. The reports carry no trace (the store owns them), so the
+// entries comparison is what compares the traces byte for byte.
 func TestProcCorpusMatchesLocal(t *testing.T) {
 	run := func(exec Executor) (*Report, []corpus.Entry) {
 		store, err := corpus.Open(t.TempDir())

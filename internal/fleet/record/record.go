@@ -220,9 +220,9 @@ func DecodeResult(data []byte) (Result, error) {
 }
 
 // FindingRecord is one de-duplicated finding with its farm-wide
-// provenance. Finding.Trace carries the recorded repro trace of the
-// canonical first occurrence when the farm records traces (a corpus
-// store is configured).
+// provenance. Its Finding carries no repro trace: a corpus-backed farm
+// writes the canonical first occurrence's trace to its store, which is
+// the trace's only long-lived owner.
 type FindingRecord struct {
 	// Signature is the de-duplication key.
 	Signature core.Signature

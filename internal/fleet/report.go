@@ -45,7 +45,10 @@ type JobResult struct {
 	// record it, so an analyzer can reconstruct per-phase latency and
 	// per-worker utilization after the run.
 	Span Span
-	// Findings are the job's detections (empty for baseline kinds).
+	// Findings are the job's detections (empty for baseline kinds). An
+	// executor's result carries each finding's repro trace when the
+	// farm records them; Aggregator.Add takes the traces, so a folded
+	// result — in Report.Jobs and in EventJobDone — carries none.
 	Findings []Occurrence
 	// Crashed reports whether the target device ended the job crashed.
 	Crashed bool

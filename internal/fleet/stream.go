@@ -17,7 +17,8 @@ const (
 	// (again on every retry of a requeued job).
 	EventJobStarted EventType = iota + 1
 	// EventJobDone fires after a job's result is folded into the
-	// aggregate; Event.Result carries it.
+	// aggregate; Event.Result carries it, its repro traces already
+	// taken by the fold (see Aggregator.Add).
 	EventJobDone
 	// EventNewFinding fires, after its job's EventJobDone, for every
 	// finding signature the farm had not seen before that job;

@@ -25,8 +25,10 @@ import (
 )
 
 // MaxFrame bounds one frame's payload. Results carrying full repro
-// traces are the largest messages; at the library's default per-job
-// packet budget a trace stays well under a tenth of this.
+// traces are the largest messages: a recorded op takes about 50 bytes
+// of JSON and a job records about one op per packet, so a trace at the
+// library's default per-job budget of 250,000 packets is about 12.6 MB,
+// a fifth of this, and a single trace epoch reaches it near 1.3 M ops.
 const MaxFrame = 64 << 20
 
 var (

@@ -64,7 +64,9 @@
 // store reports known signatures as Known instead of new, and
 // ReplayCorpusEntry / MinimizeCorpusEntry re-drive and delta-debug a
 // stored finding against a fresh rig, feeding the reproduced crash
-// artefact to triage (cmd/l2repro is the CLI form):
+// artefact to triage (cmd/l2repro is the CLI form). The store is the
+// only place a trace lives on: the farm's report and events carry
+// none, so read a finding's trace back from the store by its key:
 //
 //	store, err := l2fuzz.OpenCorpus("findings/")
 //	...
