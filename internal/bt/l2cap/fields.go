@@ -269,6 +269,6 @@ func DefaultCommand(code CommandCode) (Command, error) {
 	case CodeCreditBasedReconfRsp:
 		return &CreditBasedReconfRsp{}, nil
 	default:
-		return nil, fmt.Errorf("%w: 0x%02X", ErrUnknownCode, uint8(code))
+		return nil, unknownCodeError(code)
 	}
 }

@@ -47,6 +47,18 @@ var (
 	ErrUnknownCode = errors.New("l2cap: unknown command code")
 )
 
+// unknownCodeError is ErrUnknownCode naming the offending code. Peers
+// under fuzz send unknown codes on the hot path, so the error is a
+// plain byte that allocates nothing; its text is built only when
+// printed.
+type unknownCodeError uint8
+
+func (e unknownCodeError) Error() string {
+	return fmt.Sprintf("%v: 0x%02X", ErrUnknownCode, uint8(e))
+}
+
+func (unknownCodeError) Unwrap() error { return ErrUnknownCode }
+
 // Packet is one L2CAP basic frame: the 4-byte header plus payload bytes.
 //
 // The Length field of the wire header is kept explicit rather than being

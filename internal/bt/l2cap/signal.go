@@ -188,7 +188,7 @@ func newCommand(code CommandCode) (Command, error) {
 	case CodeCreditBasedReconfRsp:
 		return &CreditBasedReconfRsp{}, nil
 	default:
-		return nil, fmt.Errorf("%w: 0x%02X", ErrUnknownCode, uint8(code))
+		return nil, unknownCodeError(code)
 	}
 }
 

@@ -77,6 +77,22 @@ func TestDecodeCommandUnknownCode(t *testing.T) {
 	}
 }
 
+// TestDecoderUnknownCodeAllocatesNothing pins the unknown-code error's
+// cost and text: a peer under fuzz sends unknown codes on the hot path,
+// so decoding one allocates nothing, yet the error still names the code
+// and matches ErrUnknownCode.
+func TestDecoderUnknownCodeAllocatesNothing(t *testing.T) {
+	var d Decoder
+	fr := Frame{Code: 0x7F, Identifier: 1}
+	_, err := d.Decode(fr)
+	if !errors.Is(err, ErrUnknownCode) || err.Error() != "l2cap: unknown command code: 0x7F" {
+		t.Fatalf("Decode() error = %v, want ErrUnknownCode naming 0x7F", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = d.Decode(fr) }); n != 0 {
+		t.Errorf("Decode() allocates %.1f times on an unknown code", n)
+	}
+}
+
 // TestDecodeCommandAliasesFrameData pins DecodeCommand's ownership: each
 // call allocates a fresh command struct, but the struct's byte fields
 // borrow the frame's Data rather than copying it.

@@ -108,35 +108,31 @@ func (f *Fuzzer) Run(target radio.BDAddr) (*Report, error) {
 		return report, nil
 	}
 
-	schedule := visitSchedule()
+	visits := schedule
 	if f.cfg.NoStateGuiding {
-		// Ablation: a stateless fuzzer never steers the target — it
-		// fuzzes every command from a cold link, like the dumb mutation
-		// strategies the paper compares against.
-		schedule = []stateVisit{{state: sm.StateClosed, setup: noSetup}}
+		visits = stateless
 	}
 	for {
 		for _, psm := range scan.ExploitablePSMs {
-			for _, visit := range schedule {
+			for _, visit := range visits {
 				if f.packetsSent >= f.cfg.MaxPackets {
 					f.logf("budget exhausted after %d packets", f.packetsSent)
 					return finish(false, Finding{})
 				}
-				teardown, ok := visit.setup(f, psm)
+				ch, ok := visit.setup(f, psm)
 				if !ok {
 					// Setup failure can itself mean the target just died.
 					if class := f.livenessIfSuspicious(); class != ErrNone {
 						return finish(true, f.newFinding(class, visit.state, psm, Mutation{}))
 					}
-					teardown()
 					continue
 				}
 				f.statesTested[visit.state] = true
-				if finding, found := f.fuzzState(visit.state, psm); found {
-					teardown()
+				finding, found := f.fuzzState(visit.state, psm)
+				f.closeChannel(ch)
+				if found {
 					return finish(true, finding)
 				}
-				teardown()
 			}
 			// Refresh the baseband link between ports: leaked channels on
 			// the target die with the link, as on a real dongle re-plug.

@@ -105,6 +105,63 @@ func TestScanFallsBackToSDPWhenAllPortsPaired(t *testing.T) {
 	}
 }
 
+// TestFuzzerDetectsDeathAtSetup pins Run's two detection paths on a
+// target that dies after a set number of signaling commands. Dying on a
+// setup packet makes the next visit's setup fail, and the liveness probe
+// that follows a failed setup reports the death with no fuzzed packet to
+// blame; dying a few commands later, on a fuzzed packet, is caught in
+// the fuzz loop, which blames that packet.
+func TestFuzzerDetectsDeathAtSetup(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		minCommands int
+		wantPackets int
+		wantLast    l2cap.CommandCode // zero: no fuzzed packet blamed
+	}{
+		{"setup probe", 2312, 2389, 0},
+		{"fuzz loop", 2400, 2394, l2cap.CodeConfigurationReq},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := radio.NewMedium(nil, radio.DefaultTiming())
+			d, err := device.New(m, device.Config{
+				Addr: radio.MustBDAddr("F8:8F:CA:00:00:66"),
+				Name: "flooded",
+				Profile: device.BlueDroidProfile("5.0", "fp", device.VulnSpec{
+					ID:      "test-command-flood",
+					Class:   device.ClassDoS,
+					Dump:    device.DumpTombstone,
+					Trigger: device.TriggerSpec{Kind: device.TriggerCommandFlood, MinCommands: tc.minCommands},
+				}),
+				Ports: []device.ServicePort{{PSM: l2cap.PSMAVDTP, Name: "AVDTP"}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := host.NewClient(m, radio.MustBDAddr("00:1B:DC:00:00:01"), "l2fuzz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := New(cl, Config{Seed: 1, MaxPackets: 20_000}).Run(d.Address())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := report.Finding
+			if !report.Found || f.Error != ErrConnectionFailed || f.State != sm.StateWaitConfig || f.PSM != l2cap.PSMSDP {
+				t.Fatalf("found=%v %v in %v on %v, want Connection Failed in WAIT_CONFIG on SDP", report.Found, f.Error, f.State, f.PSM)
+			}
+			if report.PacketsSent != tc.wantPackets {
+				t.Errorf("found after %d packets, want %d", report.PacketsSent, tc.wantPackets)
+			}
+			if tc.wantLast == 0 && f.LastMutation != (Mutation{}) {
+				t.Errorf("LastMutation = %v, want none: the setup probe blames no fuzzed packet", f.LastMutation)
+			}
+			if tc.wantLast != 0 && f.LastMutation.Code != tc.wantLast {
+				t.Errorf("LastMutation = %v, want a fuzzed %v", f.LastMutation, tc.wantLast)
+			}
+		})
+	}
+}
+
 func TestFuzzerDetectsPixel3DoS(t *testing.T) {
 	d, cl := rig(t, "D2", false)
 	cfg := Config{Seed: 1}

@@ -89,10 +89,10 @@ func TestCorpusFarmReplaysLikeLive(t *testing.T) {
 	traced := func(f core.Finding) bool { return f.Trace != nil || f.TraceTruncated }
 	for _, tc := range []struct {
 		name string
-		exec func() Executor
+		exec func() *ProcExecutor
 	}{
-		{"local", func() Executor { return nil }},
-		{"proc", func() Executor { return NewProcExecutor(procConfig(2)) }},
+		{"local", func() *ProcExecutor { return nil }},
+		{"proc", func() *ProcExecutor { return NewProcExecutor(procConfig(2)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			store, err := corpus.Open(t.TempDir())

@@ -41,6 +41,13 @@
 // the stream, so batch and streaming consumers share one aggregation
 // code path and provably agree.
 //
+// The farm runs each job itself, in process on the dispatcher that
+// picked it up, or on worker subprocesses when Config.Executor holds a
+// ProcExecutor; both render byte-identical reports from equal configs.
+// A ProcExecutor runs one farm: its workers spawn at Start and are
+// reaped when the last job is accounted for, and Start refuses an
+// executor that already ran.
+//
 // The aggregate folds per-job results into one Report:
 //
 //   - findings are de-duplicated across devices and jobs by the same

@@ -141,12 +141,13 @@ type Config struct {
 	// the journal header so an analyzer can label the sampled series'
 	// time axis honestly. Zero omits it from the header.
 	SampleInterval time.Duration
-	// Executor, when set, runs the farm's jobs: the in-process pool
-	// (LocalExecutor, the default when nil) or subprocess workers
-	// (ProcExecutor). The farm owns its lifecycle — Start before the
-	// first job, Close after the last is accounted for. Both executors
-	// render byte-identical reports from equal configs.
-	Executor Executor
+	// Executor, when set, runs the farm's jobs on worker subprocesses;
+	// nil runs them in process on the dispatchers. The farm owns its
+	// lifecycle: it spawns the workers at Start and retires them after
+	// the last job is accounted for. A ProcExecutor runs one farm, so
+	// build a new one for each. Both ways render byte-identical reports
+	// from equal configs.
+	Executor *ProcExecutor
 
 	// targets is the resolved device axis — catalog specs for Devices
 	// entries followed by owned copies of CustomDevices — populated by
@@ -157,7 +158,7 @@ type Config struct {
 	// callers.
 	forceRecord bool
 	// epoch is the farm's span clock origin — the Start timestamp —
-	// against which executors stamp JobResult.Span offsets. Zero on
+	// against which JobResult.Span offsets are stamped. Zero on
 	// configs that never went through Start (replay, hand-built
 	// aggregators), whose spans then stay zero.
 	epoch time.Time

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -35,31 +36,49 @@ type ProcConfig struct {
 	JobDeadline time.Duration
 }
 
-// ProcExecutor runs jobs on a pool of worker subprocesses, one job in
-// flight per worker, shipping jobs and results over the wire protocol.
-// Workers are spawned at Start and shut down cleanly at Close (their
-// job stream ends). A worker that dies or desynchronizes mid-run is
+// ProcExecutor runs a farm's jobs on a pool of worker subprocesses, one
+// job in flight per worker, shipping jobs and results over the wire
+// protocol. The farm drives it: workers spawn when the farm starts and
+// shut down cleanly when its last job is accounted for (their job
+// stream ends). A worker that dies or desynchronizes mid-run is
 // retired, never respawned: the farm degrades to the surviving workers
-// and requeues the lost job, and when no worker is left Execute returns
-// ErrNoWorkers.
+// and requeues the lost job, and when no worker is left the job fails
+// with ErrNoWorkers.
+//
+// A ProcExecutor runs one farm: Start refuses one that already ran, so
+// build a new one for each farm.
 //
 // Each worker session starts with the farm's matrix variants and
 // resolved target specs (wireFarm), so workers run every variant and
-// target the in-process pool runs.
+// target the in-process farm runs.
 type ProcExecutor struct {
 	pc  ProcConfig
 	cfg Config
 
 	notify func(WorkerEvent)
 
-	mu         sync.Mutex
-	workers    []*procWorker
-	live       int
-	deadClosed bool
-	closed     bool
+	mu      sync.Mutex
+	workers []*procWorker
+	live    int
 
 	idle   chan *procWorker
 	deadCh chan struct{}
+}
+
+// ErrNoWorkers is the transport failure a ProcExecutor returns when it
+// has no live workers left. The farm fails the job immediately instead
+// of requeueing: without workers a retry can only spin.
+var ErrNoWorkers = errors.New("fleet: executor has no live workers")
+
+// WorkerEvent is one ProcExecutor worker lifecycle change, surfaced in
+// the farm's event stream (EventWorkerUp, EventWorkerDown) and journal.
+type WorkerEvent struct {
+	// Worker is the worker's id ("proc/0", ...).
+	Worker string
+	// Up discriminates spawn from retirement.
+	Up bool
+	// Err is why the worker went down; empty for a clean shutdown.
+	Err string
 }
 
 // procWorker is one worker subprocess with its framed pipes.
@@ -74,31 +93,20 @@ type procWorker struct {
 }
 
 // NewProcExecutor returns an executor spawning workers per pc. Set it
-// as Config.Executor; the farm starts and closes it.
+// as the Config.Executor of one farm; the farm starts and closes it.
 func NewProcExecutor(pc ProcConfig) *ProcExecutor {
 	return &ProcExecutor{pc: pc}
 }
 
-// setNotify installs the farm's worker-retirement sink.
-func (e *ProcExecutor) setNotify(fn func(WorkerEvent)) { e.notify = fn }
-
-// workerIDs lists the live workers' ids for the farm's up events.
-func (e *ProcExecutor) workerIDs() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ids := make([]string, 0, len(e.workers))
-	for _, w := range e.workers {
-		if !w.dead {
-			ids = append(ids, w.id)
-		}
+// start spawns the worker pool for the farm of resolved config cfg and
+// reports worker retirements to notify. A ProcExecutor that already ran
+// is refused, and so is a negative Procs or JobDeadline, before any
+// worker spawns; a worker that fails to spawn or handshake fails it
+// too, so the farm surfaces that instead of limping from the off.
+func (e *ProcExecutor) start(cfg Config, notify func(WorkerEvent)) error {
+	if e.deadCh != nil {
+		return errors.New("fleet: a ProcExecutor runs one farm; build a new one for each")
 	}
-	return ids
-}
-
-// Start spawns the worker pool. A negative Procs or JobDeadline fails
-// it before any worker spawns, and so does a worker that fails to spawn
-// or handshake; the farm surfaces that instead of limping from the off.
-func (e *ProcExecutor) Start(cfg Config) error {
 	if e.pc.Procs < 0 {
 		return fmt.Errorf("fleet: negative ProcConfig.Procs %d", e.pc.Procs)
 	}
@@ -128,7 +136,10 @@ func (e *ProcExecutor) Start(cfg Config) error {
 	for i := 0; i < procs; i++ {
 		w, err := e.spawn(i, fc)
 		if err != nil {
-			e.Close()
+			// notify is not installed yet: the farm's event stream has
+			// no reader before Start returns, so the workers already
+			// spawned go down unreported, as they never came up.
+			e.close()
 			return err
 		}
 		e.mu.Lock()
@@ -137,7 +148,17 @@ func (e *ProcExecutor) Start(cfg Config) error {
 		e.mu.Unlock()
 		e.idle <- w
 	}
+	e.notify = notify
 	return nil
+}
+
+// workerIDs lists the workers start spawned, for the farm's up events.
+func (e *ProcExecutor) workerIDs() []string {
+	ids := make([]string, len(e.workers))
+	for i, w := range e.workers {
+		ids[i] = w.id
+	}
+	return ids
 }
 
 // spawn launches one worker and completes the hello/config handshake,
@@ -192,10 +213,10 @@ func (e *ProcExecutor) spawn(i int, fc []byte) (*procWorker, error) {
 	return w, nil
 }
 
-// Execute ships the job to an idle worker and waits for its result. A
+// execute ships the job to an idle worker and waits for its result. A
 // transport failure retires the worker and is returned for the farm to
 // requeue the job elsewhere.
-func (e *ProcExecutor) Execute(job Job) (JobResult, error) {
+func (e *ProcExecutor) execute(job Job) (JobResult, error) {
 	w, err := e.acquire()
 	if err != nil {
 		return JobResult{}, err
@@ -267,7 +288,8 @@ func (e *ProcExecutor) runOn(w *procWorker, job Job) (JobResult, error) {
 }
 
 // markDead transitions one worker to dead; reports false if it already
-// was. The last live worker's death closes deadCh.
+// was. The last live worker's death closes deadCh: start runs once, so
+// live falls to zero at most once.
 func (e *ProcExecutor) markDead(w *procWorker) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -276,8 +298,7 @@ func (e *ProcExecutor) markDead(w *procWorker) bool {
 	}
 	w.dead = true
 	e.live--
-	if e.live == 0 && !e.deadClosed {
-		e.deadClosed = true
+	if e.live == 0 {
 		close(e.deadCh)
 	}
 	return true
@@ -291,9 +312,7 @@ func (e *ProcExecutor) retire(w *procWorker, reason string) {
 	w.cmd.Process.Kill()
 	w.stdin.Close()
 	w.cmd.Wait()
-	if e.notify != nil {
-		e.notify(WorkerEvent{Worker: w.id, Err: reason})
-	}
+	e.notify(WorkerEvent{Worker: w.id, Err: reason})
 }
 
 // KillOne kills the OS process of one live worker. It is a test hook,
@@ -318,16 +337,12 @@ func (e *ProcExecutor) KillOne() string {
 	return victim.id
 }
 
-// Close shuts the pool down cleanly: each surviving worker's job stream
-// ends (stdin closes), the worker exits, and its clean retirement is
-// reported. Idempotent.
-func (e *ProcExecutor) Close() error {
+// close shuts the pool down cleanly: each surviving worker's job stream
+// ends (stdin closes), the worker exits and is reaped, and its clean
+// retirement is reported. A second close finds every worker dead and
+// does nothing.
+func (e *ProcExecutor) close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
 	workers := append([]*procWorker(nil), e.workers...)
 	e.mu.Unlock()
 	for _, w := range workers {
@@ -344,5 +359,4 @@ func (e *ProcExecutor) Close() error {
 			e.notify(ev)
 		}
 	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,6 +98,78 @@ func TestLocalVsProcDeterminism(t *testing.T) {
 	}
 }
 
+// TestProcExecutorRunsOneFarm pins the executor's lifecycle: a proc
+// farm reports one WorkerDown per WorkerUp and leaves every worker
+// process exited and reaped, and a second farm on the same executor is
+// refused before it spawns anything. A reused executor would spawn a
+// fresh pool that nothing retires.
+func TestProcExecutorRunsOneFarm(t *testing.T) {
+	exec := NewProcExecutor(procConfig(2))
+	cfg := Config{Devices: []string{"D2"}, Shards: 2, Workers: 2, MaxPacketsPerJob: 500, MeasurementGrade: true, Executor: exec}
+	farm, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups, downs := map[string]int{}, map[string]int{}
+	for ev := range farm.Events() {
+		switch ev.Type {
+		case EventWorkerUp:
+			ups[ev.Worker]++
+		case EventWorkerDown:
+			downs[ev.Worker]++
+			if ev.WorkerErr != "" {
+				t.Errorf("worker %s went down with %q, want a clean shutdown", ev.Worker, ev.WorkerErr)
+			}
+		}
+	}
+	if rep := farm.Wait(); rep.Completed != 2 {
+		t.Fatalf("the farm completed %d of 2 jobs", rep.Completed)
+	}
+	if len(ups) != 2 || !reflect.DeepEqual(ups, downs) {
+		t.Errorf("worker ups %v, downs %v: want one down per up for 2 workers", ups, downs)
+	}
+	for _, w := range exec.workers {
+		if st := w.cmd.ProcessState; st == nil || !st.Exited() {
+			t.Errorf("worker %s (pid %d) was not reaped after the farm", w.id, w.cmd.Process.Pid)
+		}
+	}
+
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "runs one farm") {
+		t.Fatalf("a second farm on a spent executor: got %v, want it refused", err)
+	}
+	if len(exec.workers) != 2 {
+		t.Errorf("the refused farm spawned %d more workers", len(exec.workers)-2)
+	}
+}
+
+// TestProcFarmRefusedMidSpawn fails the second worker's spawn: Start
+// returns the error, with no event reader needed, and reaps the worker
+// that did come up.
+func TestProcFarmRefusedMidSpawn(t *testing.T) {
+	pc := procConfig(2)
+	// The first spawn makes the marker and becomes a worker; the second
+	// finds it and exits before its hello.
+	pc.Command = []string{"sh", "-c", `mkdir "$SPAWN_MARK" 2>/dev/null && exec "$0"; exit 3`, os.Args[0]}
+	pc.Env = append(pc.Env, "SPAWN_MARK="+filepath.Join(t.TempDir(), "spawned"))
+	exec := NewProcExecutor(pc)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Start(Config{Devices: []string{"D2"}, Workers: 2, MaxPacketsPerJob: 200, MeasurementGrade: true, Executor: exec})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), "proc/1") {
+			t.Fatalf("got %v, want an error naming worker proc/1", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Start did not return after a worker failed to spawn")
+	}
+	if len(exec.workers) != 1 || exec.workers[0].cmd.ProcessState == nil {
+		t.Fatalf("want the one spawned worker reaped, have %d workers", len(exec.workers))
+	}
+}
+
 // TestProcFarmSurvivesWorkerKill kills one worker subprocess mid-run:
 // the farm must requeue whatever the worker was holding, degrade to the
 // survivor, and still account for every job with none failed. The
@@ -186,7 +259,7 @@ func TestProcCountersFoldBackExactly(t *testing.T) {
 // shards) in process and on worker subprocesses. Where a job's traffic
 // reaches the counters may move; what the counters read may not.
 func TestFarmCountersGolden(t *testing.T) {
-	run := func(exec Executor) telemetry.CounterSnapshot {
+	run := func(exec *ProcExecutor) telemetry.CounterSnapshot {
 		cfg := Config{
 			Devices: []string{"D2", "D5"},
 			Kinds:   AllKinds(),
@@ -210,7 +283,7 @@ func TestFarmCountersGolden(t *testing.T) {
 	golden := "testdata/counters.golden"
 	for _, ex := range []struct {
 		name string
-		exec Executor
+		exec *ProcExecutor
 	}{{"local", nil}, {"proc", NewProcExecutor(procConfig(2))}} {
 		b, err := json.MarshalIndent(run(ex.exec), "", "  ")
 		if err != nil {
@@ -237,7 +310,7 @@ func TestFarmCountersGolden(t *testing.T) {
 // one does. The reports carry no trace (the store owns them), so the
 // entries comparison is what compares the traces byte for byte.
 func TestProcCorpusMatchesLocal(t *testing.T) {
-	run := func(exec Executor) (*Report, []corpus.Entry) {
+	run := func(exec *ProcExecutor) (*Report, []corpus.Entry) {
 		store, err := corpus.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)

@@ -24,10 +24,9 @@ type Span = record.Span
 type JobResult struct {
 	// Job identifies the matrix cell and shard.
 	Job Job
-	// Worker identifies the executor worker that ran the job:
-	// LocalWorkerID for the in-process pool, "proc/<i>" for subprocess
-	// workers. Informational — reports render identically across
-	// executors.
+	// Worker identifies where the job ran: LocalWorkerID in process,
+	// "proc/<i>" for a ProcExecutor worker. Informational — reports
+	// render identically either way.
 	Worker string
 	// Err records a job failure; the other fields are partial when set.
 	Err error

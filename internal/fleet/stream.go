@@ -24,12 +24,11 @@ const (
 	// finding signature the farm had not seen before that job;
 	// Event.Finding carries the farm-wide record as of that moment.
 	EventNewFinding
-	// EventWorkerUp fires once per executor worker before any job
-	// event; Event.Worker names it. Only executors with identifiable
-	// workers (ProcExecutor) emit lifecycle events — the in-process
-	// pool's event stream is unchanged from pre-executor farms.
+	// EventWorkerUp fires once per ProcExecutor worker before any job
+	// event; Event.Worker names it. A farm that runs its jobs in
+	// process emits no worker lifecycle events.
 	EventWorkerUp
-	// EventWorkerDown fires when an executor worker retires — cleanly
+	// EventWorkerDown fires when a ProcExecutor worker retires — cleanly
 	// at farm shutdown (empty Event.WorkerErr) or because it died
 	// mid-run (WorkerErr says why; the farm requeues the lost job).
 	EventWorkerDown
@@ -69,7 +68,7 @@ type Event struct {
 	Result *JobResult
 	// Finding is the new de-duplicated finding; EventNewFinding only.
 	Finding *FindingRecord
-	// Worker is the executor worker id; EventWorkerUp/Down only.
+	// Worker is the ProcExecutor worker id; EventWorkerUp/Down only.
 	Worker string
 	// WorkerErr is why a worker went down ("" for a clean shutdown);
 	// EventWorkerDown only.
@@ -85,9 +84,10 @@ type Event struct {
 // letting a job that kills every worker it touches starve the farm.
 const maxJobAttempts = 3
 
-// Farm is a running fuzzing farm: dispatchers drive the job matrix
-// through the configured Executor while the farm emits Events and keeps
-// a live aggregate that can be snapshotted at any moment.
+// Farm is a running fuzzing farm: dispatchers run the job matrix, in
+// process or on the configured ProcExecutor, while the farm emits
+// Events and keeps a live aggregate that can be snapshotted at any
+// moment.
 //
 // The consumer contract: drain Events() — the channel is unbuffered,
 // so dispatchers pause at emission until the consumer keeps up, and the
@@ -96,7 +96,7 @@ const maxJobAttempts = 3
 // "start, Wait" both terminate.
 type Farm struct {
 	cfg    Config
-	exec   Executor
+	proc   *ProcExecutor // nil: jobs run in process
 	total  int
 	agg    *Aggregator
 	events chan Event
@@ -115,28 +115,25 @@ type Farm struct {
 	queued   map[int]time.Duration
 }
 
-// Start validates the matrix and launches the farm: the executor is
-// started (spawning worker subprocesses under ProcExecutor), the job
-// matrix is dispatched from cfg.Workers dispatcher goroutines, and
-// results fold into a live Aggregator as they arrive. The error covers
-// matrix validation and executor startup only.
+// Start validates the matrix and launches the farm: a ProcExecutor is
+// started (spawning its worker subprocesses), the job matrix is
+// dispatched from cfg.Workers dispatcher goroutines, and results fold
+// into a live Aggregator as they arrive. The error covers matrix
+// validation and executor startup only; a ProcExecutor that already
+// ran a farm is refused before it spawns anything.
 func Start(cfg Config) (*Farm, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	jobs := buildJobs(cfg)
-	exec := cfg.Executor
-	if exec == nil {
-		exec = &LocalExecutor{}
-	}
 	// The farm's start is the run's one monotonic clock origin: job
-	// trace spans (stamped here and inside executors via cfg.epoch) and
+	// trace spans (stamped here and in ProcExecutor via cfg.epoch) and
 	// journal record offsets (via SetEpoch below) all measure from it.
 	cfg.epoch = time.Now()
 	f := &Farm{
 		cfg:      cfg,
-		exec:     exec,
+		proc:     cfg.Executor,
 		total:    len(jobs),
 		agg:      newAggregator(cfg, len(jobs)),
 		events:   make(chan Event),
@@ -144,11 +141,12 @@ func Start(cfg Config) (*Farm, error) {
 		attempts: make(map[int]int),
 		queued:   make(map[int]time.Duration),
 	}
-	if n, ok := exec.(workerNotifier); ok {
-		n.setNotify(f.emitWorker)
-	}
-	if err := exec.Start(cfg); err != nil {
-		return nil, err
+	var ups []string
+	if f.proc != nil {
+		if err := f.proc.start(cfg, f.emitWorker); err != nil {
+			return nil, err
+		}
+		ups = f.proc.workerIDs()
 	}
 
 	if cfg.Journal != nil {
@@ -170,10 +168,6 @@ func Start(cfg Config) (*Farm, error) {
 	// Worker-up events precede every job event: dispatchers hold until
 	// the ups are out.
 	upsDone := make(chan struct{})
-	var ups []string
-	if r, ok := exec.(workerReporter); ok {
-		ups = r.workerIDs()
-	}
 	go func() {
 		for _, id := range ups {
 			f.emitWorker(WorkerEvent{Worker: id, Up: true})
@@ -192,10 +186,12 @@ func Start(cfg Config) (*Farm, error) {
 	}
 	go func() {
 		wg.Wait()
-		// Closing the executor retires its workers; their clean
-		// worker-down events are emitted from inside Close, before the
-		// stream ends.
-		exec.Close()
+		if f.proc != nil {
+			// Closing the executor retires its workers; their clean
+			// worker-down events are emitted from inside close, before
+			// the stream ends.
+			f.proc.close()
+		}
 		close(f.events)
 	}()
 	return f, nil
@@ -205,14 +201,14 @@ func Start(cfg Config) (*Farm, error) {
 // the last job's events are delivered.
 func (f *Farm) Events() <-chan Event { return f.events }
 
-// dispatch feeds jobs through the executor until the matrix is
-// exhausted. A transport failure requeues the job within its retry
-// budget; past it, the failure becomes the job's result.
+// dispatch runs jobs until the matrix is exhausted. A transport
+// failure requeues the job within its retry budget; past it, the
+// failure becomes the job's result.
 func (f *Farm) dispatch() {
 	for job := range f.feed {
 		f.emitStarted(job)
 		dispatched := time.Now()
-		res, err := f.exec.Execute(job)
+		res, err := f.execute(job)
 		if err != nil {
 			if f.requeue(job, err) {
 				continue
@@ -220,14 +216,36 @@ func (f *Farm) dispatch() {
 			res = JobResult{Job: job, Err: fmt.Errorf("executor: %w", err)}
 		}
 		res.Wall = time.Since(dispatched)
-		// The dispatcher owns the span's farm-side phases; the executor
-		// stamped StartedNs/ExecNs during Execute (both stay zero on the
-		// past-retry failure path above — the job never executed).
+		// The dispatcher owns the span's farm-side phases; execute
+		// stamped StartedNs/ExecNs (both stay zero on the past-retry
+		// failure path above — the job never executed).
 		res.Span.QueuedNs = f.queuedAt(job.Index)
 		res.Span.DispatchedNs = sinceEpoch(f.start, dispatched)
 		res.Span.FinishedNs = sinceEpoch(f.start, time.Now())
 		f.finish(res)
 	}
+}
+
+// LocalWorkerID is the JobResult.Worker value of a job run in process.
+const LocalWorkerID = "local"
+
+// execute runs one job to completion: on the ProcExecutor when the farm
+// has one, else in process on the calling dispatcher. A non-nil error
+// is a transport failure — the job did not run to completion and the
+// farm may requeue it on another worker; failures of the job itself
+// travel inside JobResult.Err. An in-process job starts at once:
+// StartedNs is stamped here and ExecNs measured around the run, so its
+// Span.Transport is (near) zero by construction.
+func (f *Farm) execute(job Job) (JobResult, error) {
+	if f.proc != nil {
+		return f.proc.execute(job)
+	}
+	started := time.Now()
+	res := runJob(f.cfg, job)
+	res.Worker = LocalWorkerID
+	res.Span.StartedNs = sinceEpoch(f.start, started)
+	res.Span.ExecNs = time.Since(started)
+	return res, nil
 }
 
 // sinceEpoch places t on the farm's span clock. A zero epoch (a
@@ -251,8 +269,8 @@ func (f *Farm) queuedAt(index int) time.Duration {
 
 // requeue returns a transport-failed job to the feed and reports
 // whether it did. A job out of attempts is not requeued, and neither is
-// any job once the executor is out of workers — a retry then could only
-// spin.
+// any job once the ProcExecutor is out of workers — a retry then could
+// only spin.
 func (f *Farm) requeue(job Job, err error) bool {
 	if errors.Is(err, ErrNoWorkers) {
 		return false
@@ -304,7 +322,7 @@ func (f *Farm) finish(res JobResult) {
 	}
 }
 
-// emitWorker records one executor worker lifecycle change in the
+// emitWorker records one ProcExecutor worker lifecycle change in the
 // journal and the event stream.
 func (f *Farm) emitWorker(ev WorkerEvent) {
 	f.emitMu.Lock()

@@ -223,18 +223,13 @@ type (
 	// FleetCorpusStats summarises a corpus-backed farm's store
 	// interaction (new traces saved, known signatures recognised).
 	FleetCorpusStats = fleet.CorpusStats
-	// FleetExecutor is the transport a farm drives its jobs through:
-	// the in-process pool (FleetLocalExecutor, the default) or worker
-	// subprocesses (FleetProcExecutor). Wire one into a farm via
-	// FleetConfig.Executor; both transports produce identical reports.
-	FleetExecutor = fleet.Executor
-	// FleetLocalExecutor runs farm jobs in-process on the dispatcher
-	// goroutines — the default when FleetConfig.Executor is nil.
-	FleetLocalExecutor = fleet.LocalExecutor
-	// FleetProcExecutor runs farm jobs in worker subprocesses speaking a
-	// length-prefixed JSON protocol over their stdin/stdout. A crashed
-	// or deadline-blown worker is retired and its job requeued; the farm
-	// degrades to the surviving workers.
+	// FleetProcExecutor runs one farm's jobs in worker subprocesses
+	// speaking a length-prefixed JSON protocol over their stdin/stdout;
+	// a farm whose FleetConfig.Executor is nil runs them in process,
+	// with an identical report. A crashed or deadline-blown worker is
+	// retired and its job requeued; the farm degrades to the surviving
+	// workers. Build a new one for each farm: a farm refuses one that
+	// already ran.
 	FleetProcExecutor = fleet.ProcExecutor
 	// FleetProcConfig parameterises a FleetProcExecutor: worker count,
 	// the worker command (defaults to re-executing this binary with
@@ -367,10 +362,11 @@ func StartFleet(cfg FleetConfig) (*FleetFarm, error) {
 	return fleet.Start(cfg)
 }
 
-// NewFleetProcExecutor builds a process-isolated farm executor: Start
-// spawns the worker subprocesses, each job travels to an idle worker as
-// length-prefixed JSON and its result (findings, metrics, telemetry
-// deltas) travels back. Pass it via FleetConfig.Executor.
+// NewFleetProcExecutor builds a process-isolated farm executor: the
+// farm spawns its worker subprocesses when it starts, each job travels
+// to an idle worker as length-prefixed JSON and its result (findings,
+// metrics, telemetry deltas) travels back. Pass it via
+// FleetConfig.Executor to one farm.
 func NewFleetProcExecutor(pc FleetProcConfig) *FleetProcExecutor {
 	return fleet.NewProcExecutor(pc)
 }
