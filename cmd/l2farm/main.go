@@ -50,8 +50,10 @@
 // The farm is observable while it runs. -telemetry ADDR serves a live
 // introspection endpoint: /metrics (Prometheus text format counters:
 // frames, packets, mutations, findings, job lifecycle), /debug/vars
-// (expvar), /snapshot (the mid-run farm report as JSON) and
-// /debug/pprof. -journal DIR records the run as a structured JSONL
+// (expvar), /snapshot (the mid-run farm report as JSON; null until the
+// farm has started) and /debug/pprof. The endpoint listens before the
+// farm starts, so an address it cannot listen on refuses the run before
+// any worker spawns. -journal DIR records the run as a structured JSONL
 // journal in a fresh DIR/run-<timestamp>-<pid>/journal.jsonl: the farm
 // configuration, every job start, job result (with its trace span) and
 // finding as timestamped records, plus a counter sample every
@@ -94,6 +96,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"l2fuzz"
@@ -344,29 +347,42 @@ func run() error {
 		// the sampled series' time axis honestly.
 		cfg.SampleInterval = *journalEvery
 	}
-	farm, err := l2fuzz.StartFleet(cfg)
-	if err != nil {
+	// A refused farm leaves no run directory behind: an empty journal
+	// would shadow the last complete run in l2journal.
+	refuse := func(err error) error {
 		if cfg.Journal != nil {
-			// A refused farm leaves no run directory behind: an empty
-			// journal would shadow the last complete run in l2journal.
 			cfg.Journal.Close()
 			os.RemoveAll(runDir)
 		}
 		return err
 	}
-	if cfg.Journal != nil {
-		fmt.Fprintln(os.Stderr, "l2farm: journaling to", filepath.Join(runDir, l2fuzz.TelemetryJournalFile))
-	}
+	// The endpoint listens before the farm starts, so a bad address
+	// refuses the farm before any worker spawns; /snapshot serves null
+	// until the farm is up.
+	var live atomic.Pointer[l2fuzz.FleetFarm]
 	if *telemetry != "" {
 		srv, err := l2fuzz.ServeTelemetry(*telemetry, l2fuzz.TelemetryServerConfig{
 			Counters: cfg.Counters,
-			Snapshot: func() any { return farm.Snapshot() },
+			Snapshot: func() any {
+				if farm := live.Load(); farm != nil {
+					return farm.Snapshot()
+				}
+				return nil
+			},
 		})
 		if err != nil {
-			return err
+			return refuse(err)
 		}
 		defer srv.Close()
 		fmt.Fprintln(os.Stderr, "l2farm: telemetry on http://"+srv.Addr)
+	}
+	farm, err := l2fuzz.StartFleet(cfg)
+	if err != nil {
+		return refuse(err)
+	}
+	live.Store(farm)
+	if cfg.Journal != nil {
+		fmt.Fprintln(os.Stderr, "l2farm: journaling to", filepath.Join(runDir, l2fuzz.TelemetryJournalFile))
 	}
 	stopSampler := func() {}
 	if cfg.Journal != nil {

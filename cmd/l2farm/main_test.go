@@ -55,6 +55,7 @@ func TestRefusedFarmLeavesNoJournal(t *testing.T) {
 	for _, args := range [][]string{
 		{"-devices", "D9", "-quiet", "-journal", dir},
 		{"-devices", "D2", "-quiet", "-exec", "proc", "-procs", "-3", "-journal", dir},
+		{"-devices", "D2", "-quiet", "-exec", "proc", "-telemetry", "bad::addr", "-journal", dir},
 	} {
 		out, err := l2farm(args...)
 		var exit *exec.ExitError

@@ -44,9 +44,11 @@
 // The farm runs each job itself, in process on the dispatcher that
 // picked it up, or on worker subprocesses when Config.Executor holds a
 // ProcExecutor; both render byte-identical reports from equal configs.
-// A ProcExecutor runs one farm: its workers spawn at Start and are
-// reaped when the last job is accounted for, and Start refuses an
-// executor that already ran.
+// A ProcExecutor runs one farm: its workers spawn and handshake
+// together at Start and retire together when the last job is accounted
+// for, reaped and reported in id order, so a process farm starts and
+// stops in about one worker's boot and exit time whatever its pool
+// size. Start refuses an executor that already ran.
 //
 // The aggregate folds per-job results into one Report:
 //

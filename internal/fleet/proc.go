@@ -38,12 +38,15 @@ type ProcConfig struct {
 
 // ProcExecutor runs a farm's jobs on a pool of worker subprocesses, one
 // job in flight per worker, shipping jobs and results over the wire
-// protocol. The farm drives it: workers spawn when the farm starts and
-// shut down cleanly when its last job is accounted for (their job
-// stream ends). A worker that dies or desynchronizes mid-run is
-// retired, never respawned: the farm degrades to the surviving workers
-// and requeues the lost job, and when no worker is left the job fails
-// with ErrNoWorkers.
+// protocol. The farm drives it: the workers spawn and handshake
+// together when the farm starts, and shut down together, cleanly, when
+// its last job is accounted for (every job stream ends, then each
+// worker is reaped in id order), so starting and stopping a farm each
+// take about one worker's boot or exit time whatever Procs is. A
+// worker that dies or desynchronizes mid-run is retired, never
+// respawned: the farm degrades to the surviving workers and requeues
+// the lost job, and when no worker is left the job fails with
+// ErrNoWorkers.
 //
 // A ProcExecutor runs one farm: Start refuses one that already ran, so
 // build a new one for each farm.
@@ -93,7 +96,8 @@ type procWorker struct {
 }
 
 // NewProcExecutor returns an executor spawning workers per pc. Set it
-// as the Config.Executor of one farm; the farm starts and closes it.
+// as the Config.Executor of one farm; the farm starts it, booting every
+// worker at once, and closes it, retiring them all at once.
 func NewProcExecutor(pc ProcConfig) *ProcExecutor {
 	return &ProcExecutor{pc: pc}
 }
@@ -101,8 +105,11 @@ func NewProcExecutor(pc ProcConfig) *ProcExecutor {
 // start spawns the worker pool for the farm of resolved config cfg and
 // reports worker retirements to notify. A ProcExecutor that already ran
 // is refused, and so is a negative Procs or JobDeadline, before any
-// worker spawns; a worker that fails to spawn or handshake fails it
-// too, so the farm surfaces that instead of limping from the off.
+// worker spawns. The workers spawn and handshake together, so the pool
+// is up in about one worker's boot time whatever Procs is; it is built
+// in id order once every worker has answered. A worker that fails to
+// spawn or handshake fails start, so the farm surfaces that instead of
+// limping from the off: the error joins every worker's failure.
 func (e *ProcExecutor) start(cfg Config, notify func(WorkerEvent)) error {
 	if e.deadCh != nil {
 		return errors.New("fleet: a ProcExecutor runs one farm; build a new one for each")
@@ -117,6 +124,14 @@ func (e *ProcExecutor) start(cfg Config, notify func(WorkerEvent)) error {
 	procs := e.pc.Procs
 	if procs == 0 {
 		procs = cfg.Workers
+	}
+	argv := e.pc.Command
+	if len(argv) == 0 {
+		self, err := os.Executable()
+		if err != nil {
+			return fmt.Errorf("fleet: resolve worker binary: %w", err)
+		}
+		argv = []string{self, "-worker"}
 	}
 	// The session message is the same for every worker: encode it once.
 	fc, err := wire.Frame(wireFarm{
@@ -133,19 +148,33 @@ func (e *ProcExecutor) start(cfg Config, notify func(WorkerEvent)) error {
 	}
 	e.idle = make(chan *procWorker, procs)
 	e.deadCh = make(chan struct{})
-	for i := 0; i < procs; i++ {
-		w, err := e.spawn(i, fc)
-		if err != nil {
-			// notify is not installed yet: the farm's event stream has
-			// no reader before Start returns, so the workers already
-			// spawned go down unreported, as they never came up.
-			e.close()
-			return err
+	spawned := make([]*procWorker, procs)
+	errs := make([]error, procs)
+	var wg sync.WaitGroup
+	for i := range spawned {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spawned[i], errs[i] = e.spawn(i, argv, fc)
+		}()
+	}
+	wg.Wait()
+	e.mu.Lock()
+	for _, w := range spawned {
+		if w != nil {
+			e.workers = append(e.workers, w)
+			e.live++
 		}
-		e.mu.Lock()
-		e.workers = append(e.workers, w)
-		e.live++
-		e.mu.Unlock()
+	}
+	e.mu.Unlock()
+	if err := errors.Join(errs...); err != nil {
+		// notify is not installed yet: the farm's event stream has no
+		// reader before Start returns, so the workers that did spawn go
+		// down unreported, as they never came up.
+		e.close()
+		return err
+	}
+	for _, w := range e.workers {
 		e.idle <- w
 	}
 	e.notify = notify
@@ -161,33 +190,27 @@ func (e *ProcExecutor) workerIDs() []string {
 	return ids
 }
 
-// spawn launches one worker and completes the hello/config handshake,
-// sending fc, the encoded wireFarm frame.
-func (e *ProcExecutor) spawn(i int, fc []byte) (*procWorker, error) {
-	argv := e.pc.Command
-	if len(argv) == 0 {
-		self, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: resolve worker binary: %w", err)
-		}
-		argv = []string{self, "-worker"}
-	}
+// spawn launches worker i from argv and completes the hello/config
+// handshake, sending fc, the encoded wireFarm frame. Every error names
+// the worker.
+func (e *ProcExecutor) spawn(i int, argv []string, fc []byte) (*procWorker, error) {
+	id := fmt.Sprintf("proc/%d", i)
 	cmd := exec.Command(argv[0], argv[1:]...)
 	cmd.Env = append(os.Environ(), e.pc.Env...)
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return nil, fmt.Errorf("fleet: worker stdin: %w", err)
+		return nil, fmt.Errorf("fleet: worker %s stdin: %w", id, err)
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, fmt.Errorf("fleet: worker stdout: %w", err)
+		return nil, fmt.Errorf("fleet: worker %s stdout: %w", id, err)
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("fleet: spawn worker: %w", err)
+		return nil, fmt.Errorf("fleet: spawn worker %s: %w", id, err)
 	}
 	w := &procWorker{
-		id:    fmt.Sprintf("proc/%d", i),
+		id:    id,
 		cmd:   cmd,
 		stdin: stdin,
 		enc:   wire.NewEncoder(stdin),
@@ -337,19 +360,22 @@ func (e *ProcExecutor) KillOne() string {
 	return victim.id
 }
 
-// close shuts the pool down cleanly: each surviving worker's job stream
-// ends (stdin closes), the worker exits and is reaped, and its clean
-// retirement is reported. A second close finds every worker dead and
-// does nothing.
+// close shuts the pool down cleanly: every surviving worker's job
+// stream ends (stdin closes) first, so the workers exit together; then
+// each is reaped and its clean retirement reported, in id order. A
+// second close finds every worker dead and does nothing.
 func (e *ProcExecutor) close() {
 	e.mu.Lock()
 	workers := append([]*procWorker(nil), e.workers...)
 	e.mu.Unlock()
+	ending := workers[:0]
 	for _, w := range workers {
-		if !e.markDead(w) {
-			continue
+		if e.markDead(w) {
+			w.stdin.Close()
+			ending = append(ending, w)
 		}
-		w.stdin.Close()
+	}
+	for _, w := range ending {
 		err := w.cmd.Wait()
 		ev := WorkerEvent{Worker: w.id}
 		if err != nil {

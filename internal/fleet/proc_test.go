@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -142,12 +144,13 @@ func TestProcExecutorRunsOneFarm(t *testing.T) {
 	}
 }
 
-// TestProcFarmRefusedMidSpawn fails the second worker's spawn: Start
+// TestProcFarmRefusedMidSpawn fails one of two workers' spawns: Start
 // returns the error, with no event reader needed, and reaps the worker
-// that did come up.
+// that did come up. The workers spawn together, so either may be the
+// one that comes up.
 func TestProcFarmRefusedMidSpawn(t *testing.T) {
 	pc := procConfig(2)
-	// The first spawn makes the marker and becomes a worker; the second
+	// The first spawn to make the marker becomes a worker; the other
 	// finds it and exits before its hello.
 	pc.Command = []string{"sh", "-c", `mkdir "$SPAWN_MARK" 2>/dev/null && exec "$0"; exit 3`, os.Args[0]}
 	pc.Env = append(pc.Env, "SPAWN_MARK="+filepath.Join(t.TempDir(), "spawned"))
@@ -157,16 +160,111 @@ func TestProcFarmRefusedMidSpawn(t *testing.T) {
 		_, err := Start(Config{Devices: []string{"D2"}, Workers: 2, MaxPacketsPerJob: 200, MeasurementGrade: true, Executor: exec})
 		errc <- err
 	}()
+	var err error
 	select {
-	case err := <-errc:
-		if err == nil || !strings.Contains(err.Error(), "proc/1") {
-			t.Fatalf("got %v, want an error naming worker proc/1", err)
-		}
+	case err = <-errc:
 	case <-time.After(time.Minute):
 		t.Fatal("Start did not return after a worker failed to spawn")
 	}
 	if len(exec.workers) != 1 || exec.workers[0].cmd.ProcessState == nil {
 		t.Fatalf("want the one spawned worker reaped, have %d workers", len(exec.workers))
+	}
+	up, refused := exec.workers[0].id, "proc/0"
+	if up == refused {
+		refused = "proc/1"
+	}
+	if err == nil || !strings.Contains(err.Error(), refused) || strings.Contains(err.Error(), up) {
+		t.Fatalf("got %v, want an error naming worker %s and not %s", err, refused, up)
+	}
+}
+
+// TestProcFarmRefusedEverySpawn fails every worker's spawn: Start
+// returns an error naming each worker, the executor holds none, and
+// every spawned process has been reaped.
+func TestProcFarmRefusedEverySpawn(t *testing.T) {
+	pids := t.TempDir()
+	pc := procConfig(3)
+	pc.Command = []string{"sh", "-c", `echo $$ >"$PIDS/$$"; exit 3`}
+	pc.Env = append(pc.Env, "PIDS="+pids)
+	exec := NewProcExecutor(pc)
+	_, err := Start(Config{Devices: []string{"D2"}, Workers: 3, MaxPacketsPerJob: 200, MeasurementGrade: true, Executor: exec})
+	if err == nil {
+		t.Fatal("a farm whose every worker exits before its hello started")
+	}
+	for _, id := range []string{"proc/0", "proc/1", "proc/2"} {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("the error does not name worker %s: %v", id, err)
+		}
+	}
+	if len(exec.workers) != 0 {
+		t.Errorf("the refused farm holds %d workers", len(exec.workers))
+	}
+	entries, err := os.ReadDir(pids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		t.Fatalf("%d of 3 worker processes ran", len(entries))
+	}
+	for _, e := range entries {
+		pid, err := strconv.Atoi(e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A reaped child is no child of ours: ECHILD. An unreaped one
+		// is reaped here (pid) or still running (0).
+		if got, err := syscall.Wait4(pid, nil, syscall.WNOHANG, nil); err != syscall.ECHILD {
+			t.Errorf("worker process %d was left unreaped (wait4: %d, %v)", pid, got, err)
+		}
+	}
+}
+
+// TestProcWorkersBootAndRetireTogether pins that a farm's workers boot
+// together and retire together. Each of 4 workers takes a second to
+// boot and a second to exit (a shell around the worker sleeps before
+// and after it), so one by one a farm would take at least 4 s to start
+// and 4 s to retire its pool; together each takes about 1 s. Under
+// -race a worker also sleeps 1 s at exit (the race runtime's default
+// atexit_sleep_ms), hence the 3 s bounds. Retirements are reported in
+// id order.
+func TestProcWorkersBootAndRetireTogether(t *testing.T) {
+	pc := procConfig(4)
+	pc.Command = []string{"sh", "-c", `sleep 1; "$0"; s=$?; sleep 1; exit $s`, os.Args[0]}
+	cfg := Config{Devices: []string{"D2"}, Shards: 4, Workers: 4, MaxPacketsPerJob: 500, MeasurementGrade: true, Executor: NewProcExecutor(pc)}
+	const bound = 3 * time.Second
+	began := time.Now()
+	farm, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := time.Since(began)
+	if boot > bound {
+		t.Errorf("Start took %v to boot 4 workers, want at most %v", boot, bound)
+	}
+	var lastDone, lastDown time.Time
+	var downs []string
+	for ev := range farm.Events() {
+		switch ev.Type {
+		case EventJobDone:
+			lastDone = ev.Time
+		case EventWorkerDown:
+			lastDown = ev.Time
+			downs = append(downs, ev.Worker)
+			if ev.WorkerErr != "" {
+				t.Errorf("worker %s went down with %q, want a clean shutdown", ev.Worker, ev.WorkerErr)
+			}
+		}
+	}
+	if rep := farm.Wait(); rep.Completed != 4 {
+		t.Fatalf("the farm completed %d of 4 jobs", rep.Completed)
+	}
+	retire := lastDown.Sub(lastDone)
+	if retire > bound {
+		t.Errorf("the workers took %v to retire after the last job, want at most %v", retire, bound)
+	}
+	t.Logf("4 workers booted in %v and retired in %v", boot, retire)
+	if want := []string{"proc/0", "proc/1", "proc/2", "proc/3"}; !reflect.DeepEqual(downs, want) {
+		t.Errorf("workers went down in order %v, want %v", downs, want)
 	}
 }
 

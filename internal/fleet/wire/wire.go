@@ -45,31 +45,51 @@ var (
 // headerSize is the length prefix width.
 const headerSize = 4
 
-// Encoder writes framed JSON messages to a stream. Each Encode issues
-// one Write, so a frame is never interleaved with other output on the
-// same descriptor. Not safe for concurrent use.
+// Encoder writes framed JSON messages to a stream. Each message is
+// encoded once, into a frame buffer the encoder owns, and each Encode
+// issues one Write, so a frame is never interleaved with other output
+// on the same descriptor. Not safe for concurrent use.
 type Encoder struct {
 	w   io.Writer
-	buf []byte
+	buf frameBuffer
+	enc *json.Encoder
+}
+
+// frameBuffer is a byte slice as an io.Writer, so a json.Encoder
+// appends a payload to it in place.
+type frameBuffer struct{ b []byte }
+
+func (f *frameBuffer) Write(p []byte) (int, error) {
+	f.b = append(f.b, p...)
+	return len(p), nil
 }
 
 // NewEncoder returns an encoder framing onto w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
+func NewEncoder(w io.Writer) *Encoder {
+	e := &Encoder{w: w}
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}
 
-// Encode marshals v and writes it as one frame.
+// Encode marshals v and writes it as one frame. A value that does not
+// marshal, or marshals past MaxFrame, writes nothing.
 func (e *Encoder) Encode(v any) error {
-	frame, err := appendFrame(e.buf[:0], v)
-	if err != nil {
+	if err := e.frame(v); err != nil {
 		return err
 	}
-	e.buf = frame
-	return e.WriteFrame(frame)
+	return e.WriteFrame(e.buf.b)
 }
 
 // Frame marshals v into one complete frame, for a message written
 // unchanged to many streams with WriteFrame: it is encoded once, not
 // once per stream.
-func Frame(v any) ([]byte, error) { return appendFrame(nil, v) }
+func Frame(v any) ([]byte, error) {
+	e := NewEncoder(nil)
+	if err := e.frame(v); err != nil {
+		return nil, err
+	}
+	return e.buf.b, nil
+}
 
 // WriteFrame writes a frame built by Frame in one Write.
 func (e *Encoder) WriteFrame(frame []byte) error {
@@ -79,18 +99,23 @@ func (e *Encoder) WriteFrame(frame []byte) error {
 	return nil
 }
 
-// appendFrame appends v's frame, length prefix and JSON payload, to
-// dst.
-func appendFrame(dst []byte, v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return dst, fmt.Errorf("wire: marshal: %w", err)
+// frame encodes v's frame into e's buffer: a reserved length prefix,
+// then the payload, then the payload's length patched into the prefix.
+// The payload is json.Marshal's bytes of v.
+func (e *Encoder) frame(v any) error {
+	e.buf.b = append(e.buf.b[:0], make([]byte, headerSize)...)
+	if err := e.enc.Encode(v); err != nil {
+		return fmt.Errorf("wire: marshal: %w", err)
 	}
-	if len(payload) > MaxFrame {
-		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	// Encode ends the payload with a newline json.Marshal does not
+	// write: drop it.
+	e.buf.b = e.buf.b[:len(e.buf.b)-1]
+	n := len(e.buf.b) - headerSize
+	if n > MaxFrame {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...), nil
+	binary.BigEndian.PutUint32(e.buf.b, uint32(n))
+	return nil
 }
 
 // Decoder reads framed JSON messages from a stream. Not safe for

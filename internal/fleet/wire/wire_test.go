@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,6 +64,42 @@ func TestFrameBytesGolden(t *testing.T) {
 	}
 }
 
+// TestEncodeIsMarshalFramed pins Encode's frame to json.Marshal's
+// bytes: a 4-byte big-endian length, then exactly json.Marshal(v), HTML
+// escaping included, with no trailing newline. Frame builds the same
+// bytes. A value that does not marshal writes nothing and leaves the
+// next frame clean.
+func TestEncodeIsMarshalFramed(t *testing.T) {
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for _, v := range []any{
+		payload{Name: "<script>&amp;</script>\u2028\u2029", Index: 3},
+		math.NaN(),
+		map[string]any{"k": []int{1, 2, 3}, "s": "a&b"},
+		payload{Name: "after", Index: -1},
+	} {
+		buf.Reset()
+		err := enc.Encode(v)
+		want, merr := json.Marshal(v)
+		if merr != nil {
+			if err == nil || buf.Len() != 0 {
+				t.Errorf("unmarshalable %v: err %v, wrote %d bytes; want an error and nothing written", v, err, buf.Len())
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("encode %v: %v", v, err)
+		}
+		frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(want))), want...)
+		if !bytes.Equal(buf.Bytes(), frame) {
+			t.Errorf("Encode(%v) wrote\n %q\nwant\n %q", v, buf.Bytes(), frame)
+		}
+		if got, err := Frame(v); err != nil || !bytes.Equal(got, frame) {
+			t.Errorf("Frame(%v) = %q, %v; want %q", v, got, err, frame)
+		}
+	}
+}
+
 func TestCleanEOF(t *testing.T) {
 	var v payload
 	if err := NewDecoder(strings.NewReader("")).Decode(&v); err != io.EOF {
@@ -116,6 +153,9 @@ func TestOversizedEncode(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("oversized encode wrote %d bytes", buf.Len())
+	}
+	if _, err := Frame(strings.Repeat("a", MaxFrame)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
 }
 

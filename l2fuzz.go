@@ -363,10 +363,11 @@ func StartFleet(cfg FleetConfig) (*FleetFarm, error) {
 }
 
 // NewFleetProcExecutor builds a process-isolated farm executor: the
-// farm spawns its worker subprocesses when it starts, each job travels
-// to an idle worker as length-prefixed JSON and its result (findings,
-// metrics, telemetry deltas) travels back. Pass it via
-// FleetConfig.Executor to one farm.
+// farm boots all its worker subprocesses at once when it starts, each
+// job travels to an idle worker as length-prefixed JSON and its result
+// (findings, metrics, telemetry deltas) travels back, and the workers
+// retire together when the farm ends. Pass it via FleetConfig.Executor
+// to one farm.
 func NewFleetProcExecutor(pc FleetProcConfig) *FleetProcExecutor {
 	return fleet.NewProcExecutor(pc)
 }
