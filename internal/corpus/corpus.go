@@ -29,8 +29,11 @@ type Trace struct {
 	// PSM is the service port under test at detection.
 	PSM l2cap.PSM `json:"psm"`
 	// Ops is the ordered operation sequence. Replaying it against a
-	// fresh rig of the same target reproduces the finding.
-	Ops []Op `json:"ops"`
+	// fresh rig of the same target reproduces the finding. A loaded
+	// trace holds its ops in one slice and its send data in one buffer
+	// (see Ops.UnmarshalJSON); a []Op such as a recorder's snapshot is
+	// assignable to it.
+	Ops Ops `json:"ops"`
 	// Truncated reports the recorder's limit was hit: the sequence is
 	// missing its tail and cannot replay faithfully.
 	Truncated bool `json:"truncated,omitempty"`

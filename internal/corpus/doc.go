@@ -22,14 +22,19 @@
 //   - Store persists entries as one JSON file per signature in a
 //     directory, so farms become resumable across processes: a second
 //     run over the same store recognises yesterday's findings as Known
-//     instead of re-reporting them.
+//     instead of re-reporting them. A stored trace loads into two
+//     allocations, its ops and one buffer their send data share
+//     (Ops.UnmarshalJSON), however many ops it holds.
 //   - Replay re-drives a stored trace against a fresh rig and verifies
 //     the crash still fires, classifying the outcome exactly as the
 //     original detection did (core.ProbeLiveness) and feeding the fresh
-//     device dump to triage for a root-cause report. Minimize
-//     delta-debugs the trace down to a minimal operation sequence that
-//     still reproduces the same signature — the minimal witness the
-//     paper's manual analysis had to reconstruct by hand.
+//     device dump to triage for a root-cause report. The rig is a
+//     replay rig, without a sniffer, so a replay allocates next to
+//     nothing per op. Minimize delta-debugs the trace down to a minimal
+//     operation sequence that still reproduces the same signature — the
+//     minimal witness the paper's manual analysis had to reconstruct by
+//     hand. Its probes replay each candidate in place, so only the
+//     winning candidate of a round is ever copied.
 //
 // fleet.Config.Corpus wires a Store into a farm (new findings persist
 // as they stream), cmd/l2repro replays, minimizes and triages stored

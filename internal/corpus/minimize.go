@@ -3,7 +3,9 @@ package corpus
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultMaxReplays bounds a minimization run. Every probe costs a full
@@ -47,7 +49,10 @@ type probeOutcome struct {
 // The complement probes of each granularity round run concurrently,
 // GOMAXPROCS at a time. Each probe replays on its own rig, and results
 // are judged in candidate order, so the chosen witness — and the final
-// trace — match the sequential algorithm's at every worker count.
+// trace — match the sequential algorithm's at every worker count. A
+// probe replays the current trace in place, skipping the chunk its
+// candidate drops, and only the winning candidate is copied out, so a
+// round costs no memory per candidate beyond its verdict.
 func Minimize(e Entry, cfg MinimizeConfig) (*MinimizeResult, error) {
 	maxReplays := cfg.MaxReplays
 	switch {
@@ -58,10 +63,11 @@ func Minimize(e Entry, cfg MinimizeConfig) (*MinimizeResult, error) {
 	}
 	res := &MinimizeResult{Entry: e, Before: len(e.Trace.Ops)}
 
-	probe := func(ops []Op) probeOutcome {
+	// probe replays ops without ops[from:to].
+	probe := func(ops Ops, from, to int) probeOutcome {
 		candidate := e
 		candidate.Trace.Ops = ops
-		r, err := Replay(candidate, cfg.ReplayConfig)
+		r, err := replay(candidate, cfg.ReplayConfig, from, to)
 		if err != nil {
 			return probeOutcome{err: err}
 		}
@@ -69,7 +75,7 @@ func Minimize(e Entry, cfg MinimizeConfig) (*MinimizeResult, error) {
 	}
 
 	res.Replays++
-	if out := probe(e.Trace.Ops); out.err != nil {
+	if out := probe(e.Trace.Ops, 0, 0); out.err != nil {
 		return nil, out.err
 	} else if !out.ok {
 		return nil, fmt.Errorf("corpus: trace for %v does not reproduce; nothing to minimize", e.Signature)
@@ -83,37 +89,27 @@ func Minimize(e Entry, cfg MinimizeConfig) (*MinimizeResult, error) {
 	n := 2
 	for len(ops) >= 2 && res.Replays < maxReplays {
 		chunk := (len(ops) + n - 1) / n
-		var candidates [][]Op
-		for start := 0; start < len(ops); start += chunk {
-			end := min(start+chunk, len(ops))
-			candidate := make([]Op, 0, len(ops)-(end-start))
-			candidate = append(candidate, ops[:start]...)
-			candidate = append(candidate, ops[end:]...)
-			if len(candidate) == len(ops) {
-				continue
-			}
-			candidates = append(candidates, candidate)
-		}
-		// The whole round launches together, so the budget caps the
-		// round's fan-out, not individual probes mid-sweep.
-		if remaining := maxReplays - res.Replays; len(candidates) > remaining {
-			candidates = candidates[:remaining]
-		}
+		// Candidate i drops ops[i*chunk : (i+1)*chunk], clipped to the
+		// trace. The whole round launches together, so the budget caps
+		// the round's fan-out, not individual probes mid-sweep.
+		dropped := func(i int) (int, int) { return i * chunk, min((i+1)*chunk, len(ops)) }
+		candidates := min((len(ops)+chunk-1)/chunk, maxReplays-res.Replays)
 
-		outcomes := make([]probeOutcome, len(candidates))
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		outcomes := make([]probeOutcome, candidates)
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for i := range candidates {
+		for range min(runtime.GOMAXPROCS(0), candidates) {
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				outcomes[i] = probe(candidates[i])
-			}(i)
+				for i := int(next.Add(1) - 1); i < candidates; i = int(next.Add(1) - 1) {
+					from, to := dropped(i)
+					outcomes[i] = probe(ops, from, to)
+				}
+			}()
 		}
 		wg.Wait()
-		res.Replays += len(candidates)
+		res.Replays += candidates
 
 		// Judge in candidate order: the lowest-index success is the
 		// witness (and the first error surfaces), exactly as the
@@ -124,7 +120,8 @@ func Minimize(e Entry, cfg MinimizeConfig) (*MinimizeResult, error) {
 				return nil, out.err
 			}
 			if out.ok {
-				ops = candidates[i]
+				from, to := dropped(i)
+				ops = slices.Concat(ops[:from], ops[to:])
 				n = max(n-1, 2)
 				reduced = true
 				break

@@ -67,36 +67,46 @@ func resolveSpec(e Entry, cfg ReplayConfig) (device.Spec, error) {
 // rig and verifies the crash still fires. The outcome is classified
 // exactly as the original detection classified it — core.ProbeLiveness
 // for the L2CAP kinds, the mux-liveness split for RFCOMM — and the
-// fresh device dump is fed to triage for the root-cause report.
+// fresh device dump is fed to triage for the root-cause report. The rig
+// is a replay rig (testbed.Options.Replay): it carries no sniffer, so
+// re-driving a trace allocates next to nothing per op.
 func Replay(e Entry, cfg ReplayConfig) (*ReplayResult, error) {
-	if !e.Trace.Replayable() {
-		if e.Trace.Truncated {
-			return nil, fmt.Errorf("corpus: trace for %v is truncated and cannot replay faithfully", e.Signature)
-		}
+	return replay(e, cfg, 0, 0)
+}
+
+// replay is Replay of the trace without its ops [from, to): a
+// minimization probe replays its candidate in place of a copy.
+func replay(e Entry, cfg ReplayConfig, from, to int) (*ReplayResult, error) {
+	if e.Trace.Truncated {
+		return nil, fmt.Errorf("corpus: trace for %v is truncated and cannot replay faithfully", e.Signature)
+	}
+	if len(e.Trace.Ops)-(to-from) == 0 {
 		return nil, fmt.Errorf("corpus: entry %v carries no recorded trace", e.Signature)
 	}
 	spec, err := resolveSpec(e, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rig, err := testbed.New(spec, testbed.Options{RFCOMM: e.Kind == kindRFCOMM})
+	rig, err := testbed.New(spec, testbed.Options{RFCOMM: e.Kind == kindRFCOMM, Replay: true})
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
 	addr := rig.Device.Address()
-	for _, op := range e.Trace.Ops {
-		switch op.Kind {
-		case host.TraceConnect:
-			// A page the original run made against an already-dead
-			// target fails here too; the failure itself is the point.
-			_ = rig.Client.Connect(addr)
-		case host.TraceDisconnect:
-			rig.Client.Disconnect(addr)
-		case host.TraceSend:
-			_ = rig.Client.SendRaw(addr, op.Data)
-			rig.Client.Drain()
-		default:
-			return nil, fmt.Errorf("corpus: unknown trace op %q", op.Kind)
+	for _, ops := range [2]Ops{e.Trace.Ops[:from], e.Trace.Ops[to:]} {
+		for _, op := range ops {
+			switch op.Kind {
+			case host.TraceConnect:
+				// A page the original run made against an already-dead
+				// target fails here too; the failure itself is the point.
+				_ = rig.Client.Connect(addr)
+			case host.TraceDisconnect:
+				rig.Client.Disconnect(addr)
+			case host.TraceSend:
+				_ = rig.Client.SendRaw(addr, op.Data)
+				rig.Client.Drain()
+			default:
+				return nil, fmt.Errorf("corpus: unknown trace op %q", op.Kind)
+			}
 		}
 	}
 

@@ -3,7 +3,7 @@
 // Wireshark-style trace sniffer. Farm jobs, the evaluation harness's
 // cells (which run the same fleet engines) and corpus replays all build
 // their rigs here, so they cannot drift apart in how they wire a
-// testbed.
+// testbed. A replay rig measures nothing and carries no sniffer.
 //
 // The target is a first-class device.Spec, not a catalog ID: the
 // catalog's eight Table V devices come from device.CatalogSpec, and any
@@ -30,9 +30,10 @@ var TesterAddr = radio.MustBDAddr("00:1B:DC:F0:00:01")
 // Rig is one measurement setup: a fresh medium, a target device, a
 // tester client and a sniffer.
 type Rig struct {
-	Medium  *radio.Medium
-	Device  *device.Device
-	Client  *host.Client
+	Medium *radio.Medium
+	Device *device.Device
+	Client *host.Client
+	// Sniffer is nil on a rig built with Options.Replay.
 	Sniffer *metrics.Sniffer
 	// Recorder is the client's trace recorder when Options.Record was
 	// set, nil otherwise.
@@ -60,6 +61,11 @@ type Options struct {
 	// trace truncated rather than dropping its head, because a headless
 	// trace could not replay from a fresh rig.
 	RecordLimit int
+	// Replay builds the rig to re-drive a recorded trace (corpus
+	// replays): it measures nothing, so it carries no sniffer and
+	// Rig.Sniffer is nil. A sniffer records two figure-series points per
+	// packet, which would be all a replay allocates.
+	Replay bool
 }
 
 // New builds a rig around one target spec.
@@ -76,11 +82,9 @@ func New(spec device.Spec, opts Options) (*Rig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	rig := &Rig{
-		Medium:  m,
-		Device:  dev,
-		Client:  cl,
-		Sniffer: metrics.NewSniffer(m, TesterAddr),
+	rig := &Rig{Medium: m, Device: dev, Client: cl}
+	if !opts.Replay {
+		rig.Sniffer = metrics.NewSniffer(m, TesterAddr)
 	}
 	if opts.Record {
 		rig.Recorder = host.NewTraceRecorder(opts.RecordLimit)

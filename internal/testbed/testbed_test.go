@@ -34,6 +34,24 @@ func TestNewBuildsWorkingRig(t *testing.T) {
 	}
 }
 
+// TestReplayRigCarriesNoSniffer pins the replay variant: the same
+// working rig, with nothing tapping its medium.
+func TestReplayRigCarriesNoSniffer(t *testing.T) {
+	rig, err := New(catalogSpec(t, "D2"), Options{Replay: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rig.Sniffer != nil {
+		t.Error("replay rig carries a sniffer")
+	}
+	if err := rig.Client.Connect(rig.Device.Address()); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.Client.Ping(rig.Device.Address()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewRejectsInvalidSpec(t *testing.T) {
 	if _, err := New(device.Spec{}, Options{}); err == nil {
 		t.Error("nameless spec accepted")
